@@ -16,7 +16,7 @@ across power nodes).  Two requirements shape this implementation:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -163,32 +163,80 @@ def _capacity_assign(points: np.ndarray, centroids: np.ndarray, k: int) -> np.nd
     """Greedy balanced assignment of points to capacity-limited clusters."""
     n = points.shape[0]
     base, remainder = divmod(n, k)
-    capacities = np.full(k, base, dtype=np.int64)
-    capacities[:remainder] += 1
+    remaining = [base + 1] * remainder + [base] * (k - remainder)
 
     distances = _pairwise_sq_distances(points, centroids)
     # Process points hardest-to-place first: those with the largest gap
     # between their best and worst option have the most to lose.
     spread = distances.max(axis=1) - distances.min(axis=1)
     order = np.argsort(-spread, kind="stable")
+    # Every point's clusters nearest first.  A stable sort ranks each row
+    # exactly as sorting that row alone would, so one call serves all.
+    ranked = np.argsort(distances, axis=1, kind="stable").tolist()
 
-    labels = np.full(n, -1, dtype=np.int64)
-    remaining = capacities.copy()
-    for point in order:
-        ranked = np.argsort(distances[point], kind="stable")
-        for cluster in ranked:
+    labels = [-1] * n
+    for point in order.tolist():
+        for cluster in ranked[point]:
             if remaining[cluster] > 0:
                 labels[point] = cluster
                 remaining[cluster] -= 1
                 break
-    assert (labels >= 0).all()
-    return labels
+    assert min(labels) >= 0
+    return np.array(labels, dtype=np.int64)
 
 
 def _pairwise_sq_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances, shape ``(n_points, k)``."""
-    diff = points[:, np.newaxis, :] - centroids[np.newaxis, :, :]
-    return (diff * diff).sum(axis=2)
+    """Squared Euclidean distances, shape ``(n_points, k)``.
+
+    Bit-identical to ``(diff * diff).sum(axis=2)`` over the broadcast
+    difference ``points[:, None, :] - centroids[None, :, :]``, whose sum
+    over the short last axis costs one inner-loop call per (point,
+    centroid) pair.  Instead each dimension gets one ``(k, n)`` plane of
+    squared differences (``c - p`` squares to exactly ``(p - c)²``), and
+    the planes are added in the order numpy sums a contiguous row of
+    ``d`` values (:func:`_pairwise_sum`).  Returns a transposed view.
+    """
+    if points.shape[1] == 0:
+        return np.zeros((points.shape[0], centroids.shape[0]))
+    diff = (
+        np.ascontiguousarray(centroids.T)[:, :, np.newaxis]
+        - np.ascontiguousarray(points.T)[:, np.newaxis, :]
+    )
+    np.multiply(diff, diff, out=diff)
+    return _pairwise_sum(list(diff)).T
+
+
+def _pairwise_sum(terms: List[np.ndarray]) -> np.ndarray:
+    """Add equal-shape arrays in the order of numpy's pairwise summation.
+
+    numpy reduces a contiguous run of ``n`` values from a zero start:
+    fewer than 8 one after another; up to 128 in eight interleaved partial
+    sums combined pairwise, then the leftover tail one by one; longer runs
+    split in two at a multiple of 8 and recurse.  The zero start is left
+    out, which changes nothing unless a sum is ``-0.0`` (never for the
+    squares summed here).  The arrays in ``terms`` are summed in place.
+    """
+    n = len(terms)
+    if n < 8:
+        total = terms[0]
+        for term in terms[1:]:
+            total = total + term
+        return total
+    if n <= 128:
+        partial = terms[:8]
+        tail = n - n % 8
+        for start in range(8, tail, 8):
+            for lane in range(8):
+                partial[lane] += terms[start + lane]
+        total = ((partial[0] + partial[1]) + (partial[2] + partial[3])) + (
+            (partial[4] + partial[5]) + (partial[6] + partial[7])
+        )
+        for term in terms[tail:]:
+            total += term
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
 
 
 def _recompute_centroids(
@@ -197,13 +245,28 @@ def _recompute_centroids(
     previous: np.ndarray,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Mean of each cluster; empty clusters re-seeded from a random point."""
-    k = previous.shape[0]
+    """Mean of each cluster; empty clusters re-seeded from a random point.
+
+    Each mean is bit-identical to ``points[labels == c].mean(axis=0)``.
+    With two or more dimensions numpy sums those member rows one after
+    another in index order, starting from zero, which is exactly how a
+    weighted ``np.bincount`` accumulates, so one bincount over the
+    flattened points sums every (cluster, dimension) cell.  A single
+    column is contiguous and numpy sums it pairwise instead, so ``d = 1``
+    keeps the per-cluster mean.  Empty clusters draw from ``rng`` in
+    cluster order.
+    """
+    k, d = previous.shape
     centroids = previous.copy()
-    for cluster in range(k):
-        members = labels == cluster
-        if members.any():
-            centroids[cluster] = points[members].mean(axis=0)
-        else:
-            centroids[cluster] = points[int(rng.integers(points.shape[0]))]
+    counts = np.bincount(labels, minlength=k)
+    if d == 1:
+        for cluster in np.flatnonzero(counts):
+            centroids[cluster] = points[labels == cluster].mean(axis=0)
+    else:
+        cells = (labels[:, np.newaxis] * d + np.arange(d)).ravel()
+        sums = np.bincount(cells, weights=points.ravel(), minlength=k * d)
+        filled = counts > 0
+        centroids[filled] = sums.reshape(k, d)[filled] / counts[filled, np.newaxis]
+    for cluster in np.flatnonzero(counts == 0):
+        centroids[cluster] = points[int(rng.integers(points.shape[0]))]
     return centroids

@@ -232,7 +232,12 @@ class WorkloadAwarePlacer:
             mapping: Dict[str, str] = {}
             diagnostics: Dict[str, Dict[str, int]] = {}
             self._place_under(
-                topology.root, list(records), global_basis, mapping, diagnostics
+                topology,
+                topology.root,
+                list(records),
+                global_basis,
+                mapping,
+                diagnostics,
             )
             assignment = Assignment(topology, mapping)
             obs.count("place.instances_placed", len(mapping))
@@ -245,12 +250,19 @@ class WorkloadAwarePlacer:
     # ------------------------------------------------------------------
     def _place_under(
         self,
+        topology: PowerTopology,
         node: PowerNode,
         records: List[InstanceRecord],
         basis: TraceSet,
         mapping: Dict[str, str],
         diagnostics: Dict[str, Dict[str, int]],
     ) -> None:
+        """Place ``records`` under ``node``.
+
+        ``basis`` is the datacenter-level basis; with
+        ``rebuild_basis_per_node`` each clustered node extracts its own from
+        its records instead (see :meth:`_cluster`).
+        """
         if not records:
             return
         if node.is_leaf:
@@ -263,7 +275,9 @@ class WorkloadAwarePlacer:
                 mapping[record.instance_id] = node.name
             return
         if len(node.children) == 1:
-            self._place_under(node.children[0], records, basis, mapping, diagnostics)
+            self._place_under(
+                topology, node.children[0], records, basis, mapping, diagnostics
+            )
             return
 
         obs.count("place.nodes_clustered")
@@ -272,13 +286,10 @@ class WorkloadAwarePlacer:
             record.instance_id: int(label)
             for record, label in zip(records, labels)
         }
-        shares = self._child_shares(node, records)
+        shares = self._child_shares(topology, node, records)
         buckets = self._deal_round_robin(node, records, clusters, shares)
         for child, bucket in zip(node.children, buckets):
-            child_basis = basis
-            if self.config.rebuild_basis_per_node and bucket:
-                child_basis = extract_basis_traces(bucket, self.config.top_m_services)
-            self._place_under(child, bucket, child_basis, mapping, diagnostics)
+            self._place_under(topology, child, bucket, basis, mapping, diagnostics)
 
     # ------------------------------------------------------------------
     def _cluster(
@@ -328,16 +339,8 @@ class WorkloadAwarePlacer:
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _subtree_capacity(node: PowerNode) -> Optional[int]:
-        total = 0
-        for leaf in node.leaves():
-            if leaf.capacity is None:
-                return None
-            total += leaf.capacity
-        return total
-
     def _child_shares(
-        self, node: PowerNode, records: List[InstanceRecord]
+        topology: PowerTopology, node: PowerNode, records: List[InstanceRecord]
     ) -> List[int]:
         """How many instances each child should receive.
 
@@ -346,7 +349,9 @@ class WorkloadAwarePlacer:
         """
         q = len(node.children)
         n = len(records)
-        capacities = [self._subtree_capacity(child) for child in node.children]
+        capacities = [
+            topology.total_leaf_capacity(child.name) for child in node.children
+        ]
         shares = [n // q + (1 if i < n % q else 0) for i in range(q)]
         # Waterfill overflow from capacity-bound children.
         for _ in range(q):

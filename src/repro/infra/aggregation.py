@@ -166,6 +166,18 @@ class NodePowerView:
             raise KeyError(f"{leaf_name!r} is not a leaf")
         return list(self._leaf_members[leaf_name])
 
+    def members_under(self, node_name: str) -> List[str]:
+        """Current members of the subtree rooted at ``node_name`` (a copy).
+
+        Leaves in topology order, members in arrival order — the order
+        :meth:`Assignment.instances_under` gives on the materialized
+        assignment.
+        """
+        members: List[str] = []
+        for leaf in self.topology.leaves_under(node_name):
+            members.extend(self._leaf_members[leaf.name])
+        return members
+
     def materialized_assignment(self) -> Assignment:
         """The current (post-delta) placement as an immutable Assignment.
 

@@ -24,9 +24,8 @@ class Assignment:
         self.topology = topology
         self._leaf_of: Dict[str, str] = dict(mapping)
         self._members: Dict[str, List[str]] = {}
-        leaf_names = set(topology.leaf_names())
         for instance_id, leaf_name in self._leaf_of.items():
-            if leaf_name not in leaf_names:
+            if not topology.has_leaf(leaf_name):
                 raise AssignmentError(
                     f"instance {instance_id} assigned to non-leaf or unknown "
                     f"node {leaf_name!r}"
@@ -58,15 +57,14 @@ class Assignment:
 
     def instances_on_leaf(self, leaf_name: str) -> List[str]:
         """Instances directly supplied by ``leaf_name`` (placement order)."""
-        if leaf_name not in set(self.topology.leaf_names()):
+        if not self.topology.has_leaf(leaf_name):
             raise AssignmentError(f"{leaf_name!r} is not a leaf node")
         return list(self._members.get(leaf_name, []))
 
     def instances_under(self, node_name: str) -> List[str]:
         """All instances supplied by the subtree rooted at ``node_name``."""
-        node = self.topology.node(node_name)
         result: List[str] = []
-        for leaf in node.leaves():
+        for leaf in self.topology.leaves_under(node_name):
             result.extend(self._members.get(leaf.name, []))
         return result
 

@@ -86,7 +86,7 @@ class GammaProvisioningPolicy:
         # layering (it imports the topology/assignment machinery from here).
         from ..robust.headroom import robust_load
 
-        members = view.assignment.instances_under(node_name)
+        members = view.members_under(node_name)
         if not members:
             return 0.0
         nominal, radius = self.model.rows(members)

@@ -157,7 +157,9 @@ def plan_expansion(
     Parameters
     ----------
     view:
-        Post-optimisation power view with budgets assigned on all nodes.
+        Post-optimisation power view with budgets assigned on all nodes;
+        its live membership (after any deltas) gives leaf occupancy and
+        the instance count.
     per_server_watts:
         Peak power reserved per added server (conservative: its full peak,
         since a new server's phase behaviour is unknown at planning time).
@@ -179,7 +181,7 @@ def plan_expansion(
         path = [node.name for node in leaf.path_from_root()]
         fit = int(min(headroom[name] for name in path) // per_server_watts)
         if respect_leaf_capacity and leaf.capacity is not None:
-            used = len(view.assignment.instances_on_leaf(leaf.name))
+            used = len(view.member_ids(leaf.name))
             fit = min(fit, max(0, leaf.capacity - used))
         if fit <= 0:
             continue
@@ -189,5 +191,5 @@ def plan_expansion(
     return ExpansionPlan(
         extra_per_leaf=extra,
         per_server_watts=per_server_watts,
-        original_count=len(view.assignment),
+        original_count=len(view.members_under(view.topology.root.name)),
     )

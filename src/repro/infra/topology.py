@@ -104,15 +104,36 @@ class PowerTopology:
 
     The tree is validated on construction: names must be unique and every
     non-root node must be reachable from the root.
+
+    The same walk indexes the tree's structure: the pre-order leaf list,
+    the nodes at each level, and each node's leaves (a contiguous slice of
+    the leaf list, since pre-order visits a subtree's leaves together).
+    Structural queries read the index instead of re-walking the tree, so
+    the structure is frozen once wrapped: attach every child before
+    constructing the topology.  Budgets and capacities stay mutable.
     """
 
     def __init__(self, root: PowerNode) -> None:
         self.root = root
         self._by_name: Dict[str, PowerNode] = {}
-        for node in root.iter_subtree():
-            if node.name in self._by_name:
-                raise TopologyError(f"duplicate node name: {node.name}")
-            self._by_name[node.name] = node
+        self._by_level: Dict[str, List[PowerNode]] = {}
+        self._leaves: List[PowerNode] = []
+        #: node name → (start, end) of its leaves in ``_leaves``
+        self._leaf_span: Dict[str, Tuple[int, int]] = {}
+        self._index(root)
+        self._leaf_names = frozenset(leaf.name for leaf in self._leaves)
+
+    def _index(self, node: PowerNode) -> None:
+        if node.name in self._by_name:
+            raise TopologyError(f"duplicate node name: {node.name}")
+        self._by_name[node.name] = node
+        self._by_level.setdefault(node.level, []).append(node)
+        start = len(self._leaves)
+        if node.is_leaf:
+            self._leaves.append(node)
+        for child in node.children:
+            self._index(child)
+        self._leaf_span[node.name] = (start, len(self._leaves))
 
     # ------------------------------------------------------------------
     def __contains__(self, name: str) -> bool:
@@ -129,31 +150,41 @@ class PowerTopology:
 
     def levels(self) -> List[str]:
         """Distinct levels present, in root-to-leaf encounter order."""
-        seen: List[str] = []
-        for node in self.root.iter_subtree():
-            if node.level not in seen:
-                seen.append(node.level)
-        return seen
+        return list(self._by_level)
 
     def nodes_at_level(self, level: str) -> List[PowerNode]:
-        found = [node for node in self.root.iter_subtree() if node.level == level]
-        if not found:
-            raise TopologyError(f"no nodes at level {level!r}")
-        return found
+        try:
+            return list(self._by_level[level])
+        except KeyError:
+            raise TopologyError(f"no nodes at level {level!r}") from None
 
     def leaves(self) -> List[PowerNode]:
-        return self.root.leaves()
+        return list(self._leaves)
 
     def leaf_names(self) -> List[str]:
-        return [leaf.name for leaf in self.leaves()]
+        return [leaf.name for leaf in self._leaves]
+
+    def has_leaf(self, name: str) -> bool:
+        """Whether ``name`` is a leaf of this tree."""
+        return name in self._leaf_names
+
+    def leaves_under(self, name: str) -> List[PowerNode]:
+        """Leaves of the subtree rooted at ``name``, in pre-order."""
+        try:
+            start, end = self._leaf_span[name]
+        except KeyError:
+            raise TopologyError(f"unknown node: {name}") from None
+        return self._leaves[start:end]
 
     def parent_of(self, name: str) -> Optional[PowerNode]:
         return self.node(name).parent
 
-    def total_leaf_capacity(self) -> Optional[int]:
-        """Sum of leaf capacities; None if any leaf is unbounded."""
+    def total_leaf_capacity(self, under: Optional[str] = None) -> Optional[int]:
+        """Sum of the leaf capacities under node ``under`` (default: the
+        whole tree); None if any of those leaves is unbounded."""
+        leaves = self._leaves if under is None else self.leaves_under(under)
         total = 0
-        for leaf in self.leaves():
+        for leaf in leaves:
             if leaf.capacity is None:
                 return None
             total += leaf.capacity
@@ -162,7 +193,7 @@ class PowerTopology:
     def describe(self) -> str:
         """Human-readable per-level summary ("4 suites, 8 MSBs, ...")."""
         parts = []
-        for level in self.levels():
-            count = len(self.nodes_at_level(level))
+        for level, nodes in self._by_level.items():
+            count = len(nodes)
             parts.append(f"{count} {level}{'s' if count != 1 else ''}")
         return ", ".join(parts)

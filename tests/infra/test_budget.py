@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.engine.delta import FleetDelta, PlacementState
 from repro.infra import (
     Assignment,
+    GammaProvisioningPolicy,
     NodePowerView,
     PeakProvisioningPolicy,
     PercentileProvisioningPolicy,
@@ -100,3 +102,29 @@ class TestHierarchical:
         _, view = setup
         with pytest.raises(ValueError):
             provision_hierarchical(view, margin=-0.1)
+
+
+class TestGammaPolicyLiveMembership:
+    def test_budgets_follow_deltas(self):
+        """Γ budgets read the view's live members, not its as-built placement."""
+
+        class Model:
+            radius = {"i0": 5.0, "i1": 1.0}
+
+            def rows(self, ids):
+                return np.ones(len(ids)), np.array([self.radius[i] for i in ids])
+
+        grid = TimeGrid(0, 60, 24)
+        topo = build_topology(two_level_spec("dc", leaves=2, leaf_capacity=2))
+        traces = TraceSet(grid, ["i0", "i1"], np.ones((2, 24)))
+        start = {"i0": "dc/rpp0", "i1": "dc/rpp1"}
+        state = PlacementState(topo, traces, start)
+        live = state.register(NodePowerView(topo, Assignment(topo, start), traces))
+        state.apply(FleetDelta.move("i0", "dc/rpp0", "dc/rpp1"))
+        rebuilt = NodePowerView(topo, live.materialized_assignment(), traces)
+
+        policy = GammaProvisioningPolicy(model=Model(), gamma=1)
+        budgets = compute_budgets(live, policy)
+        assert budgets == compute_budgets(rebuilt, policy)
+        assert budgets["dc/rpp0"] == 0.0
+        assert budgets["dc/rpp1"] == pytest.approx(2.0 + 5.0)

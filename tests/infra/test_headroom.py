@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.engine.delta import FleetDelta, PlacementState
 from repro.infra import (
     Assignment,
     NodePowerView,
@@ -117,3 +118,50 @@ class TestHierarchicalInteraction:
         good_view = NodePowerView(topo, good, traces)
         plan = plan_expansion(good_view, per_server_watts=10.0)
         assert plan.total_extra == 2
+
+
+class TestLiveMembership:
+    """Plans read the view's live membership, not its as-built placement."""
+
+    @staticmethod
+    def views_after(delta):
+        """A view driven through ``delta``, and one rebuilt from its result.
+
+        Two 2-slot leaves, one 1 W instance on each to start; budgets of
+        3 W per leaf and 4 W at the root.
+        """
+        grid = TimeGrid(0, 60, 24)
+        topo = build_topology(two_level_spec("dc", leaves=2, leaf_capacity=2))
+        traces = TraceSet(grid, ["i0", "i1", "i2"], np.ones((3, 24)))
+        start = {"i0": "dc/rpp0", "i1": "dc/rpp1"}
+        state = PlacementState(topo, traces, start)
+        live = state.register(NodePowerView(topo, Assignment(topo, start), traces))
+        state.apply(delta)
+        rebuilt = NodePowerView(topo, live.materialized_assignment(), traces)
+        for name, budget in (("dc/rpp0", 3.0), ("dc/rpp1", 3.0), ("dc", 4.0)):
+            topo.node(name).budget_watts = budget
+        return live, rebuilt
+
+    def test_leaf_capacity_follows_a_move(self):
+        live, rebuilt = self.views_after(FleetDelta.move("i0", "dc/rpp0", "dc/rpp1"))
+        plan = plan_expansion(live, per_server_watts=1.0, respect_leaf_capacity=True)
+        expected = plan_expansion(
+            rebuilt, per_server_watts=1.0, respect_leaf_capacity=True
+        )
+        # rpp1 is full after the move; the as-built placement had it half empty.
+        assert plan.extra_per_leaf == expected.extra_per_leaf
+        assert plan.extra_per_leaf["dc/rpp1"] == 0
+
+    @pytest.mark.parametrize(
+        "delta, count",
+        [
+            (FleetDelta.remove("i1", "dc/rpp1"), 1),
+            (FleetDelta.place("i2", "dc/rpp0"), 3),
+        ],
+        ids=["removal", "arrival"],
+    )
+    def test_original_count_follows_deltas(self, delta, count):
+        live, rebuilt = self.views_after(delta)
+        plan = plan_expansion(live, per_server_watts=1.0)
+        assert plan.original_count == count
+        assert plan == plan_expansion(rebuilt, per_server_watts=1.0)
