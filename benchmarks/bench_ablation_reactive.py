@@ -1,7 +1,7 @@
 """Ablation: oracle vs reactive conversion control.
 
-The reshaping runtime's scenario engine decides phases from the current
-demand value — an oracle.  A production controller observes a trailing load
+The engine's conversion scenario decides phases from the current demand
+value — an oracle.  A production controller observes a trailing load
 average, needs hysteresis, and pays a conversion delay.  This ablation
 quantifies the gap on the DC1 test week: the paper's bet is that diurnal
 load is predictable enough for a history-based controller to match the
@@ -13,11 +13,11 @@ import pytest
 
 from repro.analysis import experiments as E
 from repro.analysis.report import format_percent, format_table
+from repro.engine import ScenarioSpec, execute
 from repro.reshaping import (
     ConversionPolicy,
     ReactiveConfig,
     ReactiveConversionRuntime,
-    ReshapingRuntime,
     derive_demand,
     describe_fleet,
     learn_conversion_threshold,
@@ -37,7 +37,15 @@ def _run():
     extra = study.report.expansion.total_extra
     demand = derive_demand(dc.records, use_test=True).scaled(1.0 + extra / fleet.n_lc)
 
-    oracle = ReshapingRuntime(fleet, policy).run_conversion(demand, extra)
+    oracle = execute(
+        ScenarioSpec(
+            mode="conversion",
+            fleet=fleet,
+            demand=demand,
+            conversion=policy,
+            extra_servers=extra,
+        )
+    ).result
     results = {"oracle": oracle}
     for label, config in (
         ("reactive (30m delay)", ReactiveConfig(delay_steps=3)),

@@ -62,7 +62,6 @@ from .infra import (
 from .reshaping import (
     ConversionPolicy,
     ReactiveConversionRuntime,
-    ReshapingRuntime,
     ThrottleBoostPolicy,
     learn_conversion_threshold,
 )
@@ -74,7 +73,7 @@ from .traces import (
     TraceSynthesizer,
 )
 
-__version__ = "1.0.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "__version__",
@@ -115,7 +114,6 @@ __all__ = [
     # reshaping
     "ConversionPolicy",
     "ThrottleBoostPolicy",
-    "ReshapingRuntime",
     "ReactiveConversionRuntime",
     "learn_conversion_threshold",
     # datasets

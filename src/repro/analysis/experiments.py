@@ -34,8 +34,7 @@ from ..infra.topology import Level, PowerTopology
 from ..reshaping.conversion import ConversionPolicy
 from ..reshaping.fleet import derive_demand, describe_fleet
 from ..reshaping.lconv import learn_conversion_threshold
-from ..engine import Engine, ScenarioSpec
-from ..reshaping.runtime import ReshapingComparison
+from ..engine import Engine, ReshapingComparison, ScenarioSpec
 from ..reshaping.throttling import ThrottleBoostPolicy
 from ..traces.percentiles import band_summary
 from ..traces.service import extract_basis_traces, total_energy_by_service

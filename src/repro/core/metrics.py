@@ -110,16 +110,9 @@ class AsynchronyIndex:
             self._scores[node.name] = self._score_node(node.name)
 
     # ------------------------------------------------------------------
-    def _subtree_members(self, node_name: str):
-        node = self.view.topology.node(node_name)
-        members = []
-        for leaf in node.leaves():
-            members.extend(self.view.member_ids(leaf.name))
-        return members
-
     def _score_node(self, node_name: str) -> Optional[float]:
         """Score one node — ``None`` when it is empty (skipped, like the full pass)."""
-        members = self._subtree_members(node_name)
+        members = self.view.members_under(node_name)
         if not members:
             return None
         traces = self.view.traces

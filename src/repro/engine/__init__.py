@@ -1,16 +1,12 @@
 """The unified simulation core.
 
-One :class:`Engine` replaces the three scenario stacks that grew up in
-parallel — ``repro.reshaping.runtime`` (clean Sec. 4 scenarios),
-``repro.faults.runtime`` (the same scenarios under injected faults) and
-``repro.infra.capping`` (the emergency fallback).  Scenarios are described
-declaratively by :class:`ScenarioSpec` / :class:`ChaosSpec`, executed by
-:meth:`Engine.run` through a pipeline of :class:`Policy` / :class:`Actuator`
-plugins, and fanned out across processes by :func:`run_many`.
-
-The legacy entry points remain importable as thin shims and produce
-bit-identical results (pinned by the golden parity suite in
-``tests/engine/``).
+One :class:`Engine` runs every Sec. 4 scenario: the clean reshaping
+modes, the same modes under injected faults, and the emergency capping
+fallback.  Scenarios are described declaratively by
+:class:`ScenarioSpec` / :class:`ChaosSpec`, executed by :meth:`Engine.run`
+through a pipeline of :class:`Policy` / :class:`Actuator` plugins, and
+fanned out across processes by :func:`run_many`.  The golden parity suite
+in ``tests/engine/`` pins the results bit for bit.
 """
 
 from .delta import (  # noqa: F401  (import order: leaf modules first)
@@ -22,6 +18,7 @@ from .delta import (  # noqa: F401  (import order: leaf modules first)
 from .state import (  # noqa: F401
     FleetDescription,
     FleetState,
+    ReshapingComparison,
     RunArtifacts,
     ScenarioResult,
 )
@@ -125,6 +122,7 @@ __all__ = [
     "PowerSpikePolicy",
     "PowerSpikeSchedule",
     "RecoveryReport",
+    "ReshapingComparison",
     "RunArtifacts",
     "RunContext",
     "RunFailure",

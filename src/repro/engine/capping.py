@@ -11,10 +11,8 @@ beneath it — batch first, storage/other second, latency-critical last, each
 class down to a floor.
 
 The headline metric is **LC energy shed**: work taken away from user-facing
-services, the paper's proxy for QoS damage.
-
-This is the canonical home of the capping loop; ``repro.infra.capping``
-re-exports it for backward compatibility.
+services, the paper's proxy for QoS damage.  The engine's emergency
+fallback (:class:`~repro.engine.policy.EmergencyCapping`) drives this loop.
 """
 
 from __future__ import annotations

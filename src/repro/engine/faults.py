@@ -1,7 +1,7 @@
 """Fault models and chaos-run result types for the engine.
 
-The canonical home of the runtime-fault dataclasses that historically
-lived in ``repro.faults.runtime`` (which still re-exports them):
+The paper's Sec. 4 runtime assumes a failure-free fleet; these model the
+runtime faults a production fleet has, and how a run recovers from them:
 
 * :class:`ServerFailureSchedule` — groups of LC or Batch servers offline
   for contiguous windows;

@@ -29,8 +29,8 @@ jitter backoff between rounds so resubmission storms after a rebuild do not
 synchronize — up to ``max_attempts`` tries per spec; the backoff sleep only
 ever runs when another attempt follows — a spec out of attempts fails
 immediately as a :class:`RunFailure` in its slot of the result list.
-``workers <= 1`` or a single spec short-circuits to a plain serial loop
-that never touches a pool.
+``workers <= 1`` or a single spec runs through the same retry loop inline,
+never touching a pool.
 
 Worker *hangs* do not sink a suite either.  When a
 :class:`~repro.engine.deadline.TaskDeadline` is in force (per-call
@@ -67,6 +67,7 @@ import random
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set
 
 from . import chaos_infra
@@ -193,59 +194,38 @@ def _init_worker(n_threads: int) -> None:
         pass
 
 
-def _pool_execute(spec: Any) -> RunArtifacts:
-    """Worker-side task wrapper around :func:`execute`.
+def _run_task(
+    fn: Callable[..., Any],
+    args: Sequence[Any],
+    index: int,
+    attempt: int,
+    label: str,
+    capture: bool,
+    faults: bool,
+) -> Any:
+    """The worker side of every pooled task: ``fn(*args)``.
 
-    Persistent workers outlive many tasks, so an event log inherited at
-    fork time must not accumulate every task's events for the life of the
-    worker: when recording is active, each task runs under a fresh log and
-    its artifacts carry only its own events.
+    Armed infra faults fire first when ``faults`` is set, *inside* the
+    capture, so injected events (e.g. an ``oversized_bundle`` payload) land
+    in the shipped bundle and an injected exception ships its telemetry
+    like any real failure.  With ``capture`` the worker returns
+    ``(result, bundle)`` (see :func:`repro.obs.remote.run_captured`), the
+    bundle's root span named ``label``.  Without it, a task still runs under
+    a fresh event log when recording is active: persistent workers outlive
+    many tasks, so a log inherited at fork time must not accumulate every
+    task's events for the life of the worker.
     """
+    call = partial(chaos_infra.call_with_faults, fn, index, attempt) if faults else fn
+    if capture:
+        from ..obs import remote as obs_remote
+
+        return obs_remote.run_captured(call, index, label, attempt, args)
     from ..obs import events as obs_events
 
     if obs_events.get_event_log() is None:
-        return execute(spec)
+        return call(*args)
     with obs_events.recording():
-        return execute(spec)
-
-
-def _pool_execute_captured(spec: Any, index: int, attempt: int):
-    """Worker-side spec task with telemetry capture.
-
-    Wraps :func:`execute` in :func:`repro.obs.remote.run_captured`, so the
-    worker ships ``(artifacts, bundle)`` — the bundle carrying the spec's
-    span subtree, metric deltas, and capture-level events back to the
-    coordinator for merging.  ``execute`` is called directly, not through
-    :func:`_pool_execute`: the capture installs a fresh per-task event log
-    already, and nesting another recording inside it would swallow the
-    spec's events before the bundle could ship them.
-    """
-    from ..obs import remote as obs_remote
-
-    return obs_remote.run_captured(execute, index, "run.spec", attempt, (spec,))
-
-
-def _pool_execute_faulty(spec: Any, index: int, attempt: int) -> RunArtifacts:
-    """:func:`_pool_execute` behind the armed infra fault injectors."""
-    return chaos_infra.call_with_faults(_pool_execute, index, attempt, spec)
-
-
-def _pool_execute_faulty_captured(spec: Any, index: int, attempt: int):
-    """:func:`_pool_execute_captured`'s fault-injected twin.
-
-    The injector runs *inside* the capture, so injected events (e.g. an
-    ``oversized_bundle`` payload) land in the shipped bundle and an
-    injected exception ships its telemetry like any real failure.
-    """
-    from ..obs import remote as obs_remote
-
-    return obs_remote.run_captured(
-        chaos_infra.call_with_faults,
-        index,
-        "run.spec",
-        attempt,
-        (execute, index, attempt, spec),
-    )
+        return call(*args)
 
 
 def _bundle_stats(bundle: Any, roundtrip_s: float, *, ok: bool = True):
@@ -437,7 +417,6 @@ class WorkerPool:
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         retry_backoff_s: float = 0.0,
         label: str = "shard",
-        capture: Optional[bool] = None,
         deadline: Optional[TaskDeadline] = None,
     ) -> List[Any]:
         """Run ``fn(*task)`` for every task, in task order, with retries.
@@ -460,75 +439,25 @@ class WorkerPool:
         sound — both copies of a shard compute the same value, so whichever
         finishes first is *the* result.
 
-        Unless capture is disabled (the ``REPRO_OBS_CAPTURE`` kill switch,
-        or ``capture=False``), every task runs under worker-side telemetry
-        capture (:mod:`repro.obs.remote`): its spans, metric deltas, and
-        events ship back with the result and are merged into this process's
-        live tracer/registry/log — sorted by shard id, so the merged state
-        is independent of completion order.  ``label`` names the per-task
-        root span (tagged with shard id and worker pid) and the stage's
-        entry in the run report (:mod:`repro.obs.report`); the pool also
-        records its own health metrics (dispatch/completion/retry counters,
+        Unless the ``REPRO_OBS_CAPTURE`` kill switch disables it, every
+        task runs under worker-side telemetry capture
+        (:mod:`repro.obs.remote`): its spans, metric deltas, and events
+        ship back with the result and are merged into this process's live
+        tracer/registry/log — sorted by shard id, so the merged state is
+        independent of completion order.  ``label`` names the per-task root
+        span (tagged with shard id and worker pid) and the stage's entry in
+        the run report (:mod:`repro.obs.report`); the pool also records its
+        own health metrics (dispatch/completion/retry counters,
         roundtrip/execution/queue latency histograms).
         """
-        from ..obs import remote as obs_remote
-
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be at least 1")
-        if retry_backoff_s < 0:
-            raise ValueError("retry_backoff_s cannot be negative")
-        tasks = [tuple(task) for task in tasks]
-        do_capture = obs_remote.capture_enabled() and (capture is None or capture)
-        if deadline is None:
-            deadline = deadline_mod.get_default_deadline()
-        faults_on = chaos_infra.configured()
-
-        def submit_pooled(index: int, attempt: int, on_rebuild):
-            if faults_on:
-                if do_capture:
-                    return self.submit_resilient(
-                        obs_remote.run_captured,
-                        chaos_infra.call_with_faults,
-                        index,
-                        label,
-                        attempt,
-                        (fn, index, attempt, *tasks[index]),
-                        on_rebuild=on_rebuild,
-                    )
-                return self.submit_resilient(
-                    chaos_infra.call_with_faults,
-                    fn,
-                    index,
-                    attempt,
-                    *tasks[index],
-                    on_rebuild=on_rebuild,
-                )
-            if do_capture:
-                return self.submit_resilient(
-                    obs_remote.run_captured,
-                    fn,
-                    index,
-                    label,
-                    attempt,
-                    tasks[index],
-                    on_rebuild=on_rebuild,
-                )
-            return self.submit_resilient(
-                fn, *tasks[index], on_rebuild=on_rebuild
-            )
-
         driver = _StageDriver(
             self,
-            len(tasks),
+            fn,
+            [tuple(task) for task in tasks],
             label=label,
-            do_capture=do_capture,
             max_attempts=max_attempts,
             retry_backoff_s=retry_backoff_s,
             deadline=deadline,
-            submit_pooled=submit_pooled,
-            run_inline=lambda index: fn(*tasks[index]),
-            on_failure=None,
-            raise_on_exhaust=True,
         )
         return driver.run()
 
@@ -560,13 +489,14 @@ class WorkerPool:
 # the dispatch/retry driver
 # ----------------------------------------------------------------------
 class _StageDriver:
-    """The shared dispatch loop behind ``map_shards`` and ``run_many``.
+    """The one dispatch loop behind ``map_shards`` and ``run_many``.
 
-    One instance drives one stage: it owns the per-task attempt counts,
-    the retry rounds (with decorrelated-jitter backoff and one-at-a-time
-    isolation after an executor break), the telemetry bookkeeping, and —
-    when a :class:`~repro.engine.deadline.TaskDeadline` is in force — the
-    four failure domains:
+    One instance drives one stage of ``fn(*task)`` calls: it owns the
+    per-task attempt counts, the retry rounds (with decorrelated-jitter
+    backoff and one-at-a-time isolation after an executor break), the
+    telemetry bookkeeping, and — when a
+    :class:`~repro.engine.deadline.TaskDeadline` is in force — the four
+    failure domains:
 
     * **watchdog** — the wait loop polls at ``poll_interval_s``; a task
       older than ``hard_timeout_s`` gets the whole pool SIGKILLed (a hung
@@ -588,39 +518,50 @@ class _StageDriver:
       ``degrade_min_failures`` and ``degrade_failure_ratio`` of dispatches,
       the whole stage degrades to in-process serial execution.
 
-    The two callers differ only in how they submit, how they execute
-    in-process, and what an exhausted task does (``map_shards`` raises,
-    ``run_many`` records a :class:`RunFailure` slot via ``on_failure``).
-    With ``deadline=None`` the wait loop blocks unbounded and none of the
-    failure-domain machinery runs — byte-for-byte the legacy behaviour.
+    The two callers differ only in what an exhausted task does:
+    ``map_shards`` re-raises its error, ``run_many`` passes ``on_failure``
+    to record a :class:`RunFailure` in the task's slot.  With ``pool=None``
+    every task runs inline in this process — no pool is built, no
+    telemetry is captured, no pool metric or run-report stage is recorded —
+    with the same retry rounds and backoff.  With ``deadline=None`` (and no
+    process default) the wait loop blocks unbounded and none of the
+    failure-domain machinery runs.
     """
 
     def __init__(
         self,
-        pool: WorkerPool,
-        n_tasks: int,
+        pool: Optional[WorkerPool],
+        fn: Callable[..., Any],
+        tasks: Sequence[Sequence[Any]],
         *,
         label: str,
-        do_capture: bool,
         max_attempts: int,
         retry_backoff_s: float,
-        deadline: Optional[TaskDeadline],
-        submit_pooled: Callable[..., Any],
-        run_inline: Callable[[int], Any],
-        on_failure: Optional[Callable[[int, BaseException, int], Any]],
-        raise_on_exhaust: bool,
+        deadline: Optional[TaskDeadline] = None,
+        task_label: Optional[str] = None,
+        on_failure: Optional[Callable[[int, BaseException, int], Any]] = None,
     ) -> None:
+        from ..obs import remote as obs_remote
+
+        if max_attempts < 1:
+            raise ValueError("max_attempts must be at least 1")
+        if retry_backoff_s < 0:
+            raise ValueError("retry_backoff_s cannot be negative")
         self.pool = pool
-        self.n_tasks = n_tasks
+        self.fn = fn
+        self.tasks = tasks
+        self.n_tasks = n_tasks = len(tasks)
         self.label = label
-        self.do_capture = do_capture
+        self.task_label = task_label if task_label is not None else label
         self.max_attempts = max_attempts
         self.retry_backoff_s = retry_backoff_s
-        self.deadline = deadline
-        self.submit_pooled = submit_pooled
-        self.run_inline = run_inline
         self.on_failure = on_failure
-        self.raise_on_exhaust = raise_on_exhaust
+        pooled = pool is not None
+        self.do_capture = pooled and obs_remote.capture_enabled()
+        self.faults = pooled and chaos_infra.configured()
+        if pooled and deadline is None:
+            deadline = deadline_mod.get_default_deadline()
+        self.deadline = deadline
 
         self.results: List[Any] = [None] * n_tasks
         self.attempts = [0] * n_tasks
@@ -648,7 +589,9 @@ class _StageDriver:
             inline = [
                 index
                 for index in pending
-                if self.degraded or index in self.quarantined
+                if self.pool is None
+                or self.degraded
+                or index in self.quarantined
             ]
             pooled = [index for index in pending if index not in set(inline)]
             for index in inline:
@@ -672,7 +615,7 @@ class _StageDriver:
                 for index in ordered_failed
                 if self.attempts[index] >= self.max_attempts
             ]
-            if exhausted and self.raise_on_exhaust:
+            if exhausted and self.on_failure is None:
                 # The stage is lost, but its telemetry is not: merge what
                 # shipped (including failed attempts' bundles) before
                 # re-raising, so the failure is diagnosable from the
@@ -701,14 +644,14 @@ class _StageDriver:
 
     # ------------------------------------------------------------------
     def _run_one_inline(self, index: int) -> None:
-        """One quarantined/degraded task, in-process and serial."""
+        """One task in this process: no pool, quarantined, or degraded."""
         from ..obs import metrics as obs_metrics
 
         self.attempts[index] += 1
         if self.do_capture:
             obs_metrics.count("pool.tasks_inline")
         try:
-            self.results[index] = self.run_inline(index)
+            self.results[index] = self.fn(*self.tasks[index])
         except Exception as error:  # noqa: BLE001
             self.failed.append(index)
             self.errors[index] = error
@@ -748,7 +691,17 @@ class _StageDriver:
             # sees a fresh execution, not a replay of the straggling one)
             # but does not consume a slot of the task's retry budget.
             attempt = self.attempts[index] + (1 if speculative else 0)
-            future = self.submit_pooled(index, attempt, on_submit_rebuild)
+            future = self.pool.submit_resilient(
+                _run_task,
+                self.fn,
+                self.tasks[index],
+                index,
+                attempt,
+                self.task_label,
+                self.do_capture,
+                self.faults,
+                on_rebuild=on_submit_rebuild,
+            )
             future_of[future] = index
             dispatched_at[future] = time.perf_counter()
             attempt_of[future] = attempt
@@ -865,7 +818,6 @@ class _StageDriver:
         speculative_win: bool = False,
     ) -> None:
         from ..obs import metrics as obs_metrics
-        from ..obs import remote as obs_remote  # noqa: F401 - doc symmetry
 
         if self.do_capture:
             result, bundle = outcome
@@ -1163,11 +1115,11 @@ def run_many(
     Results come back in spec order, one entry per spec: a
     :class:`RunArtifacts` on success, a :class:`RunFailure` once a spec has
     failed ``max_attempts`` times.  ``workers <= 1`` — or a batch of one —
-    short-circuits to a serial loop in this process that creates no pool at
-    all (cheapest for small batches and the only option on single-CPU
-    hosts); otherwise the batch runs on the process-wide persistent pool
-    for ``workers`` (or the explicit ``pool``), spawning workers only on
-    first use.
+    runs every spec inline in this process, through the same retry rounds
+    and capped backoff, and creates no pool at all (cheapest for small
+    batches and the only option on single-CPU hosts); otherwise the batch
+    runs on the process-wide persistent pool for ``workers`` (or the
+    explicit ``pool``), spawning workers only on first use.
 
     A dead worker breaks the whole executor, so every spec still in flight
     counts one failed attempt, the executor is rebuilt, and the survivors
@@ -1195,62 +1147,26 @@ def run_many(
     subtree, metric deltas, and capture-level events ship back with its
     artifacts and merge into this process's live observability surfaces,
     the pool records its health metrics, and the batch lands in the run
-    report (:mod:`repro.obs.report`) as a ``run.many`` stage.  The serial
-    short-circuit records nothing — in-process runs are already fully
-    observable.
+    report (:mod:`repro.obs.report`) as a ``run.many`` stage.  An inline
+    batch records nothing — in-process runs are already fully observable.
     """
-    if max_attempts < 1:
-        raise ValueError("max_attempts must be at least 1")
-    if retry_backoff_s < 0:
-        raise ValueError("retry_backoff_s cannot be negative")
     specs = list(specs)
-    results: List[Any] = [None] * len(specs)
     if workers <= 1 or len(specs) <= 1:
-        for index, spec in enumerate(specs):
-            results[index] = _run_serial(spec, max_attempts, retry_backoff_s)
-        return results
-
-    from ..obs import remote as obs_remote
-
-    if pool is None:
+        pool = None
+    elif pool is None:
         pool = get_pool(workers)
-    do_capture = obs_remote.capture_enabled()
-    if deadline is None:
-        deadline = deadline_mod.get_default_deadline()
-    faults_on = chaos_infra.configured()
-
-    def submit_pooled(index: int, attempt: int, on_rebuild):
-        if faults_on:
-            task = _pool_execute_faulty_captured if do_capture else _pool_execute_faulty
-            return pool.submit_resilient(
-                task, specs[index], index, attempt, on_rebuild=on_rebuild
-            )
-        if do_capture:
-            return pool.submit_resilient(
-                _pool_execute_captured,
-                specs[index],
-                index,
-                attempt,
-                on_rebuild=on_rebuild,
-            )
-        return pool.submit_resilient(
-            _pool_execute, specs[index], on_rebuild=on_rebuild
-        )
-
     driver = _StageDriver(
         pool,
-        len(specs),
+        execute,
+        [(spec,) for spec in specs],
         label="run.many",
-        do_capture=do_capture,
+        task_label="run.spec",
         max_attempts=max_attempts,
         retry_backoff_s=retry_backoff_s,
         deadline=deadline,
-        submit_pooled=submit_pooled,
-        run_inline=lambda index: execute(specs[index]),
         on_failure=lambda index, error, attempts_used: _failure(
             specs[index], error, attempts_used
         ),
-        raise_on_exhaust=False,
     )
     return driver.run()
 
@@ -1258,22 +1174,6 @@ def run_many(
 # ----------------------------------------------------------------------
 # internals
 # ----------------------------------------------------------------------
-def _run_serial(spec: Any, max_attempts: int, retry_backoff_s: float) -> Any:
-    """One spec in-process, with the same bounded retry + backoff.
-
-    The backoff runs between attempts, never after the last one — the
-    final failure returns immediately.
-    """
-    for attempt in range(1, max_attempts + 1):
-        try:
-            return execute(spec)
-        except Exception as error:  # noqa: BLE001
-            failure = _failure(spec, error, attempt)
-            if attempt < max_attempts:
-                time.sleep(retry_backoff_s * (2 ** (attempt - 1)))
-    return failure
-
-
 def _failure(spec: Any, error: BaseException, attempts: int) -> RunFailure:
     return RunFailure(
         spec=spec,

@@ -1,11 +1,10 @@
 """Shared simulation state: fleet description, per-run state, artifacts.
 
-:class:`FleetDescription` and :class:`ScenarioResult` are the canonical
-homes of the dataclasses that historically lived in
-``repro.reshaping.runtime`` (which still re-exports them for backward
-compatibility).  :class:`FleetState` is the mutable value object the
-engine's policy pipeline edits in place of the parallel bookkeeping each
-legacy runtime kept by hand, and :class:`RunArtifacts` is the uniform
+:class:`FleetDescription` is the fleet the Sec. 4 scenarios reshape,
+:class:`ScenarioResult` one scenario's time series, and
+:class:`ReshapingComparison` the Figure 13/14 comparison of scenarios
+against ``pre``.  :class:`FleetState` is the mutable value object the
+engine's policy pipeline edits, and :class:`RunArtifacts` is the uniform
 return type of :meth:`repro.engine.Engine.run`.
 """
 
@@ -100,6 +99,53 @@ class ScenarioResult:
 
     def peak_power(self) -> float:
         return float(self.total_power.max())
+
+
+@dataclass
+class ReshapingComparison:
+    """Figure 13/14-style comparison of reshaping scenarios against ``pre``."""
+
+    pre: ScenarioResult
+    scenarios: Dict[str, ScenarioResult] = field(default_factory=dict)
+
+    def lc_improvement(self, name: str) -> float:
+        base = self.pre.lc_total()
+        if base == 0:
+            return 0.0
+        return self.scenarios[name].lc_total() / base - 1.0
+
+    def batch_improvement(self, name: str) -> float:
+        base = self.pre.batch_total()
+        if base == 0:
+            return 0.0
+        return self.scenarios[name].batch_total() / base - 1.0
+
+    def slack_reduction(
+        self,
+        name: str,
+        mask: Optional[np.ndarray] = None,
+        *,
+        baseline: str = "pre",
+    ) -> float:
+        """Fractional reduction of mean power slack vs a baseline (Figure 14).
+
+        ``mask`` restricts the comparison to a subset of steps (e.g. the
+        off-peak / Batch-heavy hours).  ``baseline`` is ``"pre"`` or the
+        name of another scenario; comparing ``"throttle_boost"`` against
+        ``"lc_only"`` isolates what *dynamic reshaping itself* (conversion +
+        throttling/boosting) does with the slack, separate from the static
+        effect of simply hosting more servers.
+        """
+        base = self.pre if baseline == "pre" else self.scenarios[baseline]
+        before = base.power_slack()
+        after = self.scenarios[name].power_slack()
+        if mask is not None:
+            before = before[mask]
+            after = after[mask]
+        mean_before = float(before.mean())
+        if mean_before <= 0:
+            return 0.0
+        return 1.0 - float(after.mean()) / mean_before
 
 
 @dataclass

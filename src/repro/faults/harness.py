@@ -52,7 +52,7 @@ from .inject import (
     dirty_copy,
 )
 from .repair import RepairPolicy, RepairReport, repair_telemetry
-from .runtime import (
+from ..engine.faults import (
     ChaosRunResult,
     ConversionFaultModel,
     ServerFailureSchedule,

@@ -8,9 +8,8 @@ and circuit-breaker auditing.
 
 from .aggregation import NodePowerView, peak_reduction_by_level
 
-# The capping loop's canonical home is repro.engine.capping; import it from
-# there rather than through the deprecated ``repro.infra.capping`` shim so
-# a plain ``import repro`` never trips the shim's DeprecationWarning.
+# The capping loop lives in repro.engine.capping, next to the emergency
+# fallback that drives it; re-exported here with the rest of the substrate.
 from ..engine.capping import (
     CappingPolicy,
     CappingReport,

@@ -16,7 +16,7 @@ from ..sim.demand import DemandTrace, demand_at_target_load
 from ..sim.power_model import ServerPowerModel
 from ..traces.instance import InstanceRecord, ServiceKind
 from ..traces.series import PowerTrace
-from .runtime import FleetDescription
+from ..engine.state import FleetDescription
 
 
 def split_by_kind(

@@ -1,6 +1,6 @@
 """Reactive server conversion — the control loop as production would run it.
 
-The vectorised :class:`ReshapingRuntime` decides each step's phase from the
+The engine's conversion scenario decides each step's phase from the
 *current* demand value, which quietly grants the controller an oracle: real
 systems observe load with a lag, convert servers with a delay, and need
 hysteresis to avoid flapping.  This module implements that honest
@@ -32,7 +32,7 @@ from ..sim.demand import DemandTrace
 from ..sim.loadbalancer import dispatch
 from ..sim.power_model import DVFSModel
 from .conversion import ConversionPolicy
-from .runtime import FleetDescription, ScenarioResult
+from ..engine.state import FleetDescription, ScenarioResult
 
 
 @dataclass(frozen=True)

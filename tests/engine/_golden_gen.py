@@ -1,10 +1,11 @@
 """Regenerate ``tests/engine/golden.json`` — the parity fingerprints.
 
-The committed golden file was produced by the *pre-refactor* runtimes
-(``ReshapingRuntime`` / ``ChaosReshapingRuntime`` / ``run_chaos_suite``
-before ``repro.engine`` existed), so the parity suite proves the engine
-reproduces them bit-for-bit.  Re-run this script only when a deliberate
-behaviour change is being made, and say so in the commit message:
+The committed golden file was first captured from the scenario runtimes
+that predate ``repro.engine``; the engine has reproduced it bit-for-bit
+ever since, and this script now regenerates it through the engine (the
+same builders the parity suite uses), leaving it byte-identical.  Re-run
+it only when a deliberate behaviour change is being made, and say so in
+the commit message:
 
     PYTHONPATH=src python tests/engine/_golden_gen.py
 """
@@ -20,22 +21,9 @@ import conftest  # noqa: E402  (the shared builders)
 
 
 def reshaping_goldens():
-    from repro.reshaping import ReshapingRuntime
-
-    fleet, conversion, throttle, dvfs = conftest.make_runtime_parts()
-    runtime = ReshapingRuntime(fleet, conversion, throttle=throttle, dvfs=dvfs)
-    demand = conftest.make_demand()
     return {
-        "pre": conftest.scenario_fingerprint(runtime.run_pre(demand)),
-        "lc_only": conftest.scenario_fingerprint(
-            runtime.run_lc_only(demand.scaled(1.1), 10)
-        ),
-        "conversion": conftest.scenario_fingerprint(
-            runtime.run_conversion(demand.scaled(1.1), 10)
-        ),
-        "throttle_boost": conftest.scenario_fingerprint(
-            runtime.run_throttle_boost(demand.scaled(1.15), 10, 5)
-        ),
+        mode: conftest.scenario_fingerprint(result)
+        for mode, result in conftest.reshaping_results().items()
     }
 
 

@@ -9,11 +9,8 @@ the refactor moved code, it must not change a single bit of the results.
 import numpy as np
 import pytest
 
-from repro.reshaping import (
-    ConversionPolicy,
-    FleetDescription,
-    ThrottleBoostPolicy,
-)
+from repro.engine import Engine, FleetDescription, ScenarioSpec
+from repro.reshaping import ConversionPolicy, ThrottleBoostPolicy
 from repro.sim import DemandTrace, DVFSModel, ServerPowerModel
 from repro.traces import TimeGrid
 
@@ -51,6 +48,41 @@ def make_runtime_parts(budget_watts=45_000.0):
         ThrottleBoostPolicy(),
         DVFSModel(),
     )
+
+
+def reshaping_results():
+    """The four reshaping scenarios ``golden.json`` pins, via ``Engine.run``.
+
+    Shared by ``_golden_gen.py`` and the parity suite, so the generator and
+    the test run exactly the same scenarios.
+    """
+    fleet, conversion, throttle, dvfs = make_runtime_parts()
+    engine = Engine(fleet, conversion, throttle=throttle, dvfs=dvfs)
+    demand = make_demand()
+
+    def run(mode, demand, **kwargs):
+        spec = ScenarioSpec(
+            mode=mode,
+            fleet=fleet,
+            demand=demand,
+            conversion=conversion,
+            throttle=throttle,
+            dvfs=dvfs,
+            **kwargs,
+        )
+        return engine.run(spec).result
+
+    return {
+        "pre": run("pre", demand),
+        "lc_only": run("lc_only", demand.scaled(1.1), extra_servers=10),
+        "conversion": run("conversion", demand.scaled(1.1), extra_servers=10),
+        "throttle_boost": run(
+            "throttle_boost",
+            demand.scaled(1.15),
+            extra_servers=10,
+            extra_throttle_funded=5,
+        ),
+    }
 
 
 # ----------------------------------------------------------------------

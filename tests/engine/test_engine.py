@@ -1,4 +1,4 @@
-"""Unit tests for the engine's building blocks and the legacy shims."""
+"""Unit tests for the engine's building blocks."""
 
 import numpy as np
 import pytest
@@ -149,34 +149,3 @@ def test_run_many_serial_preserves_spec_order():
     ]
     results = run_many(specs, workers=1)
     assert [a.result.name for a in results] == ["pre", "lc_only"]
-
-
-# ----------------------------------------------------------------------
-# the legacy shims
-# ----------------------------------------------------------------------
-def test_chaos_runtime_no_longer_subclasses_reshaping_runtime():
-    from repro.faults.runtime import ChaosReshapingRuntime
-    from repro.reshaping.runtime import ReshapingRuntime
-
-    assert not issubclass(ChaosReshapingRuntime, ReshapingRuntime)
-
-
-def test_shims_reexport_the_engine_dataclasses():
-    from repro.engine.capping import CappingSimulator as engine_sim
-    from repro.engine.state import FleetDescription as engine_fleet
-    from repro.infra.capping import CappingSimulator as infra_sim
-    from repro.reshaping.runtime import FleetDescription as shim_fleet
-
-    assert shim_fleet is engine_fleet
-    assert infra_sim is engine_sim
-
-
-def test_shim_runtime_exposes_its_models():
-    fleet, conversion, throttle, dvfs = make_runtime_parts()
-    from repro.reshaping.runtime import ReshapingRuntime
-
-    runtime = ReshapingRuntime(fleet, conversion, throttle=throttle, dvfs=dvfs)
-    assert runtime.fleet is fleet
-    assert runtime.conversion is conversion
-    assert runtime.throttle is throttle
-    assert runtime.dvfs is dvfs

@@ -7,7 +7,8 @@ These pin the properties the parallel-execution fix promises:
 * one pool's workers survive across batches (``generation`` counts
   executor builds, not batches);
 * every worker pins its BLAS/OpenMP thread pools at startup;
-* the retry loop never sleeps its backoff *after* the final attempt.
+* the retry loop never sleeps its backoff *after* the final attempt, and
+  no single backoff sleep exceeds ``MAX_RETRY_BACKOFF_S``.
 """
 
 import os
@@ -129,6 +130,21 @@ def test_serial_retry_sleeps_between_attempts_not_after_the_last(monkeypatch):
     assert failure.attempts == 3
     # Two gaps between three attempts; no sleep once the spec is written off.
     assert len(sleeps) == 2
+
+
+def test_serial_retry_backoff_is_capped(monkeypatch):
+    # Inline batches retry through the same driver as pooled ones, so the
+    # decorrelated-jitter schedule and its cap apply: an uncapped doubling
+    # schedule would reach 256 s before the tenth attempt.
+    sleeps = []
+    monkeypatch.setattr(parallel.time, "sleep", sleeps.append)
+    [failure] = run_many(
+        [AlwaysRaises()], workers=1, max_attempts=10, retry_backoff_s=1.0
+    )
+    assert isinstance(failure, RunFailure)
+    assert failure.attempts == 10
+    assert len(sleeps) == 9
+    assert max(sleeps) <= parallel.MAX_RETRY_BACKOFF_S
 
 
 def test_serial_single_attempt_never_sleeps(monkeypatch):

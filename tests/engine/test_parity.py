@@ -1,9 +1,9 @@
-"""Golden parity: the engine reproduces the legacy runtimes bit-for-bit.
+"""Golden parity: the engine reproduces the committed fingerprints bit-for-bit.
 
-``golden.json`` was captured from the pre-refactor ``ReshapingRuntime`` /
-``ChaosReshapingRuntime`` / ``run_chaos_suite`` code paths.  Every compare
-here is exact (``==`` on floats): the refactor moved code between modules,
-it must not change a single bit of any result.
+``golden.json`` was first captured from the scenario runtimes that predate
+``repro.engine`` and ``run_chaos_suite``.  Every compare here is exact
+(``==`` on floats): refactors move code between modules, they must not
+change a single bit of any result.
 """
 
 import pytest
@@ -11,71 +11,24 @@ import pytest
 from conftest import (
     SMALL,
     chaos_fingerprint,
-    make_demand,
-    make_runtime_parts,
+    reshaping_results,
     scenario_fingerprint,
 )
-from repro.engine import Engine, ScenarioSpec, chaos_spec, run_many
+from repro.engine import chaos_spec, run_many
 from repro.faults import run_chaos_suite
 from repro.faults.harness import DEFAULT_SUITE
-from repro.reshaping import ReshapingRuntime
 
 RESHAPING_MODES = ("pre", "lc_only", "conversion", "throttle_boost")
 CHAOS_NAMES = tuple(scenario.name for scenario in DEFAULT_SUITE)
 
 
 # ----------------------------------------------------------------------
-# reshaping modes: legacy shim entry points and the engine directly
+# reshaping modes, driven through the engine
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
-def shim_results():
-    """The exact calls ``_golden_gen.reshaping_goldens`` made, via the shim."""
-    fleet, conversion, throttle, dvfs = make_runtime_parts()
-    runtime = ReshapingRuntime(fleet, conversion, throttle=throttle, dvfs=dvfs)
-    demand = make_demand()
-    return {
-        "pre": runtime.run_pre(demand),
-        "lc_only": runtime.run_lc_only(demand.scaled(1.1), 10),
-        "conversion": runtime.run_conversion(demand.scaled(1.1), 10),
-        "throttle_boost": runtime.run_throttle_boost(demand.scaled(1.15), 10, 5),
-    }
-
-
-@pytest.fixture(scope="module")
 def engine_results():
-    """The same four scenarios, driven through ``Engine.run`` directly."""
-    fleet, conversion, throttle, dvfs = make_runtime_parts()
-    engine = Engine(fleet, conversion, throttle=throttle, dvfs=dvfs)
-    demand = make_demand()
-
-    def run(mode, demand, **kwargs):
-        spec = ScenarioSpec(
-            mode=mode,
-            fleet=fleet,
-            demand=demand,
-            conversion=conversion,
-            throttle=throttle,
-            dvfs=dvfs,
-            **kwargs,
-        )
-        return engine.run(spec).result
-
-    return {
-        "pre": run("pre", demand),
-        "lc_only": run("lc_only", demand.scaled(1.1), extra_servers=10),
-        "conversion": run("conversion", demand.scaled(1.1), extra_servers=10),
-        "throttle_boost": run(
-            "throttle_boost",
-            demand.scaled(1.15),
-            extra_servers=10,
-            extra_throttle_funded=5,
-        ),
-    }
-
-
-@pytest.mark.parametrize("mode", RESHAPING_MODES)
-def test_shim_matches_golden(shim_results, golden, mode):
-    assert scenario_fingerprint(shim_results[mode]) == golden["reshaping"][mode]
+    """The four scenarios ``_golden_gen.py`` fingerprints, run once."""
+    return reshaping_results()
 
 
 @pytest.mark.parametrize("mode", RESHAPING_MODES)

@@ -3,18 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.faults import (
-    ChaosReshapingRuntime,
+from repro.engine import (
     ConversionFaultModel,
     FailureEvent,
-    ServerFailureSchedule,
-)
-from repro.reshaping import (
-    ConversionPolicy,
     FleetDescription,
-    ReshapingRuntime,
-    ThrottleBoostPolicy,
+    ScenarioSpec,
+    ServerFailureSchedule,
+    execute,
 )
+from repro.reshaping import ConversionPolicy, ThrottleBoostPolicy
 from repro.sim import DemandTrace, DVFSModel, ServerPowerModel
 from repro.traces import TimeGrid
 
@@ -41,14 +38,19 @@ def make_fleet(budget_watts=45_000.0):
     )
 
 
-def make_runtime(budget_watts=45_000.0, **kwargs):
-    return ChaosReshapingRuntime(
-        make_fleet(budget_watts),
-        ConversionPolicy(conversion_threshold=0.85),
+def run_chaos(mode, demand, extra_servers, budget_watts=45_000.0, **models):
+    """One chaos-mode scenario on the standard fleet, through the engine."""
+    spec = ScenarioSpec(
+        mode=mode,
+        fleet=make_fleet(budget_watts),
+        demand=demand,
+        conversion=ConversionPolicy(conversion_threshold=0.85),
         throttle=ThrottleBoostPolicy(),
         dvfs=DVFSModel(),
-        **kwargs,
+        extra_servers=extra_servers,
+        **models,
     )
+    return execute(spec).result
 
 
 class TestFailureSchedule:
@@ -150,13 +152,22 @@ class TestConversionFaultModel:
 
 class TestChaosRuntimeParity:
     def test_defaults_reproduce_parent(self, demand):
-        """No faults + generous budget == the vanilla Sec. 4 runtime."""
+        """No faults + generous budget == the clean Sec. 4 conversion run."""
         fleet = make_fleet()
         policy = ConversionPolicy(conversion_threshold=0.85)
-        parent = ReshapingRuntime(fleet, policy)
-        chaos = ChaosReshapingRuntime(fleet, policy)
-        expected = parent.run_conversion(demand, 20)
-        result = chaos.run_conversion_chaos(demand, 20)
+
+        def run(mode):
+            spec = ScenarioSpec(
+                mode=mode,
+                fleet=fleet,
+                demand=demand,
+                conversion=policy,
+                extra_servers=20,
+            )
+            return execute(spec).result
+
+        expected = run("conversion")
+        result = run("conversion_chaos")
         assert not result.recovery.engaged
         np.testing.assert_allclose(
             result.scenario.total_power, expected.total_power
@@ -169,19 +180,21 @@ class TestChaosRuntimeParity:
                 FailureEvent(start_index=10, duration_samples=12, n_servers=40),
             )
         )
-        clean = make_runtime().run_conversion_chaos(demand, 10)
-        hurt = make_runtime(failures=big_outage).run_conversion_chaos(demand, 10)
+        clean = run_chaos("conversion_chaos", demand, 10)
+        hurt = run_chaos("conversion_chaos", demand, 10, failures=big_outage)
         assert (
             hurt.scenario.dropped_fraction() >= clean.scenario.dropped_fraction()
         )
         assert hurt.recovery.failure_downtime_server_steps == 40 * 12
 
     def test_flaky_conversions_logged(self, demand):
-        runtime = make_runtime(
+        result = run_chaos(
+            "conversion_chaos",
+            demand,
+            20,
             conversion_faults=ConversionFaultModel(latency_steps=2, failure_prob=0.3),
             seed=7,
         )
-        result = runtime.run_conversion_chaos(demand, 20)
         log = result.recovery.conversion_lc
         assert log is not None
         assert log.n_transitions > 0
@@ -189,8 +202,7 @@ class TestChaosRuntimeParity:
 
 class TestRecovery:
     def test_fallback_restores_power_safety(self, demand):
-        runtime = make_runtime(budget_watts=28_000.0)
-        result = runtime.run_conversion_chaos(demand, 10)
+        result = run_chaos("conversion_chaos", demand, 10, budget_watts=28_000.0)
         recovery = result.recovery
         assert recovery.engaged
         assert recovery.overload_steps_before > 0
@@ -203,13 +215,13 @@ class TestRecovery:
         assert result.raw.overload_steps() == recovery.overload_steps_before
 
     def test_no_engagement_under_budget(self, demand):
-        result = make_runtime().run_conversion_chaos(demand, 10)
+        result = run_chaos("conversion_chaos", demand, 10)
         assert not result.recovery.engaged
         assert result.scenario is result.raw
 
     def test_throttle_boost_chaos_recovered(self, demand):
-        result = make_runtime(budget_watts=28_000.0).run_throttle_boost_chaos(
-            demand, 10
+        result = run_chaos(
+            "throttle_boost_chaos", demand, 10, budget_watts=28_000.0
         )
         assert result.scenario.overload_steps() == 0
         assert result.power_safe()

@@ -25,7 +25,8 @@ def test_api_docs_mention_core_names():
     for name in (
         "WorkloadAwarePlacer",
         "asynchrony_score",
-        "ReshapingRuntime",
+        "Engine",
+        "ScenarioSpec",
         "CappingSimulator",
         "TraceSynthesizer",
     ):
