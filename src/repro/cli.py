@@ -521,8 +521,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         metavar="S",
         help=(
             "hard per-task deadline in seconds for pooled stages: hung "
-            "workers are killed and the task retried; a soft (straggler) "
-            "threshold of a quarter of this is set alongside"
+            "workers are killed and the task retried"
         ),
     )
     parser.add_argument(
@@ -551,18 +550,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         for name in sorted(_COMMANDS):
             print(name)
         return 0
-    if args.task_timeout is not None:
-        from .engine.deadline import TaskDeadline, set_default_deadline
+    from .engine.deadline import TaskDeadline, deadline_scope
 
-        if args.task_timeout <= 0:
+    deadline = None
+    if args.task_timeout is not None:
+        if not args.task_timeout > 0:  # also rejects NaN
             parser.error("--task-timeout must be positive")
-        set_default_deadline(
-            TaskDeadline(
-                hard_timeout_s=args.task_timeout,
-                soft_timeout_s=args.task_timeout / 4,
-            )
-        )
-    _COMMANDS[args.command](args)
+        deadline = TaskDeadline(hard_timeout_s=args.task_timeout)
+    with deadline_scope(deadline):
+        _COMMANDS[args.command](args)
     return 0
 
 

@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Optional, Sequence
 
 from .. import obs
-from ..engine.deadline import TaskDeadline, deadline_scope
 from ..infra.aggregation import NodePowerView, peak_reduction_by_level
 from ..infra.assignment import Assignment
 from ..infra.budget import provision_hierarchical
@@ -39,22 +38,16 @@ class SmoothOperatorConfig:
     worker pool: a sharded remap pass (when ``remap.shard_level`` is set)
     runs per-shard, and the placement scoring stage follows
     ``placement.score_workers``.  Every stage is deterministic for any
-    worker count; 1 (the default) keeps everything in-process.
-
-    ``deadline`` bounds pooled-stage completion under partial failure
-    (hang watchdog, straggler speculation, quarantine, serial degradation
-    — see :class:`repro.engine.deadline.TaskDeadline`): it is installed as
-    the process-default deadline for the duration of :meth:`SmoothOperator.optimize`,
-    so every pooled stage the run dispatches inherits it.  ``None`` (the
-    default) leaves whatever ambient default or ``REPRO_TASK_TIMEOUT``
-    environment setting is already in force.
+    worker count; 1 (the default) keeps everything in-process.  Pooled
+    stages run under whatever hard deadline is in force around the call
+    (:func:`repro.engine.deadline.deadline_scope` or
+    ``REPRO_TASK_TIMEOUT``).
     """
 
     placement: PlacementConfig = field(default_factory=PlacementConfig)
     remap: Optional[RemapConfig] = None
     robust: Optional["RobustPlacementConfig"] = None
     workers: int = 1
-    deadline: Optional[TaskDeadline] = None
 
 
 @dataclass
@@ -113,9 +106,7 @@ class SmoothOperator:
         Γ = 0 fallback *is* the workload-aware placement) and any remap
         pass is seeded from the robust assignment.
         """
-        with deadline_scope(self.config.deadline), obs.span(
-            "pipeline.optimize", instances=len(records)
-        ):
+        with obs.span("pipeline.optimize", instances=len(records)):
             placement: Optional[PlacementResult] = None
             robust: Optional["RobustPlacementResult"] = None
             if self.config.robust is not None:

@@ -68,10 +68,8 @@ from .chaos_infra import (  # noqa: F401
 from .deadline import (  # noqa: F401
     TaskDeadline,
     TaskTimeoutError,
-    clear_default_deadline,
     deadline_scope,
     get_default_deadline,
-    set_default_deadline,
 )
 from .core import Engine  # noqa: F401
 from .parallel import (  # noqa: F401
@@ -141,7 +139,6 @@ __all__ = [
     "WorkerPool",
     "build_pipeline",
     "chaos_spec",
-    "clear_default_deadline",
     "compare_capping",
     "deadline_scope",
     "dirty_nodes",
@@ -149,7 +146,6 @@ __all__ = [
     "get_default_deadline",
     "get_pool",
     "run_many",
-    "set_default_deadline",
     "shard_ranges",
     "shutdown_pools",
     "warm_pool",

@@ -11,7 +11,7 @@ paper's production environment exhibits, deterministically and in CI:
 kind           worker-side effect
 ============== =====================================================
 ``hang``       sleep past any plausible deadline (watchdog territory)
-``slow``       sleep ``duration_s`` then complete (straggler territory)
+``slow``       sleep ``duration_s`` then complete (under the deadline)
 ``kill``       ``os._exit`` — the worker dies without cleanup
 ``exception``  raise :class:`InjectedFault`
 ``oversized_bundle``  emit ``payload_events`` events so the telemetry
@@ -27,10 +27,12 @@ a JSON object or list of objects, e.g.::
 
 — and **activated only inside pool workers**: the pool's worker
 initializer calls :func:`activate`, which both parses the spec and flips
-the worker-process flag.  The coordinator never activates, so quarantined
-shards and degraded (serial) stages run fault-free by construction — which
-is exactly the recovery guarantee the scenario suite asserts (results
-bit-identical to a fault-free serial run).
+the worker-process flag.  The coordinator never activates, and pooled work
+never runs in the coordinator, so every injected fault lands in a worker,
+where the retry rounds and the hard-deadline watchdog must contain it.  The
+recovery guarantee the scenario suite asserts is that they do: results
+bit-identical to a fault-free serial run, or a clean failure once a fault
+outlasts every attempt.
 
 Injection is a pure function of ``(fault spec, shard_id, attempt)``:
 a fault fires on attempts ``1..times`` of its matching shards (plus an
@@ -100,8 +102,7 @@ class InfraFault:
     times: int = 1
 
     #: Sleep length for ``hang`` / ``slow`` faults.  A hang should dwarf
-    #: the hard deadline under test; a slow should merely exceed the
-    #: straggler threshold.
+    #: the hard deadline under test; a slow should stay under it.
     duration_s: float = 30.0
 
     #: Events emitted by an ``oversized_bundle`` fault.
@@ -227,8 +228,8 @@ def configured() -> bool:
 # worker-side activation and injection
 # ----------------------------------------------------------------------
 #: Faults active in THIS process.  Only :func:`activate` — called from the
-#: pool's worker initializer — populates it, so the coordinator (and any
-#: quarantined in-process execution it performs) never injects.
+#: pool's worker initializer — populates it, so the coordinator never
+#: injects.
 _ACTIVE: Tuple[InfraFault, ...] = ()
 
 
@@ -249,7 +250,7 @@ def inject(shard_id: int, attempt: int) -> None:
     """Apply every armed fault matching ``(shard_id, attempt)``.
 
     Near-free no-op when nothing is armed (the coordinator, fault-free
-    runs, quarantined serial execution).
+    runs).
     """
     if not _ACTIVE:
         return

@@ -34,19 +34,18 @@ never touching a pool.
 
 Worker *hangs* do not sink a suite either.  When a
 :class:`~repro.engine.deadline.TaskDeadline` is in force (per-call
-``deadline=``, the process default installed by
-:func:`repro.engine.deadline.set_default_deadline`, or the
+``deadline=``, the ambient default installed by
+:func:`repro.engine.deadline.deadline_scope`, or the
 ``REPRO_TASK_TIMEOUT`` environment variable) the dispatch loop becomes a
 watchdog: it polls instead of blocking, SIGKILLs the pool when a task
 exceeds its hard deadline (a hung worker never honours a graceful
-shutdown) and retries on a rebuilt executor, speculatively re-dispatches
-stragglers past a quantile-derived threshold (first result wins, results
-stay bit-identical), quarantines a shard whose attempts keep taking
-workers down to in-process serial execution, and degrades the whole stage
-to serial when a circuit breaker trips on the stage-wide infrastructure
-failure rate.  With no deadline configured none of this machinery runs —
-the dispatch loop blocks exactly as before.  Deterministic infrastructure
-faults for exercising all of it live in :mod:`repro.engine.chaos_infra`.
+shutdown) and retries on a rebuilt executor.  With no deadline configured
+the dispatch loop blocks exactly as before.  Pooled work never runs in
+the coordinator: a task that hangs, exits its process, or raises on every
+attempt raises from ``map_shards`` or becomes a :class:`RunFailure` in
+``run_many``, and cannot take the coordinator down with it.
+Deterministic infrastructure faults for exercising all of it live in
+:mod:`repro.engine.chaos_infra`.
 
 The pool is not an observability boundary: unless ``REPRO_OBS_CAPTURE=0``
 disables it, every pooled task runs under worker-side telemetry capture
@@ -54,8 +53,8 @@ disables it, every pooled task runs under worker-side telemetry capture
 back with its result; the coordinator merges them into its live tracer,
 registry, and event log, records pool health metrics (dispatch/completion
 counters, roundtrip/execution/queue latency histograms, worker deaths and
-rebuilds, timeouts, speculation outcomes, quarantines), and feeds each
-stage into the unified run report (:mod:`repro.obs.report`).
+rebuilds, timeouts), and feeds each stage into the unified run report
+(:mod:`repro.obs.report`).
 """
 
 from __future__ import annotations
@@ -179,8 +178,8 @@ def _init_worker(n_threads: int) -> None:
 
     Also arms the infrastructure fault injectors when the
     ``REPRO_INFRA_FAULTS`` environment variable is set — faults fire only
-    in processes that ran this initializer, so the coordinator (and any
-    quarantined/degraded serial execution it performs) stays fault-free.
+    in processes that ran this initializer, so the coordinator stays
+    fault-free.
     """
     for name in WORKER_THREAD_ENV_VARS:
         os.environ[name] = str(n_threads)
@@ -429,15 +428,15 @@ class WorkerPool:
         because a missing shard (unlike a missing scenario) poisons the
         whole result matrix.
 
-        ``deadline`` bounds completion under partial failure (hang
-        watchdog, straggler speculation, poison-shard quarantine, serial
-        degradation — see :class:`~repro.engine.deadline.TaskDeadline`);
-        when ``None`` the process default
+        ``deadline`` arms the hang watchdog (see
+        :class:`~repro.engine.deadline.TaskDeadline`): a shard past its
+        hard deadline is killed with the pool and retried, and one that
+        times out on every attempt raises
+        :class:`~repro.engine.deadline.TaskTimeoutError`.  When ``None``
+        the process default
         (:func:`repro.engine.deadline.get_default_deadline`) applies, and
         with no default either the loop blocks unbounded exactly as
-        before.  The shard functions must be pure for speculation to be
-        sound — both copies of a shard compute the same value, so whichever
-        finishes first is *the* result.
+        before.
 
         Unless the ``REPRO_OBS_CAPTURE`` kill switch disables it, every
         task runs under worker-side telemetry capture
@@ -495,37 +494,24 @@ class _StageDriver:
     per-task attempt counts, the retry rounds (with decorrelated-jitter
     backoff and one-at-a-time isolation after an executor break), the
     telemetry bookkeeping, and — when a
-    :class:`~repro.engine.deadline.TaskDeadline` is in force — the four
-    failure domains:
-
-    * **watchdog** — the wait loop polls at ``poll_interval_s``; a task
-      older than ``hard_timeout_s`` gets the whole pool SIGKILLed (a hung
-      worker never honours a graceful shutdown), fails with
-      :class:`TaskTimeoutError`, and retries on a rebuilt executor.  Tasks
-      that were merely in flight on the killed pool fail too, but their
-      failure is collateral: it burns an attempt (as any executor break
-      does) without counting toward quarantine.
-    * **speculation** — a task older than the straggler threshold (the
-      live ``pool.task_exec_s`` quantile scaled by ``straggler_factor``,
-      floored at ``soft_timeout_s``) gets one duplicate dispatched at the
-      same attempt number.  First result wins: the loser's result and
-      bundle are dropped, so merged telemetry and results are identical to
-      an unspeculated run.
-    * **quarantine** — a task whose attempts have taken workers down
-      ``quarantine_after`` times (deaths or hard timeouts) runs in-process
-      serially from then on, where it cannot condemn the pool again.
-    * **circuit breaker** — when infrastructure failures reach both
-      ``degrade_min_failures`` and ``degrade_failure_ratio`` of dispatches,
-      the whole stage degrades to in-process serial execution.
+    :class:`~repro.engine.deadline.TaskDeadline` is in force — the hard
+    deadline watchdog: the wait loop polls every
+    :data:`~repro.engine.deadline.POLL_INTERVAL_S`, and a task older than
+    ``hard_timeout_s`` gets the whole pool SIGKILLed (a hung worker never
+    honours a graceful shutdown), fails with :class:`TaskTimeoutError`,
+    and retries on a rebuilt executor.  Tasks that were merely in flight
+    on the killed pool fail too and burn an attempt, as any executor break
+    does.
 
     The two callers differ only in what an exhausted task does:
     ``map_shards`` re-raises its error, ``run_many`` passes ``on_failure``
-    to record a :class:`RunFailure` in the task's slot.  With ``pool=None``
+    to record a :class:`RunFailure` in the task's slot.  Pooled tasks only
+    ever run in pool workers, never in this process.  With ``pool=None``
     every task runs inline in this process — no pool is built, no
-    telemetry is captured, no pool metric or run-report stage is recorded —
-    with the same retry rounds and backoff.  With ``deadline=None`` (and no
-    process default) the wait loop blocks unbounded and none of the
-    failure-domain machinery runs.
+    telemetry is captured, no pool metric or run-report stage is recorded,
+    no watchdog runs — with the same retry rounds and backoff.  With
+    ``deadline=None`` (and no process default) the wait loop blocks
+    unbounded.
     """
 
     def __init__(
@@ -567,11 +553,6 @@ class _StageDriver:
         self.attempts = [0] * n_tasks
         self.errors: Dict[int, BaseException] = {}
         self.failed: List[int] = []
-        self.infra_failures = [0] * n_tasks
-        self.infra_failures_total = 0
-        self.dispatched_total = 0
-        self.quarantined: Set[int] = set()
-        self.degraded = False
         self.bundles: List[Any] = []
         self.stats: List[Any] = []
         self.started_at = time.perf_counter()
@@ -585,30 +566,19 @@ class _StageDriver:
         isolate = False
         while pending:
             self.failed = []
-            self._maybe_degrade()
-            inline = [
-                index
-                for index in pending
-                if self.pool is None
-                or self.degraded
-                or index in self.quarantined
-            ]
-            pooled = [index for index in pending if index not in set(inline)]
-            for index in inline:
-                self._run_one_inline(index)
-            round_broken = False
-            # After a round in which the executor died, retry the pooled
-            # survivors one at a time: a repeat killer then only breaks its
-            # own attempt, so an innocent task can lose at most one attempt
-            # as collateral however persistent the killer is.
-            groups = (
-                [[index] for index in pooled]
-                if isolate
-                else ([pooled] if pooled else [])
-            )
-            for group in groups:
-                round_broken = self._run_group(group, round_index) or round_broken
-            isolate = round_broken
+            if self.pool is None:
+                for index in pending:
+                    self._run_one_inline(index)
+            else:
+                # After a round in which the executor died, retry the
+                # survivors one at a time: a repeat killer then only breaks
+                # its own attempt, so an innocent task can lose at most one
+                # attempt as collateral however persistent the killer is.
+                groups = [[index] for index in pending] if isolate else [pending]
+                round_broken = False
+                for group in groups:
+                    round_broken = self._run_group(group, round_index) or round_broken
+                isolate = round_broken
             ordered_failed = sorted(set(self.failed))
             exhausted = [
                 index
@@ -644,12 +614,8 @@ class _StageDriver:
 
     # ------------------------------------------------------------------
     def _run_one_inline(self, index: int) -> None:
-        """One task in this process: no pool, quarantined, or degraded."""
-        from ..obs import metrics as obs_metrics
-
+        """One task in this process (a stage with no pool)."""
         self.attempts[index] += 1
-        if self.do_capture:
-            obs_metrics.count("pool.tasks_inline")
         try:
             self.results[index] = self.fn(*self.tasks[index])
         except Exception as error:  # noqa: BLE001
@@ -659,8 +625,6 @@ class _StageDriver:
                 self.results[index] = self.on_failure(
                     index, error, self.attempts[index]
                 )
-            if self.do_capture:
-                obs_metrics.count("pool.tasks_failed")
 
     def _run_group(self, group: List[int], round_index: int) -> bool:
         """Dispatch one group of pooled tasks and settle every one of them.
@@ -670,73 +634,42 @@ class _StageDriver:
         """
         from ..obs import metrics as obs_metrics
 
-        future_of: Dict[Any, int] = {}
-        dispatched_at: Dict[Any, float] = {}
-        attempt_of: Dict[Any, int] = {}
-        inflight: Dict[int, Set[Any]] = {index: set() for index in group}
-        spec_futures: Set[Any] = set()
-        resolved: Set[int] = set()
-        speculated: Set[int] = set()
-        broken = False
-
         def on_submit_rebuild() -> None:
             if self.do_capture:
                 obs_metrics.count("pool.worker_deaths")
                 obs_metrics.count("pool.rebuilds")
 
-        def dispatch(index: int, *, speculative: bool = False):
-            # A speculative twin is a *new dispatch* of the same logical
-            # attempt: it carries the next attempt number (so per-dispatch
-            # machinery — telemetry labels, deterministic fault injection —
-            # sees a fresh execution, not a replay of the straggling one)
-            # but does not consume a slot of the task's retry budget.
-            attempt = self.attempts[index] + (1 if speculative else 0)
+        index_of: Dict[Any, int] = {}
+        dispatched_at: Dict[int, float] = {}
+        for index in group:
+            self.attempts[index] += 1
             future = self.pool.submit_resilient(
                 _run_task,
                 self.fn,
                 self.tasks[index],
                 index,
-                attempt,
+                self.attempts[index],
                 self.task_label,
                 self.do_capture,
                 self.faults,
                 on_rebuild=on_submit_rebuild,
             )
-            future_of[future] = index
-            dispatched_at[future] = time.perf_counter()
-            attempt_of[future] = attempt
-            inflight[index].add(future)
-            self.dispatched_total += 1
-            if speculative:
-                spec_futures.add(future)
-            return future
-
-        for index in group:
-            self.attempts[index] += 1
-            dispatch(index)
+            index_of[future] = index
+            dispatched_at[index] = time.perf_counter()
         if self.do_capture:
             obs_metrics.count("pool.tasks_dispatched", len(group))
             if round_index > 0:
                 obs_metrics.count("pool.tasks_retried", len(group))
 
-        deadline = self.deadline
-        watch = deadline is not None and deadline.watches
-        outstanding = set(future_of)
+        poll_s = deadline_mod.POLL_INTERVAL_S if self.deadline is not None else None
+        broken = False
+        outstanding = set(index_of)
         while outstanding:
             done, outstanding = wait(
-                outstanding,
-                timeout=deadline.poll_interval_s if watch else None,
-                return_when=FIRST_COMPLETED,
+                outstanding, timeout=poll_s, return_when=FIRST_COMPLETED
             )
             for future in done:
-                index = future_of[future]
-                inflight[index].discard(future)
-                if index in resolved:
-                    # A speculation race this index already won (or a
-                    # watchdog kill already settled): drop the late copy.
-                    if self.do_capture:
-                        obs_metrics.count("pool.speculative_losses")
-                    continue
+                index = index_of[future]
                 try:
                     outcome = future.result()
                 except BaseException as error:  # noqa: BLE001
@@ -745,59 +678,16 @@ class _StageDriver:
                     # the retry rounds sort survivors out.  A captured
                     # failure still ships its telemetry, attached to the
                     # exception itself.
-                    if _pool_is_broken(error):
-                        # One dead worker breaks the executor for *every*
-                        # in-flight future, so charge the stage-wide breaker
-                        # once per break, not once per collateral victim —
-                        # else a single death in a wide stage masquerades as
-                        # a stage-wide failure wave.  Per-index counts still
-                        # accrue for quarantine.
-                        self._note_infra_failure(
-                            index, charge_stage=not broken
-                        )
-                        broken = True
-                    if inflight[index]:
-                        # A speculative twin of this task is still
-                        # unsettled; let its outcome decide the index.
-                        continue
-                    self._record_failure(index, error, dispatched_at[future])
-                    resolved.add(index)
+                    broken = broken or _pool_is_broken(error)
+                    self._record_failure(index, error, dispatched_at[index])
                     continue
-                self._record_success(
-                    index,
-                    outcome,
-                    dispatched_at[future],
-                    speculative_win=future in spec_futures,
-                )
-                resolved.add(index)
-            if outstanding and resolved.issuperset(group):
-                # Every index is settled; only speculation losers remain in
-                # flight.  Abandon them — their results would be discarded
-                # anyway, and holding the stage on a straggler is exactly
-                # what speculation exists to avoid.  (The workers running
-                # them finish in the background and the executor drops the
-                # results.)
-                if self.do_capture:
-                    obs_metrics.count(
-                        "pool.speculative_losses", len(outstanding)
-                    )
-                outstanding.clear()
-                continue
-            if watch and outstanding:
-                now = time.perf_counter()
-                if self._enforce_hard_deadline(
-                    now, outstanding, future_of, dispatched_at, attempt_of,
-                    resolved,
-                ):
-                    # The pool is dead; every unresolved index has been
-                    # failed.  Nothing outstanding can ever be collected.
-                    outstanding.clear()
+                self._record_success(index, outcome, dispatched_at[index])
+            if outstanding and self.deadline is not None:
+                if self._enforce_hard_deadline(outstanding, index_of, dispatched_at):
+                    # The pool is dead and every outstanding task has been
+                    # failed; nothing left can ever be collected.
                     broken = True
-                    continue
-                self._maybe_speculate(
-                    now, outstanding, future_of, dispatched_at, inflight,
-                    resolved, speculated, dispatch,
-                )
+                    break
             # No early exit on ``broken``: a dead executor resolves every
             # future it still holds (with BrokenProcessPool), and futures
             # resubmitted on a fresh executor mid-round finish normally —
@@ -810,12 +700,7 @@ class _StageDriver:
 
     # ------------------------------------------------------------------
     def _record_success(
-        self,
-        index: int,
-        outcome: Any,
-        dispatched_time: float,
-        *,
-        speculative_win: bool = False,
+        self, index: int, outcome: Any, dispatched_time: float
     ) -> None:
         from ..obs import metrics as obs_metrics
 
@@ -831,8 +716,6 @@ class _StageDriver:
             obs_metrics.observe(
                 "pool.task_queue_s", max(0.0, roundtrip_s - bundle.wall_s)
             )
-            if speculative_win:
-                obs_metrics.count("pool.speculative_wins")
         else:
             self.results[index] = outcome
 
@@ -861,193 +744,57 @@ class _StageDriver:
                     )
                 )
 
-    def _note_infra_failure(self, index: int, *, charge_stage: bool = True) -> None:
-        """An attempt of ``index`` took infrastructure down with it.
-
-        ``charge_stage=False`` records the per-index failure (quarantine
-        accounting) without incrementing the stage-wide breaker total —
-        used for the collateral victims of a pool break that has already
-        been charged once.
-        """
-        from ..obs import events as obs_events
-        from ..obs import metrics as obs_metrics
-
-        self.infra_failures[index] += 1
-        if charge_stage:
-            self.infra_failures_total += 1
-        deadline = self.deadline
-        if (
-            deadline is None
-            or deadline.quarantine_after < 1
-            or index in self.quarantined
-            or self.infra_failures[index] < deadline.quarantine_after
-        ):
-            return
-        self.quarantined.add(index)
-        if self.do_capture:
-            obs_metrics.count("pool.quarantined_shards")
-        obs_events.emit(
-            obs_events.SHARD_QUARANTINE,
-            severity="warning",
-            source=self.label,
-            shard=index,
-            infra_failures=self.infra_failures[index],
-        )
-
-    def _maybe_degrade(self) -> None:
-        """Trip the stage-wide circuit breaker when failure rates warrant."""
-        from ..obs import events as obs_events
-        from ..obs import metrics as obs_metrics
-
-        deadline = self.deadline
-        if self.degraded or deadline is None or deadline.degrade_min_failures < 1:
-            return
-        if self.infra_failures_total < deadline.degrade_min_failures:
-            return
-        ratio = self.infra_failures_total / max(1, self.dispatched_total)
-        if ratio < deadline.degrade_failure_ratio:
-            return
-        self.degraded = True
-        if self.do_capture:
-            obs_metrics.count("pool.degraded")
-        obs_events.emit(
-            obs_events.POOL_DEGRADED,
-            severity="critical",
-            source=self.label,
-            infra_failures=self.infra_failures_total,
-            dispatched=self.dispatched_total,
-            failure_ratio=round(ratio, 4),
-        )
-
     def _enforce_hard_deadline(
         self,
-        now: float,
         outstanding: Set[Any],
-        future_of: Dict[Any, int],
-        dispatched_at: Dict[Any, float],
-        attempt_of: Dict[Any, int],
-        resolved: Set[int],
+        index_of: Dict[Any, int],
+        dispatched_at: Dict[int, float],
     ) -> bool:
         """Kill the pool when any task has blown its hard deadline.
 
         ``ProcessPoolExecutor`` offers no per-task cancellation once a task
         is on a worker, and a *hung* worker never honours a graceful
         shutdown — so enforcement is pool-wide: SIGKILL every worker, fail
-        the overdue tasks with :class:`TaskTimeoutError` (these count
-        toward quarantine), and fail the innocents that were merely in
-        flight with a collateral error (these do not).  All of them retry
-        on the rebuilt executor, subject to their remaining attempts.
-        Returns whether enforcement happened.
+        the overdue tasks with :class:`TaskTimeoutError`, and fail the
+        innocents that were merely in flight with a collateral error.  All
+        of them retry on the rebuilt executor, subject to their remaining
+        attempts.  Returns whether enforcement happened.
         """
         from ..obs import events as obs_events
         from ..obs import metrics as obs_metrics
 
         hard = self.deadline.hard_timeout_s
-        if hard is None:
-            return False
-        overdue: Dict[int, Any] = {}
-        for future in outstanding:
-            index = future_of[future]
-            if index in resolved or index in overdue:
-                continue
-            if now - dispatched_at[future] > hard:
-                overdue[index] = future
+        now = time.perf_counter()
+        indices = sorted(index_of[future] for future in outstanding)
+        overdue = {index for index in indices if now - dispatched_at[index] > hard}
         if not overdue:
             return False
-        for index in sorted(overdue):
-            future = overdue[index]
-            error = TaskTimeoutError(
-                self.label, index, attempt_of[future], hard
-            )
-            if self.do_capture:
-                obs_metrics.count("pool.task_timeouts")
-            obs_events.emit(
-                obs_events.TASK_TIMEOUT,
-                severity="critical",
-                source=self.label,
-                shard=index,
-                attempt=attempt_of[future],
-                timeout_s=hard,
-            )
-            self._note_infra_failure(index)
-            self._record_failure(index, error, dispatched_at[future])
-            resolved.add(index)
-        for future in sorted(
-            outstanding, key=lambda f: (future_of[f], dispatched_at[f])
-        ):
-            index = future_of[future]
-            if index in resolved:
-                continue
-            error = RuntimeError(
-                f"task {self.label!r} shard {index} was in flight when the "
-                f"deadline watchdog killed the worker pool"
-            )
-            self._record_failure(index, error, dispatched_at[future])
-            resolved.add(index)
+        for index in indices:
+            if index in overdue:
+                error: BaseException = TaskTimeoutError(
+                    self.label, index, self.attempts[index], hard
+                )
+                if self.do_capture:
+                    obs_metrics.count("pool.task_timeouts")
+                obs_events.emit(
+                    obs_events.TASK_TIMEOUT,
+                    severity="critical",
+                    source=self.label,
+                    shard=index,
+                    attempt=self.attempts[index],
+                    timeout_s=hard,
+                )
+            else:
+                error = RuntimeError(
+                    f"task {self.label!r} shard {index} was in flight when the "
+                    f"deadline watchdog killed the worker pool"
+                )
+            self._record_failure(index, error, dispatched_at[index])
         self.pool.kill()
         if self.do_capture:
             obs_metrics.count("pool.worker_deaths")
             obs_metrics.count("pool.rebuilds")
         return True
-
-    def _maybe_speculate(
-        self,
-        now: float,
-        outstanding: Set[Any],
-        future_of: Dict[Any, int],
-        dispatched_at: Dict[Any, float],
-        inflight: Dict[int, Set[Any]],
-        resolved: Set[int],
-        speculated: Set[int],
-        dispatch: Callable[..., Any],
-    ) -> None:
-        """Dispatch one speculative twin per straggling task.
-
-        The twin runs the same attempt number — it is a duplicate of the
-        attempt, not a new one — and whichever copy finishes first settles
-        the index; the loser is dropped entirely (result and telemetry
-        bundle), so speculation can never change results or merged state.
-        """
-        from ..obs import events as obs_events
-        from ..obs import metrics as obs_metrics
-
-        deadline = self.deadline
-        if not deadline.speculative:
-            return
-        histogram = None
-        if self.do_capture:
-            histogram = obs_metrics.global_registry().histograms.get(
-                "pool.task_exec_s"
-            )
-        threshold = deadline.straggler_threshold_s(histogram)
-        if threshold is None:
-            return
-        for future in sorted(
-            outstanding, key=lambda f: (future_of[f], dispatched_at[f])
-        ):
-            index = future_of[future]
-            if (
-                index in resolved
-                or index in speculated
-                or index in self.quarantined
-                or len(inflight[index]) > 1
-            ):
-                continue
-            if now - dispatched_at[future] <= threshold:
-                continue
-            speculated.add(index)
-            if self.do_capture:
-                obs_metrics.count("pool.speculative_dispatched")
-            obs_events.emit(
-                obs_events.SPECULATIVE_DISPATCH,
-                severity="info",
-                source=self.label,
-                shard=index,
-                attempt=self.attempts[index],
-                age_s=round(now - dispatched_at[future], 4),
-                threshold_s=round(threshold, 4),
-            )
-            outstanding.add(dispatch(index, speculative=True))
 
     # ------------------------------------------------------------------
     def _next_backoff(self) -> float:
@@ -1134,13 +881,13 @@ def run_many(
     has attempts left there is nothing to wait for.
 
     ``deadline`` (or the process default — see
-    :mod:`repro.engine.deadline`) additionally bounds completion under
-    partial failure: hung workers are killed at ``hard_timeout_s`` and the
-    spec fails that attempt with :class:`TaskTimeoutError`; stragglers are
-    speculatively re-dispatched; a spec that keeps taking workers down is
-    quarantined to in-process execution; and a stage-wide failure-rate
-    breaker degrades the whole batch to serial.  With no deadline in force
-    the loop blocks unbounded, exactly as before.
+    :mod:`repro.engine.deadline`) additionally bounds a pooled batch under
+    hangs: hung workers are killed at ``hard_timeout_s`` and the spec fails
+    that attempt with :class:`TaskTimeoutError`.  With no deadline in force
+    the loop blocks unbounded, exactly as before; an inline batch runs no
+    watchdog.  A pooled spec never runs in this process, so one that hangs
+    or exits its worker on every attempt ends as a :class:`RunFailure`
+    without taking this process with it.
 
     Pooled batches run under worker-side telemetry capture unless the
     ``REPRO_OBS_CAPTURE`` kill switch disables it: each spec's span

@@ -11,8 +11,8 @@ under a :class:`TaskDeadline` must
 * emit the corresponding ``pool.*`` telemetry.
 
 Faults are configured through ``REPRO_INFRA_FAULTS`` and armed only in
-pool workers, so the in-process recovery paths (retry-to-inline,
-quarantine, degradation) are fault-free by construction.
+pool workers; pooled work never runs in the coordinator, so every fault
+must be contained by the retry rounds and the hard-deadline watchdog.
 
 When ``REPRO_INFRA_EVENTS`` names a file, every scenario appends its
 recorded event log there as JSON Lines — CI uploads that file as the
@@ -178,7 +178,7 @@ def test_scenario_kill_recovers_by_retry(monkeypatch):
     matrix = np.arange(64.0 * 8).reshape(64, 8)
     expected = [float(matrix[a:b].sum()) for a, b in shard_ranges(64, 4)]
     monkeypatch.setenv(FAULTS_ENV, '{"kind": "kill", "shards": [1], "times": 1}')
-    deadline = TaskDeadline(hard_timeout_s=30.0, speculative=False)
+    deadline = TaskDeadline(hard_timeout_s=30.0)
     with obs_events.recording() as log:
         with WorkerPool(2) as pool, SharedMatrix.create(matrix) as shared:
             results = pool.map_shards(
@@ -201,7 +201,7 @@ def test_scenario_hang_bounded_by_hard_deadline(monkeypatch):
         FAULTS_ENV,
         '{"kind": "hang", "shards": [0], "times": 1, "duration_s": 60.0}',
     )
-    deadline = TaskDeadline(hard_timeout_s=1.0, speculative=False)
+    deadline = TaskDeadline(hard_timeout_s=1.0)
     with obs_events.recording() as log:
         started = time.perf_counter()
         with WorkerPool(2) as pool, SharedMatrix.create(matrix) as shared:
@@ -219,27 +219,28 @@ def test_scenario_hang_bounded_by_hard_deadline(monkeypatch):
     publish(log)
 
 
-def test_scenario_slow_straggler_speculated_around(monkeypatch):
-    """A slow worker is raced by a speculative twin; first result wins."""
+def test_scenario_slow_shard_waited_for_under_hard_deadline(monkeypatch):
+    """A slow shard under its hard deadline is waited for, not killed."""
+    matrix = np.arange(48.0 * 5).reshape(48, 5)
+    expected = [float(matrix[a:b].sum()) for a, b in shard_ranges(48, 3)]
     monkeypatch.setenv(
         FAULTS_ENV,
-        '{"kind": "slow", "shards": [1], "times": 1, "duration_s": 8.0}',
+        '{"kind": "slow", "shards": [1], "times": 1, "duration_s": 1.0}',
     )
-    deadline = TaskDeadline(soft_timeout_s=0.3, speculative=True)
-    specs = [ReturnValue(index * 10) for index in range(3)]
     with obs_events.recording() as log:
         started = time.perf_counter()
-        with WorkerPool(2) as pool:
-            results = run_many(
-                specs, workers=2, pool=pool, retry_backoff_s=0.0, deadline=deadline
+        with WorkerPool(2) as pool, SharedMatrix.create(matrix) as shared:
+            results = pool.map_shards(
+                shard_sum,
+                _matrix_and_tasks(shared, rows=48, shards=3),
+                deadline=TaskDeadline(hard_timeout_s=5.0),
             )
-            elapsed = time.perf_counter() - started
-            pool.kill()  # don't join the worker still sleeping off the fault
-    assert [artifact.result for artifact in results] == [0, 10, 20]
-    assert elapsed < 6.0  # did not wait out the 8s slow fault
-    assert obs.counter_value("pool.speculative_dispatched") >= 1.0
-    assert obs.counter_value("pool.speculative_wins") >= 1.0
-    assert log.by_kind(obs_events.SPECULATIVE_DISPATCH)
+        elapsed = time.perf_counter() - started
+    assert results == expected
+    assert elapsed >= 1.0  # waited the slow shard out
+    assert obs.counter_value("pool.task_timeouts") == 0.0
+    assert obs.counter_value("pool.tasks_retried") == 0.0
+    assert not log.by_kind(obs_events.TASK_TIMEOUT)
     publish(log)
 
 
@@ -254,7 +255,7 @@ def test_scenario_exception_retried_to_success(monkeypatch):
                 shard_sum,
                 _matrix_and_tasks(shared, rows=16, shards=4),
                 max_attempts=2,
-                deadline=TaskDeadline(speculative=False),
+                deadline=TaskDeadline(hard_timeout_s=30.0),
             )
     assert results == expected
     assert obs.counter_value("pool.tasks_failed") == 4.0  # one per shard
@@ -276,7 +277,7 @@ def test_scenario_shm_exhaustion_retried_to_success(monkeypatch):
                 pool=pool,
                 max_attempts=2,
                 retry_backoff_s=0.0,
-                deadline=TaskDeadline(speculative=False),
+                deadline=TaskDeadline(hard_timeout_s=30.0),
             )
     assert [artifact.result for artifact in results] == [0, 1, 2]
     assert not any(isinstance(entry, RunFailure) for entry in results)
@@ -298,7 +299,7 @@ def test_scenario_oversized_bundle_survives_the_merge(monkeypatch):
                 workers=2,
                 pool=pool,
                 retry_backoff_s=0.0,
-                deadline=TaskDeadline(speculative=False),
+                deadline=TaskDeadline(hard_timeout_s=30.0),
             )
     assert [artifact.result for artifact in results] == [0, 1]
     payload = [
@@ -324,7 +325,7 @@ def test_scenario_permanent_exception_exhausts_cleanly(monkeypatch):
                 pool=pool,
                 max_attempts=2,
                 retry_backoff_s=0.0,
-                deadline=TaskDeadline(speculative=False),
+                deadline=TaskDeadline(hard_timeout_s=30.0),
             )
     assert results[0].result == 0 and results[2].result == 2
     failure = results[1]

@@ -1,11 +1,11 @@
-"""Unit tests for the failure-domain policy object (`repro.engine.deadline`).
+"""Unit tests for the deadline policy object (`repro.engine.deadline`).
 
-Covers the pure-policy half of the deadline layer: validation, the
-straggler-threshold derivation (quantile, floor, cap), environment
-parsing, the process-default/scope plumbing, and the decorrelated-jitter
-backoff helper the dispatch driver sleeps on.
+Covers the pure-policy half of the deadline layer: validation,
+environment parsing, the ambient-default/scope plumbing, and the
+decorrelated-jitter backoff helper the dispatch driver sleeps on.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -13,64 +13,42 @@ import pytest
 from repro.engine import parallel
 from repro.engine.deadline import (
     HARD_TIMEOUT_ENV,
-    SOFT_TIMEOUT_ENV,
     TaskDeadline,
     TaskTimeoutError,
-    clear_default_deadline,
     deadline_from_env,
     deadline_scope,
     get_default_deadline,
-    set_default_deadline,
 )
-from repro.obs.metrics import Histogram
 
 
 @pytest.fixture(autouse=True)
-def _clean_default():
-    clear_default_deadline()
-    yield
-    clear_default_deadline()
+def _no_env_deadline(monkeypatch):
+    monkeypatch.delenv(HARD_TIMEOUT_ENV, raising=False)
 
 
 # ----------------------------------------------------------------------
 # validation
 # ----------------------------------------------------------------------
-def test_defaults_are_structural_only():
-    deadline = TaskDeadline()
-    assert deadline.soft_timeout_s is None
-    assert deadline.hard_timeout_s is None
-    assert deadline.quarantine_after == 2
-    assert deadline.degrade_min_failures == 4
-    # speculation is on by default, so the loop still polls
-    assert deadline.watches
+def test_hard_timeout_is_the_one_required_field():
+    assert [field.name for field in dataclasses.fields(TaskDeadline)] == [
+        "hard_timeout_s"
+    ]
+    with pytest.raises(TypeError):
+        TaskDeadline()
+    assert TaskDeadline(hard_timeout_s=1.5).hard_timeout_s == 1.5
 
 
 @pytest.mark.parametrize(
     "kwargs",
     [
-        dict(soft_timeout_s=0.0),
+        dict(hard_timeout_s=0.0),
         dict(hard_timeout_s=-1.0),
-        dict(soft_timeout_s=5.0, hard_timeout_s=1.0),
-        dict(straggler_quantile=0.0),
-        dict(straggler_quantile=101.0),
-        dict(straggler_factor=0.0),
-        dict(min_straggler_samples=0),
-        dict(quarantine_after=-1),
-        dict(degrade_failure_ratio=0.0),
-        dict(degrade_failure_ratio=1.5),
-        dict(degrade_min_failures=-1),
-        dict(poll_interval_s=0.0),
+        dict(hard_timeout_s=float("nan")),
     ],
 )
 def test_rejects_bad_config(kwargs):
     with pytest.raises(ValueError):
         TaskDeadline(**kwargs)
-
-
-def test_watches_off_only_when_nothing_polls():
-    assert not TaskDeadline(speculative=False).watches
-    assert TaskDeadline(speculative=False, hard_timeout_s=1.0).watches
-    assert TaskDeadline(speculative=True).watches
 
 
 def test_timeout_error_carries_dispatch_context():
@@ -84,113 +62,57 @@ def test_timeout_error_carries_dispatch_context():
 
 
 # ----------------------------------------------------------------------
-# straggler threshold derivation
-# ----------------------------------------------------------------------
-def _histogram(values):
-    hist = Histogram()
-    for value in values:
-        hist.observe(value)
-    return hist
-
-
-def test_threshold_none_when_speculation_off():
-    deadline = TaskDeadline(speculative=False, soft_timeout_s=1.0)
-    assert deadline.straggler_threshold_s(_histogram([1.0] * 100)) is None
-
-
-def test_threshold_falls_back_to_soft_floor_without_samples():
-    deadline = TaskDeadline(soft_timeout_s=2.0, min_straggler_samples=16)
-    assert deadline.straggler_threshold_s(None) == 2.0
-    assert deadline.straggler_threshold_s(_histogram([0.1] * 4)) == 2.0
-
-
-def test_threshold_none_when_no_source_can_supply_one():
-    deadline = TaskDeadline()  # speculative, but no floor and no histogram
-    assert deadline.straggler_threshold_s(None) is None
-    assert deadline.straggler_threshold_s(_histogram([0.1] * 4)) is None
-
-
-def test_threshold_scales_quantile_and_respects_floor():
-    hist = _histogram([1.0] * 32)
-    deadline = TaskDeadline(straggler_factor=3.0, min_straggler_samples=16)
-    threshold = deadline.straggler_threshold_s(hist)
-    assert threshold == pytest.approx(3.0, rel=0.2)
-
-    # a large soft floor dominates a small quantile estimate
-    floored = TaskDeadline(
-        soft_timeout_s=10.0, straggler_factor=3.0, min_straggler_samples=16
-    )
-    assert floored.straggler_threshold_s(hist) == pytest.approx(10.0)
-
-
-def test_threshold_capped_at_hard_deadline():
-    hist = _histogram([5.0] * 32)
-    deadline = TaskDeadline(
-        hard_timeout_s=4.0, straggler_factor=3.0, min_straggler_samples=16
-    )
-    assert deadline.straggler_threshold_s(hist) == pytest.approx(4.0)
-
-
-# ----------------------------------------------------------------------
 # environment parsing
 # ----------------------------------------------------------------------
 def test_env_deadline_absent_by_default(monkeypatch):
-    monkeypatch.delenv(HARD_TIMEOUT_ENV, raising=False)
-    monkeypatch.delenv(SOFT_TIMEOUT_ENV, raising=False)
     assert deadline_from_env() is None
     assert get_default_deadline() is None
+    monkeypatch.setenv(HARD_TIMEOUT_ENV, "  ")  # empty means unset
+    assert deadline_from_env() is None
 
 
-def test_env_deadline_parses_both_timeouts(monkeypatch):
+def test_env_deadline_parses_the_hard_timeout(monkeypatch):
     monkeypatch.setenv(HARD_TIMEOUT_ENV, "12.5")
-    monkeypatch.setenv(SOFT_TIMEOUT_ENV, "3")
     deadline = deadline_from_env()
-    assert deadline == TaskDeadline(soft_timeout_s=3.0, hard_timeout_s=12.5)
+    assert deadline == TaskDeadline(hard_timeout_s=12.5)
     # the env deadline is what pooled stages see when nothing is installed
     assert get_default_deadline() == deadline
 
 
-def test_env_deadline_ignores_garbage_and_clamps_soft(monkeypatch):
-    monkeypatch.setenv(HARD_TIMEOUT_ENV, "not-a-number")
-    monkeypatch.setenv(SOFT_TIMEOUT_ENV, "-5")
-    assert deadline_from_env() is None
-
-    monkeypatch.setenv(HARD_TIMEOUT_ENV, "2.0")
-    monkeypatch.setenv(SOFT_TIMEOUT_ENV, "9.0")
-    deadline = deadline_from_env()
-    assert deadline.hard_timeout_s == 2.0
-    assert deadline.soft_timeout_s == 2.0  # clamped, not rejected
+def test_env_deadline_rejects_garbage(monkeypatch):
+    for raw in ("30s", "abc", "-5", "0", "nan"):
+        monkeypatch.setenv(HARD_TIMEOUT_ENV, raw)
+        with pytest.raises(ValueError, match=HARD_TIMEOUT_ENV):
+            deadline_from_env()
+        with pytest.raises(ValueError, match=HARD_TIMEOUT_ENV):
+            get_default_deadline()
 
 
 # ----------------------------------------------------------------------
-# the process default and deadline_scope
+# deadline_scope
 # ----------------------------------------------------------------------
-def test_set_default_none_forces_deadlines_off(monkeypatch):
-    monkeypatch.setenv(HARD_TIMEOUT_ENV, "5.0")
-    assert get_default_deadline() is not None
-    set_default_deadline(None)  # explicit None beats the environment
-    assert get_default_deadline() is None
-    clear_default_deadline()
-    assert get_default_deadline() is not None
-
-
 def test_deadline_scope_installs_and_restores():
     outer = TaskDeadline(hard_timeout_s=60.0)
     inner = TaskDeadline(hard_timeout_s=1.0)
-    set_default_deadline(outer)
-    with deadline_scope(inner) as installed:
-        assert installed is inner
-        assert get_default_deadline() is inner
-    assert get_default_deadline() is outer
-
-
-def test_deadline_scope_none_is_transparent():
-    outer = TaskDeadline(hard_timeout_s=60.0)
-    set_default_deadline(outer)
-    with deadline_scope(None) as installed:
-        assert installed is None
+    with deadline_scope(outer):
+        with deadline_scope(inner) as installed:
+            assert installed is inner
+            assert get_default_deadline() is inner
         assert get_default_deadline() is outer
-    assert get_default_deadline() is outer
+    assert get_default_deadline() is None
+
+
+def test_deadline_scope_none_is_transparent(monkeypatch):
+    outer = TaskDeadline(hard_timeout_s=60.0)
+    with deadline_scope(outer):
+        with deadline_scope(None) as installed:
+            assert installed is None
+            assert get_default_deadline() is outer
+        assert get_default_deadline() is outer
+    # with nothing installed, the environment still applies inside
+    monkeypatch.setenv(HARD_TIMEOUT_ENV, "5")
+    with deadline_scope(None):
+        assert get_default_deadline() == TaskDeadline(hard_timeout_s=5.0)
 
 
 def test_deadline_scope_restores_on_exception():

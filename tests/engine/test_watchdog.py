@@ -11,15 +11,27 @@ forever.  These tests pin the watchdog contract:
   block on the hung worker), and the pool rebuilds for the retry;
 * an exhausted hang surfaces as ``TaskTimeoutError`` from ``map_shards``
   and as a structured ``RunFailure`` from ``run_many``;
-* wall time is bounded by attempts x deadline, not by the hang length.
+* wall time is bounded by attempts x deadline, not by the hang length;
+* pooled work never runs in the coordinator, so a task that hangs or
+  exits its process wherever it runs cannot hang or kill the coordinator.
+
+The last two are pinned with task functions that misbehave on their own,
+with no injector armed: a fault that fires only in pool workers cannot
+show where a task runs.
 """
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import time
 
 import pytest
 
+import repro
 from repro import obs
+from repro.engine import parallel
 from repro.engine.chaos_infra import FAULTS_ENV
 from repro.engine.deadline import TaskDeadline, TaskTimeoutError
 from repro.engine.parallel import RunFailure, WorkerPool, run_many
@@ -59,7 +71,7 @@ def _hang_spec(shards, times):
 
 def test_watchdog_kills_and_retry_recovers(monkeypatch):
     monkeypatch.setenv(FAULTS_ENV, _hang_spec([1], times=1))
-    deadline = TaskDeadline(hard_timeout_s=0.75, speculative=False)
+    deadline = TaskDeadline(hard_timeout_s=0.75)
     with obs_events.recording() as log:
         started = time.perf_counter()
         with WorkerPool(2) as pool:
@@ -85,9 +97,7 @@ def test_watchdog_kills_and_retry_recovers(monkeypatch):
 def test_exhausted_hang_raises_task_timeout_error(monkeypatch):
     """map_shards: a permanent hang surfaces as TaskTimeoutError."""
     monkeypatch.setenv(FAULTS_ENV, _hang_spec([0], times=99))
-    deadline = TaskDeadline(
-        hard_timeout_s=0.5, speculative=False, quarantine_after=0
-    )
+    deadline = TaskDeadline(hard_timeout_s=0.5)
     started = time.perf_counter()
     with WorkerPool(2) as pool:
         with pytest.raises(TaskTimeoutError) as excinfo:
@@ -106,9 +116,7 @@ def test_exhausted_hang_raises_task_timeout_error(monkeypatch):
 def test_exhausted_hang_is_a_run_failure(monkeypatch):
     """run_many: a permanent hang fills the slot with RunFailure."""
     monkeypatch.setenv(FAULTS_ENV, _hang_spec([1], times=99))
-    deadline = TaskDeadline(
-        hard_timeout_s=0.5, speculative=False, quarantine_after=0
-    )
+    deadline = TaskDeadline(hard_timeout_s=0.5)
     with WorkerPool(2) as pool:
         results = run_many(
             [ReturnValue(0), ReturnValue(1), ReturnValue(2)],
@@ -129,13 +137,11 @@ def test_innocent_inflight_tasks_are_retried_not_condemned(monkeypatch):
     """Tasks in flight when the watchdog fires burn an attempt but recover.
 
     Killing the pool takes the innocents' workers with it; their failures
-    are collateral (plain RuntimeError, no infra-failure accounting) and
-    the retry on the rebuilt pool completes them.
+    are collateral (plain RuntimeError, not a timeout) and the retry on
+    the rebuilt pool completes them.
     """
     monkeypatch.setenv(FAULTS_ENV, _hang_spec([0], times=1))
-    deadline = TaskDeadline(
-        hard_timeout_s=0.75, speculative=False, quarantine_after=0
-    )
+    deadline = TaskDeadline(hard_timeout_s=0.75)
     with obs_events.recording() as log:
         with WorkerPool(2) as pool:
             results = pool.map_shards(
@@ -167,3 +173,84 @@ def test_pool_kill_discards_executor_without_waiting():
         assert time.perf_counter() - started < 5.0
         # the next dispatch re-forks transparently
         assert pool.map_shards(ident, [(7,), (8,)]) == [7, 8]
+
+
+# ----------------------------------------------------------------------
+# tasks that misbehave wherever they run (no injector)
+# ----------------------------------------------------------------------
+def sleep_on_shard_one(value):
+    if value == 1:
+        time.sleep(20.0)
+    return value
+
+
+def test_persistent_hang_raises_instead_of_running_in_the_coordinator():
+    """A shard that hangs on every attempt raises; it never runs here.
+
+    Run in the coordinator, the 20 s sleep would block the stage with no
+    watchdog left to stop it.
+    """
+    started = time.perf_counter()
+    with WorkerPool(2) as pool:
+        with pytest.raises(TaskTimeoutError) as excinfo:
+            pool.map_shards(
+                sleep_on_shard_one,
+                [(0,), (1,)],
+                deadline=TaskDeadline(hard_timeout_s=0.5),
+            )
+    assert time.perf_counter() - started < 5.0
+    assert excinfo.value.shard_id == 1
+    assert excinfo.value.attempt == parallel.DEFAULT_MAX_ATTEMPTS
+
+
+#: Runs in a child process: ``os._exit`` in the coordinator must not be
+#: able to take the test session down with it.
+_EXITING_STAGE = textwrap.dedent(
+    """
+    import os
+    import sys
+    from concurrent.futures.process import BrokenProcessPool
+
+    from repro.engine.deadline import TaskDeadline
+    from repro.engine.parallel import WorkerPool
+
+    EVERY_SHARD = sys.argv[1] == "every"
+
+
+    def exit_process(value):
+        if EVERY_SHARD or value == 1:
+            os._exit(13)
+        return value
+
+
+    with WorkerPool(2) as pool:
+        try:
+            pool.map_shards(
+                exit_process,
+                [(index,) for index in range(6 if EVERY_SHARD else 3)],
+                deadline=TaskDeadline(hard_timeout_s=30.0),
+            )
+        except BrokenProcessPool:
+            sys.exit(0)
+    sys.exit(1)
+    """
+)
+
+
+@pytest.mark.parametrize("which", ["one", "every"])
+def test_exiting_shard_breaks_the_pool_not_the_coordinator(which):
+    """A shard that exits its process raises BrokenProcessPool here."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        part for part in (src, env.get("PYTHONPATH")) if part
+    )
+    env.pop(FAULTS_ENV, None)
+    completed = subprocess.run(
+        [sys.executable, "-c", _EXITING_STAGE, which],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from repro import cli
 from repro.cli import main
+from repro.engine.deadline import HARD_TIMEOUT_ENV, TaskDeadline, get_default_deadline
 
 
 class TestCLI:
@@ -46,6 +48,20 @@ class TestCLI:
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+    def test_task_timeout_is_scoped_to_the_command(self, monkeypatch):
+        monkeypatch.delenv(HARD_TIMEOUT_ENV, raising=False)
+        seen = []
+        monkeypatch.setitem(
+            cli._COMMANDS, "table1", lambda args: seen.append(get_default_deadline())
+        )
+        assert main(["table1", "--task-timeout", "5"]) == 0
+        assert get_default_deadline() is None  # nothing leaks past main
+        assert seen == [TaskDeadline(hard_timeout_s=5.0)]
+
+    def test_task_timeout_must_be_positive(self):
+        with pytest.raises(SystemExit):
+            main(["table1", "--task-timeout", "0"])
 
     def test_profile_small(self, capsys):
         assert main(["profile", "--instances", "96"]) == 0

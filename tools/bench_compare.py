@@ -102,9 +102,8 @@ DEFAULT_MIN_EFFICIENCY = 0.7
 DEFAULT_MAX_CAPTURE_OVERHEAD = 0.05
 
 #: Maximum fractional overhead of the failure-domain layer (armed but
-#: never-firing deadlines: watchdog polling + straggler bookkeeping) over
-#: the identical unguarded parallel pass (the ``recovery`` section of
-#: ``BENCH_scale.json``).
+#: never-firing deadlines: watchdog polling) over the identical unguarded
+#: parallel pass (the ``recovery`` section of ``BENCH_scale.json``).
 DEFAULT_MAX_RECOVERY_OVERHEAD = 0.03
 
 #: Minimum incremental-vs-full-recompute speedup per placement delta at
