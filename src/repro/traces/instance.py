@@ -72,6 +72,17 @@ def average_instance_trace(weekly_traces: Sequence[PowerTrace]) -> PowerTrace:
     return PowerTrace(first.grid, total / len(weekly_traces))
 
 
+def training_week_count(n_weeks: int, test_weeks: int) -> int:
+    """Weeks left for Eq. 4 averaging once the last ``test_weeks`` are held out."""
+    if test_weeks < 0:
+        raise ValueError("test_weeks cannot be negative")
+    if n_weeks <= test_weeks:
+        raise ValueError(
+            f"need more than {test_weeks} weeks of telemetry, got {n_weeks}"
+        )
+    return n_weeks - test_weeks
+
+
 @dataclass
 class InstanceRecord:
     """An instance together with its telemetry.
@@ -111,14 +122,8 @@ class InstanceRecord:
         remainder is averaged per Eq. 4.  With ``test_weeks=0`` all weeks
         train and ``test_trace`` is ``None``.
         """
-        if test_weeks < 0:
-            raise ValueError("test_weeks cannot be negative")
-        if len(weekly_traces) <= test_weeks:
-            raise ValueError(
-                f"need more than {test_weeks} weeks of telemetry, "
-                f"got {len(weekly_traces)}"
-            )
-        training_weeks = list(weekly_traces[: len(weekly_traces) - test_weeks])
+        n_train = training_week_count(len(weekly_traces), test_weeks)
+        training_weeks = list(weekly_traces[:n_train])
         training = average_instance_trace(training_weeks)
         test = weekly_traces[-1] if test_weeks else None
         return cls(instance=instance, training_trace=training, test_trace=test)

@@ -96,7 +96,12 @@ class ServiceProfile:
 
     # ------------------------------------------------------------------
     def activity(self, hours_of_day: np.ndarray) -> np.ndarray:
-        """Normalised activity level in ``[0, 1]`` for each hour-of-day."""
+        """Normalised activity level in ``[0, 1]`` for each hour-of-day.
+
+        ``hours_of_day`` is one series or a ``(rows, samples)`` plane of
+        them (one instance per row); shapes that normalise to a peak of 1
+        do so per row.
+        """
         if self.shape == Shape.FLAT:
             return np.full_like(hours_of_day, 1.0, dtype=np.float64)
         if self.shape == Shape.DIURNAL or self.shape == Shape.NOCTURNAL:
@@ -104,16 +109,13 @@ class ServiceProfile:
         if self.shape == Shape.DOUBLE_PEAK:
             morning = _von_mises_bump(hours_of_day, self.peak_hour - 5.0, self.sharpness)
             evening = _von_mises_bump(hours_of_day, self.peak_hour + 5.0, self.sharpness)
-            combined = 0.45 * morning + 0.55 * evening
-            return combined / combined.max() if combined.max() > 0 else combined
+            return _unit_peak(0.45 * morning + 0.55 * evening)
         if self.shape == Shape.OFFICE:
             # Smooth plateau across business hours centred on peak_hour.
             lo, hi = self.peak_hour - 4.5, self.peak_hour + 4.5
             ramp = 1.0 / (1.0 + np.exp(-(hours_of_day - lo) * self.sharpness))
             fall = 1.0 / (1.0 + np.exp((hours_of_day - hi) * self.sharpness))
-            plateau = ramp * fall
-            peak = plateau.max()
-            return plateau / peak if peak > 0 else plateau
+            return _unit_peak(ramp * fall)
         raise AssertionError(f"unhandled shape {self.shape!r}")
 
     def with_heterogeneity(self, scale: float) -> "ServiceProfile":
@@ -147,6 +149,12 @@ class ServiceProfile:
         mean_activity = float(self.activity(hours).mean())
         weekly = (5.0 + 2.0 * self.weekend_factor) / 7.0
         return self.idle_watts + self.swing_watts * mean_activity * weekly
+
+
+def _unit_peak(values: np.ndarray) -> np.ndarray:
+    """Scale each series (last axis) to peak at 1, in place; all-zero ones stay."""
+    peak = values.max(axis=-1, keepdims=True)
+    return np.divide(values, peak, out=values, where=peak > 0)
 
 
 def _von_mises_bump(hours: np.ndarray, peak_hour: float, kappa: float) -> np.ndarray:

@@ -9,6 +9,7 @@ Sec. 2.2 (Eq. 1–2).
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -21,6 +22,23 @@ Number = Union[int, float]
 #: — bounds peak memory at ``block_rows × n_samples`` floats regardless of
 #: fleet size.
 AGGREGATE_BLOCK_ROWS = 1024
+
+
+def check_power_values(values: np.ndarray) -> None:
+    """Raise ``ValueError`` unless every reading is finite and non-negative.
+
+    Two reductions and no temporaries: a NaN propagates into the minimum
+    and an infinity shows in the minimum or the maximum.  Non-finite is
+    reported before negative; an empty array passes.
+    """
+    if values.size == 0:
+        return
+    low = values.min()
+    high = values.max()
+    if not (math.isfinite(low) and math.isfinite(high)):
+        raise ValueError("trace values must be finite")
+    if low < 0:
+        raise ValueError("power readings cannot be negative")
 
 
 class PowerTrace:
@@ -41,10 +59,7 @@ class PowerTrace:
             raise ValueError(
                 f"trace has {array.shape[0]} samples but grid expects {grid.n_samples}"
             )
-        if not np.all(np.isfinite(array)):
-            raise ValueError("trace values must be finite")
-        if np.any(array < 0):
-            raise ValueError("power readings cannot be negative")
+        check_power_values(array)
         self.grid = grid
         self.values = array
 

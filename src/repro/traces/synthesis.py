@@ -11,21 +11,36 @@ this module synthesises the closest structural equivalent (see DESIGN.md,
   placement framework exploits),
 * week-over-week variation and AR(1)-correlated short-term noise (this is
   the signal Eq. 4's multi-week averaging is designed to suppress).
+
+A service's instances are built :data:`SYNTHESIS_BLOCK_ROWS` at a time, one
+instance per row.  Each instance consumes ``3 + weeks + m`` standard
+normals in a fixed order (three personality draws, one scale per week,
+``m`` white-noise samples), so one ``(rows, 3 + weeks + m)`` draw per block
+is the same stream as drawing instance by instance, and ``loc + scale * z``
+is ``rng.normal(loc, scale)`` to the bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .. import obs
-from .grid import TimeGrid
-from .instance import InstanceRecord, ServiceInstance
+from .grid import MINUTES_PER_WEEK, TimeGrid
+from .instance import InstanceRecord, ServiceInstance, training_week_count
 from .profiles import ServiceProfile
 from .series import PowerTrace
 from .traceset import TraceSet
+
+#: Instances synthesised per block by :meth:`TraceSynthesizer.service_instances`
+#: — bounds each intermediate at ``block_rows × n_samples`` floats regardless
+#: of the service's size.  Any value gives the same traces.
+SYNTHESIS_BLOCK_ROWS = 128
+
+#: Personality draws per instance: phase offset, amplitude, baseline.
+_PERSONALITY_DRAWS = 3
 
 
 @dataclass(frozen=True)
@@ -46,18 +61,28 @@ class InstancePersonality:
             raise ValueError("personality scales cannot be negative")
 
 
+def _personality_columns(
+    profile: ServiceProfile, z: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Phase, amplitude and baseline per row, from ``z``'s first three columns.
+
+    Each is ``loc + scale * z``, the arithmetic of ``rng.normal(loc, scale)``,
+    including the ``0.0 +`` (it turns ``-0.0`` into ``0.0``).
+    """
+    phase = 0.0 + profile.phase_jitter_hours * z[:, 0]
+    amplitude = np.clip(1.0 + profile.amplitude_jitter * z[:, 1], 0.2, 3.0)
+    baseline = np.clip(1.0 + profile.baseline_jitter * z[:, 2], 0.2, 3.0)
+    return phase, amplitude, baseline
+
+
 def draw_personality(
     profile: ServiceProfile, rng: np.random.Generator
 ) -> InstancePersonality:
     """Sample one instance's personality from the profile's jitter model."""
-    phase = float(rng.normal(0.0, profile.phase_jitter_hours))
-    amplitude = float(
-        np.clip(rng.normal(1.0, profile.amplitude_jitter), 0.2, 3.0)
+    phase, amplitude, baseline = _personality_columns(
+        profile, rng.standard_normal((1, _PERSONALITY_DRAWS))
     )
-    baseline = float(
-        np.clip(rng.normal(1.0, profile.baseline_jitter), 0.2, 3.0)
-    )
-    return InstancePersonality(phase, amplitude, baseline)
+    return InstancePersonality(float(phase[0]), float(amplitude[0]), float(baseline[0]))
 
 
 class TraceSynthesizer:
@@ -88,6 +113,9 @@ class TraceSynthesizer:
         self.weeks = weeks
         self.grid = TimeGrid.for_weeks(weeks, step_minutes=step_minutes)
         self._rng = np.random.default_rng(seed)
+        self._day_hours = self.grid.hours_of_day()[: self.grid.samples_per_day]
+        self._weekend = (self.grid.days_of_week() >= 5).astype(np.float64)
+        self._kernel = _ar1_kernel(self.grid.n_samples)
 
     # ------------------------------------------------------------------
     def instance_trace(
@@ -96,34 +124,72 @@ class TraceSynthesizer:
         personality: Optional[InstancePersonality] = None,
         rng: Optional[np.random.Generator] = None,
     ) -> PowerTrace:
-        """One instance's raw multi-week power trace."""
+        """One instance's raw multi-week power trace.
+
+        The one-row case of the block kernel :meth:`service_instances` runs,
+        so it draws from ``rng`` exactly what one instance of a block does.
+        """
         rng = rng if rng is not None else self._rng
+        return PowerTrace(self.grid, self._raw_block(profile, 1, rng, personality)[0])
+
+    def _raw_block(
+        self,
+        profile: ServiceProfile,
+        rows: int,
+        rng: np.random.Generator,
+        personality: Optional[InstancePersonality] = None,
+    ) -> np.ndarray:
+        """Raw multi-week traces of ``rows`` instances, shape ``(rows, n_samples)``.
+
+        Draws every instance's personality (unless ``personality`` fixes it
+        for all rows), week scales and white noise in one call, in the order
+        per-instance draws would take them.
+        """
+        weeks, per_week = self.weeks, self.grid.samples_per_week
+        noise_len = (self.grid.n_samples + len(self._kernel) - 1) if profile.noise_std else 0
         if personality is None:
-            personality = draw_personality(profile, rng)
+            z = rng.standard_normal((rows, _PERSONALITY_DRAWS + weeks + noise_len))
+            phase, amplitude, baseline = _personality_columns(profile, z)
+            z = z[:, _PERSONALITY_DRAWS:]
+        else:
+            z = rng.standard_normal((rows, weeks + noise_len))
+            phase = np.full(rows, personality.phase_offset_hours)
+            amplitude = np.full(rows, personality.amplitude_scale)
+            baseline = np.full(rows, personality.baseline_scale)
 
-        hours = self.grid.hours_of_day() - personality.phase_offset_hours
-        activity = profile.activity(np.mod(hours, 24.0))
-
+        # The activity shape is a function of the hour of day alone: compute
+        # one day of it per instance and broadcast it over every day.
+        per_day = self.grid.samples_per_day
+        activity = profile.activity(np.mod(self._day_hours - phase[:, None], 24.0))
         # Weekly structure: weekends dampened for user-facing services.
-        day_of_week = self.grid.days_of_week()
-        weekend = (day_of_week >= 5).astype(np.float64)
-        weekly = 1.0 - weekend * (1.0 - profile.weekend_factor)
+        weekly = 1.0 - self._weekend * (1.0 - profile.weekend_factor)
+        utilisation = np.empty((rows, self.grid.n_samples))
+        np.multiply(
+            activity[:, None, :],
+            weekly.reshape(-1, per_day),
+            out=utilisation.reshape(rows, -1, per_day),
+        )
 
         # Week-over-week drift: each week gets a small load multiplier.
-        per_week = self.grid.samples_per_week
-        week_scale = rng.normal(1.0, 0.03, size=self.weeks).clip(0.8, 1.2)
-        week_factor = np.repeat(week_scale, per_week)[: self.grid.n_samples]
+        week_scale = np.clip(1.0 + 0.03 * z[:, :weeks], 0.8, 1.2)
+        by_week = utilisation.reshape(rows, weeks, per_week)
+        by_week *= week_scale[:, :, None]
 
-        # AR(1)-correlated multiplicative noise (sensor + load jitter).
-        noise = _ar1_noise(self.grid.n_samples, profile.noise_std, rng)
+        # AR(1)-correlated multiplicative noise (sensor + load jitter).  One
+        # np.convolve per row: its valid mode sums each output with BLAS
+        # ddot, and any batched form (matmul, sliding sums) rounds the sums
+        # differently.
+        if noise_len:
+            white = 0.0 + profile.noise_std * z[:, weeks:]
+            for row, noise in zip(utilisation, white):
+                row *= 1.0 + np.convolve(noise, self._kernel, mode="valid")
+        np.clip(utilisation, 0.0, 1.5, out=utilisation)
 
-        utilisation = activity * weekly * week_factor * (1.0 + noise)
-        utilisation = np.clip(utilisation, 0.0, 1.5)
-
-        idle = profile.idle_watts * personality.baseline_scale
-        swing = profile.swing_watts * personality.amplitude_scale
-        values = idle + swing * utilisation
-        return PowerTrace(self.grid, np.maximum(values, 0.0))
+        idle = profile.idle_watts * baseline
+        swing = profile.swing_watts * amplitude
+        watts = np.multiply(utilisation, swing[:, None], out=utilisation)
+        watts += idle[:, None]
+        return np.maximum(watts, 0.0, out=watts)
 
     def service_instances(
         self,
@@ -136,26 +202,48 @@ class TraceSynthesizer:
         """``count`` instance records for one service.
 
         Each record holds the Eq.-4 averaged training trace (first
-        ``weeks - test_weeks`` weeks) and the held-out test week.
+        ``weeks - test_weeks`` weeks) and the held-out test week, each a
+        row of its block's training or test matrix (so no record keeps the
+        raw multi-week traces alive).
         """
         if count <= 0:
             raise ValueError("count must be positive")
+        n_train = training_week_count(self.weeks, test_weeks)
         prefix = id_prefix if id_prefix is not None else profile.name
+        per_week = self.grid.samples_per_week
+        train_grid = self.grid.one_week()
+        test_grid = replace(
+            train_grid,
+            start_minute=train_grid.start_minute + (self.weeks - 1) * MINUTES_PER_WEEK,
+        )
         with obs.span("synthesize.service", service=profile.name, count=count):
             obs.count("synthesize.instances", count)
             records: List[InstanceRecord] = []
-            for index in range(count):
-                instance = ServiceInstance(
-                    instance_id=f"{prefix}-{index:05d}",
-                    service=profile.name,
-                    kind=profile.kind,
-                )
-                raw = self.instance_trace(profile)
-                records.append(
-                    InstanceRecord.from_weeks(
-                        instance, raw.split_weeks(), test_weeks=test_weeks
+            for start in range(0, count, SYNTHESIS_BLOCK_ROWS):
+                rows = min(SYNTHESIS_BLOCK_ROWS, count - start)
+                raw = self._raw_block(profile, rows, self._rng)
+                by_week = raw.reshape(rows, self.weeks, per_week)
+                # Eq. 4, adding weeks in order as average_instance_trace does.
+                total = by_week[:, 0]
+                for week in range(1, n_train):
+                    total = total + by_week[:, week]
+                training = total / n_train
+                test = by_week[:, -1].copy() if test_weeks else None
+                for row in range(rows):
+                    instance = ServiceInstance(
+                        instance_id=f"{prefix}-{start + row:05d}",
+                        service=profile.name,
+                        kind=profile.kind,
                     )
-                )
+                    records.append(
+                        InstanceRecord(
+                            instance=instance,
+                            training_trace=PowerTrace(train_grid, training[row]),
+                            test_trace=(
+                                PowerTrace(test_grid, test[row]) if test is not None else None
+                            ),
+                        )
+                    )
             return records
 
     def fleet(
@@ -174,22 +262,16 @@ class TraceSynthesizer:
             return records
 
 
-def _ar1_noise(
-    n_samples: int, std: float, rng: np.random.Generator, rho: float = 0.9
-) -> np.ndarray:
-    """Zero-mean temporally-correlated noise with marginal std ``std``.
+def _ar1_kernel(n_samples: int, rho: float = 0.9) -> np.ndarray:
+    """Unit-energy AR(1) impulse response, truncated where ``rho^k`` is negligible.
 
-    Implemented as white noise convolved with a truncated exponential
-    kernel (the AR(1) impulse response), which vectorises cleanly.
+    Convolving white noise of std ``s`` with it gives zero-mean temporally
+    correlated noise with marginal std ``s``.
     """
-    if std == 0:
-        return np.zeros(n_samples)
-    # Kernel length where rho^k becomes negligible.
     length = min(n_samples, max(8, int(np.ceil(np.log(1e-3) / np.log(rho)))))
     kernel = rho ** np.arange(length)
     kernel /= np.sqrt((kernel * kernel).sum())  # unit marginal variance
-    white = rng.normal(0.0, std, size=n_samples + length - 1)
-    return np.convolve(white, kernel, mode="valid")
+    return kernel
 
 
 def training_trace_set(records: Sequence[InstanceRecord]) -> TraceSet:

@@ -14,7 +14,7 @@ from typing import Dict, Mapping, Sequence
 import numpy as np
 
 from .grid import TimeGrid
-from .series import PowerTrace
+from .series import PowerTrace, check_power_values
 
 
 class TraceSet:
@@ -26,6 +26,7 @@ class TraceSet:
     bytes doubles effective memory bandwidth — and ``np.asarray`` makes
     both cases zero-copy when the input already matches (e.g. a shared
     -memory view published by :class:`repro.engine.sharedmem.SharedTraceSet`).
+    Readings must be finite and non-negative, as in a :class:`PowerTrace`.
     """
 
     __slots__ = ("grid", "ids", "matrix", "_index")
@@ -46,8 +47,7 @@ class TraceSet:
                 f"matrix shape {matrix.shape} inconsistent with "
                 f"{len(ids)} ids x {grid.n_samples} samples"
             )
-        if np.any(matrix < 0):
-            raise ValueError("power readings cannot be negative")
+        check_power_values(matrix)
         self.grid = grid
         self.ids = list(ids)
         if len(set(self.ids)) != len(self.ids):

@@ -67,6 +67,12 @@ class TestCSV:
         with pytest.raises(ValueError):
             import_csv(path)
 
+    def test_import_rejects_non_finite_readings(self, tmp_path):
+        path = tmp_path / "dead_sensor.csv"
+        path.write_text("minute,a,b\n0,1.5,2.0\n60,nan,inf\n")
+        with pytest.raises(ValueError, match="must be finite"):
+            import_csv(path)
+
     def test_single_row_needs_step(self, tmp_path):
         path = tmp_path / "one.csv"
         path.write_text("minute,a\n0,4.5\n")

@@ -36,6 +36,27 @@ class TestConstruction:
         with pytest.raises(ValueError):
             PowerTrace(small_grid, values)
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({0: np.inf}, "must be finite"),
+            ({0: -np.inf}, "must be finite"),
+            ({3: -1.0, 7: np.nan}, "must be finite"),  # non-finite is reported first
+            ({3: -1.0}, "cannot be negative"),
+        ],
+    )
+    def test_rejection_messages(self, small_grid, bad, message):
+        values = np.ones(24)
+        for index, value in bad.items():
+            values[index] = value
+        with pytest.raises(ValueError, match=message):
+            PowerTrace(small_grid, values)
+
+    def test_negative_zero_accepted(self, small_grid):
+        values = np.ones(24)
+        values[2] = -0.0
+        assert PowerTrace(small_grid, values).valley() == 0.0
+
     def test_rejects_2d(self, small_grid):
         with pytest.raises(ValueError):
             PowerTrace(small_grid, np.ones((2, 12)))

@@ -1,5 +1,8 @@
 """Unit tests for the synthetic trace generator."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -168,3 +171,24 @@ class TestFleetGeneration:
         # Averaging cannot increase time-of-week variance beyond a single
         # week's (noise cancels; only the shared diurnal signal remains).
         assert averaged.values.std() <= max(weekly_stds) * 1.05
+
+
+class TestMemory:
+    def test_records_retain_only_their_training_and_test_weeks(self):
+        """A record keeps its averaged week and its held-out week alive, not
+        the raw multi-week telemetry they came from."""
+        synth = TraceSynthesizer(weeks=3, step_minutes=30, seed=11)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            records = synth.service_instances(web_profile(), 600)
+            records += synth.service_instances(hadoop_profile(), 400)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        week_bytes = sum(
+            r.training_trace.values.nbytes + r.test_trace.values.nbytes for r in records
+        )
+        assert retained <= 1.25 * week_bytes, retained / week_bytes

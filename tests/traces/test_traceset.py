@@ -42,6 +42,22 @@ class TestConstruction:
         with pytest.raises(ValueError):
             TraceSet(grid, ["x"], -np.ones((1, 24)))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_rejected(self, grid, bad):
+        matrix = np.ones((2, 24))
+        matrix[1, 5] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            TraceSet(grid, ["x", "y"], matrix)
+
+    def test_non_finite_rejected_in_float32(self, grid):
+        matrix = np.ones((1, 24), dtype=np.float32)
+        matrix[0, 0] = np.inf
+        with pytest.raises(ValueError, match="must be finite"):
+            TraceSet(grid, ["x"], matrix, dtype=np.float32)
+
+    def test_empty_matrix_accepted(self, grid):
+        assert len(TraceSet(grid, [], np.empty((0, 24)))) == 0
+
     def test_grid_mismatch_rejected(self, grid):
         traces = {
             "a": PowerTrace.constant(grid, 1),
