@@ -1,17 +1,20 @@
-"""Stage-by-stage pipeline profile → ``BENCH_pipeline.json`` / ``BENCH_remap.json``.
+"""Stage-by-stage pipeline profile, gated against committed references.
 
 Runs the full pipeline (synthesize → score → cluster → place → remap →
-evaluate) under the :mod:`repro.obs` tracer and emits machine-readable
-benchmark documents at the repo root: per-stage wall/CPU timings with
-workload-size fields, plus the remapping loop's swap counters and the
-resulting peak-reduction numbers.  CI uploads the ``BENCH_*.json`` files as
-artifacts so the perf trajectory accrues per PR.
+evaluate) on a 480-instance DC3 fleet under the :mod:`repro.obs` tracer
+and asserts two gates against the references below:
 
-The fleet size is small enough for CI (override with the
-``BENCH_PROFILE_INSTANCES`` environment variable).
+* every reference stage appears in the profile and stays within the wall
+  bound of ``benchmarks/conftest.py`` (3x its reference + 0.05 s);
+* the remapped placement's peak reduction at each power-tree level is at
+  least its reference minus :data:`PEAK_TOLERANCE`.
+
+The references were recorded at these constants.  The peak reductions
+are deterministic, so a drop past the tolerance means placement changed,
+not the host.  The two overhead tests below bound the cost of tracing and
+of the full observability stack.
 """
 
-import os
 import time
 
 import pytest
@@ -23,13 +26,38 @@ from repro.core.remapping import RemapConfig
 from repro.datasets import build_datacenter, dc3_spec
 from repro.infra.topology import Level
 
-N_INSTANCES = int(os.environ.get("BENCH_PROFILE_INSTANCES", "480"))
+N_INSTANCES = 480
 STEP_MINUTES = 10
 WEEKS = 3
 
+#: Reference wall seconds per traced stage.
+REFERENCE_WALL_S = {
+    "profile": 0.4662031190000562,
+    "synthesize": 0.21303115699993214,
+    "synthesize.service": 0.21272287700230663,
+    "pipeline.optimize": 0.2280958709998231,
+    "place": 0.21832667000126094,
+    "score": 0.04583346100298513,
+    "cluster": 0.11334383000212256,
+    "remap": 0.008313364000059664,
+    "pipeline.evaluate": 0.011649101999864797,
+}
+
+#: Reference peak reduction per power-tree level after RPP remapping.
+REFERENCE_PEAK_REDUCTION = {
+    "datacenter": 0.0,
+    "msb": 0.12173529014728977,
+    "rack": 0.15279482616903123,
+    "rpp": 0.15279482616903123,
+    "sb": 0.14021725743475835,
+    "suite": 0.021166549089559197,
+}
+
+#: A level fails when its reduction drops more than this below reference.
+PEAK_TOLERANCE = 0.02
+
 
 def _profiled_run():
-    obs.reset_metrics()
     with obs.tracing() as tracer:
         with obs.span("profile", instances=N_INSTANCES):
             dc = build_datacenter(
@@ -47,43 +75,26 @@ def _profiled_run():
             report = SmoothOperator.evaluate(
                 dc.records, dc.baseline, outcome.assignment
             )
-    return tracer, dc, outcome, report
+    return tracer, report
 
 
 @pytest.mark.benchmark(group="profile")
-def test_pipeline_profile(benchmark, emit_report):
-    tracer, dc, outcome, report = benchmark.pedantic(
-        _profiled_run, rounds=1, iterations=1
-    )
-    stages = obs.stage_timings(tracer)
-    names = {row["stage"] for row in stages}
-    # The profile must cover the full pipeline.
-    for required in ("synthesize", "score", "cluster", "place", "remap"):
-        assert required in names, f"stage {required!r} missing from profile"
-
-    counters = obs.snapshot_metrics()["counters"]
-    workload = {
-        "datacenter": dc.name,
-        "instances": len(dc.records),
-        "samples_per_trace": dc.records[0].training_trace.grid.n_samples,
-        "step_minutes": STEP_MINUTES,
-        "weeks": WEEKS,
-    }
-    obs.update_bench("pipeline", "workload", workload)
-    obs.update_bench("pipeline", "stages", stages)
-    obs.update_bench(
-        "remap",
-        "remap",
-        {
-            "workload": workload,
-            "swaps_accepted": outcome.remap.n_swaps,
-            "swaps_attempted": counters.get("remap.swaps_attempted", 0.0),
-            "candidates_evaluated": counters.get("remap.candidates_evaluated", 0.0),
-            "peak_reduction": report.peak_reduction,
-            "extra_server_fraction": report.extra_server_fraction,
-        },
-    )
+def test_pipeline_profile(benchmark, emit_report, check_walls):
+    tracer, report = benchmark.pedantic(_profiled_run, rounds=1, iterations=1)
     emit_report("profile", tracer.render())
+
+    walls = {row["stage"]: row["wall_s"] for row in obs.stage_timings(tracer)}
+    failures = check_walls(walls, REFERENCE_WALL_S)
+    for level, reference in REFERENCE_PEAK_REDUCTION.items():
+        reduction = report.peak_reduction.get(level)
+        if reduction is None:
+            failures.append(f"no peak reduction reported at {level!r}")
+        elif reduction < reference - PEAK_TOLERANCE:
+            failures.append(
+                f"peak reduction at {level!r} is {reduction:.4f}, more than "
+                f"{PEAK_TOLERANCE} below its {reference:.4f} reference"
+            )
+    assert not failures, "\n".join(failures)
 
 
 @pytest.mark.benchmark(group="profile")

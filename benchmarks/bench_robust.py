@@ -1,31 +1,24 @@
-"""Spike-burst chaos: robust vs nominal placement → ``BENCH_robust.json``.
+"""Spike-burst chaos: robust vs nominal placement, gated in this script.
 
 Runs the named :data:`repro.robust.chaos.SPIKE_SUITE` head-to-head suite
 and gates the robustness claim the package makes: across the Γ ≥ 2
 scenarios, the Γ-robust placement must avoid at least 80% of the
-spike-induced budget violations the nominal placement suffers, while
-provisioning at most 15% more breaker capacity.  The Γ = 0 control must
-change nothing (the robust placer falls back to the nominal placement).
+spike-induced violations the nominal placement suffers, while
+provisioning at most 15% more breaker capacity.  The avoided fraction
+must also stay within :data:`AVOIDED_TOLERANCE` of the committed
+:data:`REFERENCE_AVOIDED_FRACTION`.  The Γ = 0 control must change
+nothing (the robust placer falls back to the nominal placement).
 
-The emitted document carries one row per scenario (violations, trips,
-avoided fractions, capacity cost, swap counts) plus the aggregate gate
-verdict; ``tools/bench_compare.py`` re-applies the same thresholds in CI
-and treats a missing committed baseline as a new benchmark to record.
-
-Scale is the validated reference fleet (override with
-``BENCH_ROBUST_INSTANCES`` / ``BENCH_ROBUST_STEP_MINUTES``): 360
-instances over 48 RPPs, two synthesized weeks, 30-minute sampling.
+Scale is the validated reference fleet: 360 instances over 48 RPPs, two
+synthesized weeks, 30-minute sampling.
 """
-
-import os
 
 import pytest
 
-from repro import obs
 from repro.robust import SPIKE_SUITE, format_robust_table, run_robust_suite
 
-N_INSTANCES = int(os.environ.get("BENCH_ROBUST_INSTANCES", "360"))
-STEP_MINUTES = int(os.environ.get("BENCH_ROBUST_STEP_MINUTES", "30"))
+N_INSTANCES = 360
+STEP_MINUTES = 30
 WEEKS = 2
 
 #: Aggregate gate: Γ ≥ 2 scenarios must avoid this share of the nominal
@@ -33,6 +26,12 @@ WEEKS = 2
 MIN_AVOIDED_FRACTION = 0.80
 #: … while provisioning at most this much extra breaker capacity.
 MAX_CAPACITY_OVERHEAD = 0.15
+
+#: The avoided fraction recorded at these constants; the suite is seeded,
+#: so a drop of more than :data:`AVOIDED_TOLERANCE` means the placer
+#: changed.
+REFERENCE_AVOIDED_FRACTION = 0.8861788617886179
+AVOIDED_TOLERANCE = 0.05
 
 
 def _run():
@@ -75,43 +74,6 @@ def test_robust_spike_suite(benchmark, emit_report):
     avoided_fraction = 1.0 - total_robust / total_nominal
     max_capacity_overhead = max(o.headroom_sacrifice_fraction for o in protected)
 
-    workload = {
-        "n_scenarios": len(outcomes),
-        "n_instances": N_INSTANCES,
-        "step_minutes": STEP_MINUTES,
-        "weeks": WEEKS,
-    }
-    rows = [
-        {
-            "scenario": o.scenario.name,
-            "gamma": o.gamma,
-            "spike_watts": o.scenario.spike_watts,
-            "budget_margin": o.scenario.budget_margin,
-            "nominal_violation_steps": o.nominal.violation_steps,
-            "robust_violation_steps": o.robust.violation_steps,
-            "nominal_trips": o.nominal.breaker_trips,
-            "robust_trips": o.robust.breaker_trips,
-            "avoided_violation_fraction": o.avoided_violation_fraction,
-            "avoided_trip_fraction": o.avoided_trip_fraction,
-            "capacity_overhead": o.headroom_sacrifice_fraction,
-            "n_swaps": o.n_swaps,
-        }
-        for o in outcomes
-    ]
-    gate = {
-        "avoided_fraction": avoided_fraction,
-        "min_avoided_fraction": MIN_AVOIDED_FRACTION,
-        "max_capacity_overhead": max_capacity_overhead,
-        "capacity_overhead_limit": MAX_CAPACITY_OVERHEAD,
-        "passed": (
-            avoided_fraction >= MIN_AVOIDED_FRACTION
-            and max_capacity_overhead <= MAX_CAPACITY_OVERHEAD
-        ),
-    }
-    obs.update_bench("robust", "workload", workload)
-    obs.update_bench("robust", "scenarios", rows)
-    obs.update_bench("robust", "gate", gate)
-
     assert avoided_fraction >= MIN_AVOIDED_FRACTION, (
         f"robust placement avoided only {avoided_fraction:.1%} of "
         f"spike-induced violations (gate: {MIN_AVOIDED_FRACTION:.0%})"
@@ -119,4 +81,9 @@ def test_robust_spike_suite(benchmark, emit_report):
     assert max_capacity_overhead <= MAX_CAPACITY_OVERHEAD, (
         f"robust placement costs {max_capacity_overhead:.1%} extra "
         f"capacity (gate: {MAX_CAPACITY_OVERHEAD:.0%})"
+    )
+    assert avoided_fraction >= REFERENCE_AVOIDED_FRACTION - AVOIDED_TOLERANCE, (
+        f"robust placement avoided {avoided_fraction:.1%} of spike-induced "
+        f"violations, more than {AVOIDED_TOLERANCE:.0%} below its "
+        f"{REFERENCE_AVOIDED_FRACTION:.1%} reference"
     )

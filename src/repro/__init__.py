@@ -73,7 +73,7 @@ from .traces import (
     TraceSynthesizer,
 )
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     "__version__",

@@ -5,7 +5,7 @@
 original implementation built a fresh ``ProcessPoolExecutor`` per call (and
 per retry round), which made parallelism a net loss at bench scale — pool
 spawn plus per-task pickling of whole fleets cost more than the simulation
-itself (``BENCH_engine.json`` recorded a 0.74x "speedup").  Three changes
+itself (the chaos suite ran at 0.74x the serial speed).  Three changes
 fix that:
 
 * **persistent pools** — :func:`get_pool` keeps one :class:`WorkerPool`
@@ -67,6 +67,7 @@ import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from functools import partial
+from multiprocessing import resource_tracker
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set
 
 from . import chaos_infra
@@ -306,6 +307,12 @@ class WorkerPool:
 
     def _ensure_executor(self) -> ProcessPoolExecutor:
         if self._executor is None:
+            # Forked workers must share this process's resource tracker.
+            # Below Python 3.13 a worker's shared-memory attach registers
+            # the segment; a worker forked before the tracker existed
+            # starts a private one, which unlinks the coordinator's
+            # segment when that worker dies.
+            resource_tracker.ensure_running()
             self._executor = ProcessPoolExecutor(
                 max_workers=self.workers,
                 mp_context=self._mp_context,

@@ -19,9 +19,13 @@ Lifecycle is explicit and leak-proof:
   normal exit, on worker death (``BrokenProcessPool`` propagates through),
   and on ``KeyboardInterrupt`` alike;
 * workers attach read-only and *never* unlink; on Python 3.13+ attachments
-  opt out of resource tracking (``track=False``), and on older interpreters
-  the pool's ``fork`` start method makes the worker's tracker registration
-  a harmless no-op (same tracker as the owner, set-idempotent names);
+  opt out of resource tracking (``track=False``).  On older interpreters a
+  worker's attach registers the segment with its resource tracker, which
+  is harmless only when that tracker is the owner's: the pool starts the
+  owner's tracker before it forks, so workers inherit it and registration
+  is set-idempotent.  A worker forked before the owner's tracker existed
+  would start a private one, and that tracker unlinks the segment when
+  the worker dies;
 * ``atexit`` does not run on SIGTERM/SIGINT-by-default, so the first
   segment created also installs *chained* signal handlers: the sweep runs,
   then the previously installed disposition (another handler, or the
@@ -194,9 +198,12 @@ def _attach_segment(name: str) -> shared_memory.SharedMemory:
     On Python 3.13+ the attach opts out of resource tracking outright
     (``track=False``): a reader must never be the reason a segment gets
     unlinked.  On older interpreters a plain attach re-registers the name
-    with the resource tracker — harmless under the pool's ``fork`` start
-    method, where workers inherit the owner's tracker and registration is
+    with this process's resource tracker.  That is harmless only when the
+    tracker is the owner's, inherited across ``fork`` — registration is
     set-idempotent, so the owner's unlink still deregisters exactly once.
+    :class:`~repro.engine.parallel.WorkerPool` starts the owner's tracker
+    before forking for that reason: a worker forked without one starts a
+    private tracker here, which unlinks the segment when the worker dies.
     """
     try:
         return shared_memory.SharedMemory(name=name, track=False)  # type: ignore[call-arg]

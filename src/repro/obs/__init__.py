@@ -1,11 +1,12 @@
-"""Observability: spans, metrics, telemetry, events, exporters, benchmarks.
+"""Observability: spans, metrics, telemetry, events, exporters, run reports.
 
 The substrate every perf-sensitive subsystem reports into:
 
 * :mod:`repro.obs.spans` — a zero-dependency span tracer.  Instrumented
   code opens regions with ``obs.span("cluster")``; when a tracer is
   installed via :func:`tracing`, every end-to-end run yields a structured
-  stage-by-stage profile (wall/CPU time per span, nested).  Installation
+  stage-by-stage profile (wall/CPU time per span, nested), and
+  :func:`stage_timings` flattens it into one row per stage.  Installation
   and the open-span stack are thread-local.
 * :mod:`repro.obs.metrics` — a process-global registry of counters,
   gauges, and histograms.  :func:`count` is always on and additionally
@@ -29,14 +30,9 @@ The substrate every perf-sensitive subsystem reports into:
   per-worker utilization, shard imbalance, straggler shards, queue vs
   execution latency, rendered by ``smoothoperator report`` and
   auto-written when ``REPRO_RUN_REPORT`` names a path.
-* :mod:`repro.obs.bench` — writes machine-readable ``BENCH_<name>.json``
-  documents (stage timings, workload sizes, peak-reduction numbers) that
-  CI uploads so the perf trajectory accrues per PR;
-  ``tools/bench_compare.py`` gates regressions against them.
 """
 
 from . import events, export, remote, report, telemetry
-from .bench import bench_path, stage_timings, update_bench
 from .events import Event, EventLog, emit, get_event_log
 from .metrics import (
     Histogram,
@@ -51,7 +47,7 @@ from .metrics import (
 )
 from .remote import TelemetryBundle, capture_enabled, merge_bundles
 from .report import build_report, record_stage, render_report, reset_report, write_report
-from .spans import Span, Tracer, current_span, get_tracer, span, tracing
+from .spans import Span, Tracer, current_span, get_tracer, span, stage_timings, tracing
 from .telemetry import FlightRecorder, RingBuffer, record_delta, record_power, record_view
 
 __all__ = [
@@ -62,6 +58,7 @@ __all__ = [
     "tracing",
     "current_span",
     "get_tracer",
+    "stage_timings",
     # metrics
     "Histogram",
     "MetricsRegistry",
@@ -99,8 +96,4 @@ __all__ = [
     "report",
     "reset_report",
     "write_report",
-    # bench
-    "bench_path",
-    "stage_timings",
-    "update_bench",
 ]

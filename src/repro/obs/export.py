@@ -19,10 +19,9 @@ from __future__ import annotations
 import re
 from typing import Dict, List, Optional, Tuple
 
-from . import bench as _bench
 from . import metrics as _metrics
 from .events import EventLog
-from .spans import Tracer
+from .spans import Tracer, stage_timings
 from .telemetry import FlightRecorder
 
 __all__ = [
@@ -158,7 +157,7 @@ def json_document(
     document: Dict[str, object] = {}
     if tracer is not None:
         document["spans"] = tracer.to_dict()["spans"]
-        document["stages"] = _bench.stage_timings(tracer)
+        document["stages"] = stage_timings(tracer)
     if registry is not None:
         document["metrics"] = registry.snapshot()
     if recorder is not None:

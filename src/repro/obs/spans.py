@@ -30,6 +30,7 @@ __all__ = [
     "current_span",
     "get_tracer",
     "span",
+    "stage_timings",
     "tracing",
 ]
 
@@ -311,6 +312,41 @@ class Tracer:
         for root in roots:
             _render_span(root, 0, lines)
         return "\n".join(lines)
+
+
+def stage_timings(tracer: Tracer) -> List[Dict[str, object]]:
+    """Per-stage rows from a traced run, one per distinct span name.
+
+    Same-named spans anywhere in the forest merge: wall/CPU times and
+    counters sum, ``calls`` counts the regions merged.  Rows come out in
+    first-seen (execution) order.
+    """
+    order: List[str] = []
+    merged: Dict[str, Span] = {}
+    for span in tracer.walk():
+        row = merged.get(span.name)
+        if row is None:
+            row = merged[span.name] = Span(span.name)
+            row.calls = 0
+            order.append(span.name)
+        row.wall_s += span.wall_s
+        row.cpu_s += span.cpu_s
+        row.calls += span.calls
+        for key, value in span.counters.items():
+            row.counters[key] = row.counters.get(key, 0.0) + value
+    rows: List[Dict[str, object]] = []
+    for name in order:
+        span = merged[name]
+        row: Dict[str, object] = {
+            "stage": name,
+            "wall_s": span.wall_s,
+            "cpu_s": span.cpu_s,
+            "calls": span.calls,
+        }
+        if span.counters:
+            row["counters"] = dict(span.counters)
+        rows.append(row)
+    return rows
 
 
 def _format_seconds(seconds: float) -> str:

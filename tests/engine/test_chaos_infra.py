@@ -20,11 +20,15 @@ chaos-run artifact.
 """
 
 import os
+import subprocess
+import sys
+import textwrap
 import time
 
 import numpy as np
 import pytest
 
+import repro
 from repro import obs
 from repro.engine import chaos_infra
 from repro.engine.chaos_infra import (
@@ -333,6 +337,70 @@ def test_scenario_permanent_exception_exhausts_cleanly(monkeypatch):
     assert failure.attempts == 2
     assert failure.error_type == "InjectedFault"
     publish(log)
+
+
+#: Runs in a fresh interpreter, where no resource tracker has started yet:
+#: the pool forks before the segment exists, and shard 0 exits right after
+#: attaching it.  The retry must re-attach the coordinator's segment.
+_DEATH_AFTER_ATTACH = textwrap.dedent(
+    """
+    import os
+    import sys
+
+    import numpy as np
+
+    from repro.engine.parallel import WorkerPool
+    from repro.engine.sharedmem import SharedMatrix, attach_rows, shard_ranges
+
+    MARKER = sys.argv[1]
+
+
+    def exit_after_attach(handle, start, stop):
+        rows = attach_rows(handle, start, stop)
+        if start == 0 and not os.path.exists(MARKER):
+            open(MARKER, "w").close()
+            os._exit(3)
+        return float(rows.sum())
+
+
+    with WorkerPool(2) as pool:
+        pool.warm()
+        with SharedMatrix.create(np.arange(40.0).reshape(8, 5)) as shared:
+            tasks = [(shared.handle, a, b) for a, b in shard_ranges(8, 4)]
+            print(
+                pool.map_shards(
+                    exit_after_attach, tasks, max_attempts=3, retry_backoff_s=1.0
+                )
+            )
+    """
+)
+
+
+def test_worker_death_after_attach_keeps_the_segment(tmp_path):
+    """A worker that dies holding an attachment must not unlink the segment.
+
+    Below Python 3.13 an attach registers the segment with the worker's
+    resource tracker.  A pool warmed before the coordinator's tracker ran
+    gave each worker a private tracker, which unlinked the segment when
+    its worker died, so the retry failed with ``FileNotFoundError``.
+    """
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        part for part in (src, env.get("PYTHONPATH")) if part
+    )
+    env.pop(FAULTS_ENV, None)
+    completed = subprocess.run(
+        [sys.executable, "-c", _DEATH_AFTER_ATTACH, str(tmp_path / "died")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.strip() == "[45.0, 145.0, 245.0, 345.0]"
+    assert (tmp_path / "died").exists()  # shard 0 really died once
+    assert "resource_tracker" not in completed.stderr
 
 
 def test_faults_never_fire_without_the_env(monkeypatch):

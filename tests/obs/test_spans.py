@@ -6,7 +6,7 @@ import time
 import pytest
 
 from repro import obs
-from repro.obs import Span, Tracer, tracing
+from repro.obs import Span, Tracer, stage_timings, tracing
 
 
 def _busy(seconds: float) -> None:
@@ -252,3 +252,28 @@ class TestStandaloneTracer:
     def test_span_repr_smoke(self):
         span = Span("demo")
         assert "demo" in repr(span)
+
+
+class TestStageTimings:
+    def test_merges_same_named_spans(self):
+        with obs.tracing() as tracer:
+            with obs.span("place"):
+                for _ in range(3):
+                    with obs.span("score") as span:
+                        span.add("pairs", 10)
+        rows = stage_timings(tracer)
+        by_name = {row["stage"]: row for row in rows}
+        assert set(by_name) == {"place", "score"}
+        assert by_name["score"]["calls"] == 3
+        assert by_name["score"]["counters"] == {"pairs": 30.0}
+        assert by_name["place"]["wall_s"] >= by_name["score"]["wall_s"]
+
+    def test_rows_in_execution_order(self):
+        with obs.tracing() as tracer:
+            with obs.span("synthesize"):
+                pass
+            with obs.span("place"):
+                with obs.span("cluster"):
+                    pass
+        names = [row["stage"] for row in stage_timings(tracer)]
+        assert names == ["synthesize", "place", "cluster"]
