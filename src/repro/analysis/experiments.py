@@ -37,7 +37,11 @@ from ..reshaping.lconv import learn_conversion_threshold
 from ..engine import Engine, ReshapingComparison, ScenarioSpec
 from ..reshaping.throttling import ThrottleBoostPolicy
 from ..traces.percentiles import band_summary
-from ..traces.service import extract_basis_traces, total_energy_by_service
+from ..traces.service import (
+    extract_basis_traces,
+    top_power_consumers,
+    total_energy_by_service,
+)
 from ..traces.traceset import TraceSet
 from .embedding import TSNEConfig, tsne_embed
 
@@ -124,8 +128,10 @@ def run_figure5(dc: Datacenter, *, top: int = 10) -> List[Tuple[str, float]]:
     """Per-service share of total power, largest first (Figure 5)."""
     energy = total_energy_by_service(dc.records)
     total = sum(energy.values())
-    ranked = sorted(energy.items(), key=lambda item: (-item[1], item[0]))
-    return [(service, value / total) for service, value in ranked[:top]]
+    return [
+        (service, energy[service] / total)
+        for service in top_power_consumers(dc.records, top)
+    ]
 
 
 # ----------------------------------------------------------------------

@@ -26,11 +26,11 @@ from ..traces.traceset import TraceSet
 
 ArrayLike = Union[np.ndarray, Sequence[float]]
 
-#: Default ceiling on the broadcast block a :func:`score_matrix` chunk may
-#: materialise.  At ``chunk_size=256``, 20 basis services, and a week of
-#: per-minute samples the naive block is ~415 MB; the bound derives an
-#: effective chunk size that keeps it under ~128 MB while leaving small
-#: inputs on the configured chunk size.
+#: Default ceiling on the ``(chunk, n_samples)`` plane a :func:`score_matrix`
+#: chunk is scored in.  At ``chunk_size=256`` and a week of per-minute
+#: samples the plane is ~20.6 MB in float64, so the bound leaves the
+#: configured chunk size alone until traces pass ~65k samples; beyond that
+#: it derives a smaller chunk that keeps the plane under 128 MiB.
 DEFAULT_SCORE_MAX_BYTES = 128 * 1024 * 1024
 
 #: Below this many instance rows a :func:`score_matrix` call ignores
@@ -87,21 +87,28 @@ def score_matrix(
     dtype: Optional[object] = None,
     workers: int = 1,
     parallel_min_rows: int = PARALLEL_MIN_ROWS,
+    rows: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """I-to-S score vectors for a whole fleet, shape ``(n_instances, n_basis)``.
 
-    Vectorised and chunked: computing ``peak(PI_i + PS_k)`` for all (i, k)
-    pairs materialises an ``(chunk, n_basis, n_samples)`` block at a time
-    rather than the full fleet tensor.  The effective chunk size is the
-    smaller of ``chunk_size`` and what fits a block into ``max_bytes``
-    (pass ``max_bytes=None`` to disable the bound); results are identical
-    whatever the chunking, only memory and locality change.
+    Vectorised and chunked: ``peak(PI_i + PS_k)`` for a chunk of rows is
+    computed one basis trace at a time in a reused ``(chunk, n_samples)``
+    plane (see :func:`_score_rows`), never as the full fleet tensor.  The
+    effective chunk size is the smaller of ``chunk_size`` and what fits a
+    plane into ``max_bytes`` (pass ``max_bytes=None`` to disable the
+    bound); results are identical whatever the chunking, only memory and
+    locality change.
 
-    ``dtype`` is the exactness toggle: ``None`` (default) broadcasts in
+    ``rows`` scores only those rows of ``instances``, in that order: row
+    ``i`` of the result is the score of ``instances.matrix[rows[i]]``.  The
+    serial path gathers them one chunk at a time as it scores; the pooled
+    path gathers them once, to publish them.
+
+    ``dtype`` is the exactness toggle: ``None`` (default) scores in
     float64 — bit-identical to every historical result — while
-    ``np.float32`` is the fleet-scale fast path, halving the broadcast
-    block's memory traffic at the cost of float32 rounding in the peaks
-    (scores still come back float64).
+    ``np.float32`` is the fleet-scale fast path, halving the plane's
+    memory traffic at the cost of float32 rounding in the peaks (scores
+    still come back float64).
 
     ``workers > 1`` shards the rows across the persistent worker pool
     (:mod:`repro.engine.parallel`) over shared-memory views of the two
@@ -116,9 +123,9 @@ def score_matrix(
     if max_bytes is not None:
         if max_bytes <= 0:
             raise ValueError("max_bytes must be positive")
-        bytes_per_row = len(basis) * instances.grid.n_samples * work_dtype.itemsize
+        bytes_per_row = instances.grid.n_samples * work_dtype.itemsize
         chunk_size = max(1, min(chunk_size, max_bytes // max(bytes_per_row, 1)))
-    n = len(instances)
+    n = len(instances) if rows is None else len(rows)
     with obs.span(
         "score",
         instances=n,
@@ -128,24 +135,29 @@ def score_matrix(
     ):
         obs.count("score.pairs", n * len(basis))
         if workers > 1 and n >= max(parallel_min_rows, 2 * workers):
+            matrix = instances.matrix if rows is None else instances.matrix[rows]
             return _score_matrix_sharded(
-                instances, basis, work_dtype, chunk_size, workers
+                matrix, basis.matrix, work_dtype, chunk_size, workers
             )
         basis_block = np.asarray(basis.matrix, dtype=work_dtype)
         scores = np.empty((n, len(basis)))
         for start in range(0, n, chunk_size):
             stop = min(start + chunk_size, n)
             obs.count("score.chunks")
+            block = (
+                instances.matrix[start:stop]
+                if rows is None
+                else instances.matrix[rows[start:stop]]
+            )
             scores[start:stop] = _score_rows(
-                np.asarray(instances.matrix[start:stop], dtype=work_dtype),
-                basis_block,
+                np.asarray(block, dtype=work_dtype), basis_block
             )
         return scores
 
 
 def _score_matrix_sharded(
-    instances: TraceSet,
-    basis: TraceSet,
+    matrix: np.ndarray,
+    basis_matrix: np.ndarray,
     work_dtype: np.dtype,
     chunk_size: int,
     workers: int,
@@ -163,10 +175,10 @@ def _score_matrix_sharded(
     from ..engine.parallel import get_pool
     from ..engine.sharedmem import SharedMatrix, shard_ranges
 
-    n = len(instances)
+    n = matrix.shape[0]
     pool = get_pool(workers)
-    with SharedMatrix.create(instances.matrix, dtype=work_dtype) as shared_rows:
-        with SharedMatrix.create(basis.matrix, dtype=work_dtype) as shared_basis:
+    with SharedMatrix.create(matrix, dtype=work_dtype) as shared_rows:
+        with SharedMatrix.create(basis_matrix, dtype=work_dtype) as shared_basis:
             tasks = [
                 (
                     shared_rows.handle,
@@ -179,7 +191,7 @@ def _score_matrix_sharded(
             ]
             obs.count("score.shards", len(tasks))
             blocks = pool.map_shards(_score_shard, tasks, label="score.shard")
-    scores = np.empty((n, len(basis)))
+    scores = np.empty((n, basis_matrix.shape[0]))
     row = 0
     for block in blocks:
         scores[row : row + block.shape[0]] = block
@@ -207,16 +219,24 @@ def _score_shard(
 
 
 def _score_rows(rows: np.ndarray, basis_matrix: np.ndarray) -> np.ndarray:
-    """Score each row trace against every basis trace (dense broadcast).
+    """Score each row trace against every basis trace, one basis trace at a time.
 
-    ``rows`` and ``basis_matrix`` must share a dtype; the broadcast runs in
-    that dtype (the float32 fast path halves its footprint) and the scores
-    are returned as float64 either way.
+    For basis trace *k* the chunk's sums ``PI_i + PS_k`` are written into
+    one reused ``(c, T)`` plane and reduced to their peaks.  Each sum is
+    rounded the same way wherever it is computed and a max is exact, so
+    the scores equal those of a dense ``(c, m, T)`` broadcast bit for bit,
+    at an m-th of its memory.
+    The arithmetic runs in the inputs' common dtype (the float32 fast path
+    halves the plane) and the scores are returned as float64 either way.
     """
     row_peaks = rows.max(axis=1)                          # (c,)
     basis_peaks = basis_matrix.max(axis=1)                # (m,)
-    # (c, m, T) broadcast sum, reduced over T immediately.
-    combined_peaks = (rows[:, np.newaxis, :] + basis_matrix[np.newaxis, :, :]).max(axis=2)
+    dtype = np.result_type(rows, basis_matrix)
+    plane = np.empty(rows.shape, dtype=dtype)
+    combined_peaks = np.empty((rows.shape[0], basis_matrix.shape[0]), dtype=dtype)
+    for k, trace in enumerate(basis_matrix):
+        np.add(rows, trace, out=plane)
+        plane.max(axis=1, out=combined_peaks[:, k])
     numerator = row_peaks[:, np.newaxis] + basis_peaks[np.newaxis, :]
     with np.errstate(divide="ignore", invalid="ignore"):
         scores = np.where(combined_peaks > 0, numerator / combined_peaks, 1.0)

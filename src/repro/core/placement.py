@@ -12,6 +12,11 @@ The placer walks the power tree top-down.  At each internal node it
 
 then recurses until instances reach leaf power nodes.  Synchronous instances
 (same cluster) end up spread evenly; each node's aggregate peak drops.
+
+The records are stacked into one fleet matrix once per placement, and a
+node works on the index array of its rows in that matrix: every basis,
+score and deal order above is read from the matrix by row index, with no
+per-node copy of the traces.
 """
 
 from __future__ import annotations
@@ -27,7 +32,8 @@ from ..infra.assignment import Assignment, AssignmentError
 from ..infra.topology import PowerNode, PowerTopology
 from ..traces.instance import InstanceRecord
 from ..traces.series import PowerTrace
-from ..traces.service import extract_basis_traces
+from ..traces.service import ServiceRows
+from ..traces.service import extract_basis_traces  # noqa: F401  (wrapped by bench/layers.py)
 from ..traces.traceset import TraceSet
 from .asynchrony import DEFAULT_SCORE_MAX_BYTES, score_matrix
 from .clustering import balanced_kmeans
@@ -52,7 +58,7 @@ class PlacementConfig:
         recursion step (matches Sec. 3.5's description).  When False the
         datacenter-level basis is reused throughout, which is faster.
     score_max_bytes:
-        Ceiling on the broadcast block one scoring chunk may materialise
+        Ceiling on the ``(chunk, T)`` plane one scoring chunk works in
         (see :func:`repro.core.asynchrony.score_matrix`); ``None`` disables
         the bound and chunks purely by ``score_chunk_size``.
     score_workers:
@@ -125,6 +131,7 @@ def scoped_placement(
     :mod:`repro.engine.sharedmem`).  Per-node seeds derive from node names,
     so the result is identical for any worker count.
     """
+    _require_unique_ids(records)
     topology = baseline.topology
     by_id = {record.instance_id: record for record in records}
     missing = [i for i in baseline.instance_ids() if i not in by_id]
@@ -170,7 +177,7 @@ def scoped_placement(
                     tuple(m.instance_id for m in members),
                     tuple(m.service for m in members),
                     tuple(m.kind for m in members),
-                    node,
+                    _detached_subtree(node),
                     resolved,
                 )
             )
@@ -209,6 +216,59 @@ def _scoped_place_shard(
     return result.assignment.as_mapping()
 
 
+def _require_unique_ids(records: Sequence[InstanceRecord]) -> None:
+    """Raise ``ValueError`` naming the first instance id that repeats."""
+    seen = set()
+    for record in records:
+        if record.instance_id in seen:
+            raise ValueError(f"duplicate instance id {record.instance_id!r}")
+        seen.add(record.instance_id)
+
+
+def _detached_subtree(node: PowerNode) -> PowerNode:
+    """A copy of ``node``'s subtree whose root has no parent.
+
+    Pickling a node follows its ``parent`` link, so a pool task carrying an
+    attached subtree would ship the whole power tree.
+    """
+    copy = PowerNode(
+        node.name, node.level, budget_watts=node.budget_watts, capacity=node.capacity
+    )
+    for child in node.children:
+        copy.add_child(_detached_subtree(child))
+    return copy
+
+
+class _FleetRows:
+    """The records being placed, stacked once into one validated matrix.
+
+    Each row's facts are computed here, once: its service and energy (held
+    by :class:`~repro.traces.service.ServiceRows`), its peak, and the rank
+    of its instance id among all ids.  A node of the walk is an index
+    array of rows.
+    """
+
+    def __init__(self, records: Sequence[InstanceRecord]) -> None:
+        self.traces = TraceSet.from_traces(
+            {record.instance_id: record.training_trace for record in records}
+        )
+        self.ids = self.traces.ids
+        self.services = ServiceRows(
+            self.traces.grid,
+            self.traces.matrix,
+            [record.service for record in records],
+        )
+        self.peaks = self.traces.peaks()
+        self.id_rank = np.empty(len(self.ids), dtype=np.intp)
+        self.id_rank[sorted(range(len(self.ids)), key=self.ids.__getitem__)] = (
+            np.arange(len(self.ids))
+        )
+
+    def deal_order(self, members: np.ndarray) -> np.ndarray:
+        """``members`` by descending peak, ties by instance id."""
+        return members[np.lexsort((self.id_rank[members], -self.peaks[members]))]
+
+
 class WorkloadAwarePlacer:
     """SmoothOperator's placement engine (Figure 7, steps 2-4)."""
 
@@ -222,19 +282,22 @@ class WorkloadAwarePlacer:
         """Derive a workload-aware assignment of ``records`` onto ``topology``."""
         if not records:
             raise ValueError("nothing to place")
+        _require_unique_ids(records)
         capacity = topology.total_leaf_capacity()
         if capacity is not None and len(records) > capacity:
             raise AssignmentError(
                 f"{len(records)} instances exceed total leaf capacity {capacity}"
             )
         with obs.span("place", instances=len(records)):
-            global_basis = extract_basis_traces(records, self.config.top_m_services)
+            fleet = _FleetRows(records)
+            global_basis = fleet.services.basis(self.config.top_m_services)
             mapping: Dict[str, str] = {}
             diagnostics: Dict[str, Dict[str, int]] = {}
             self._place_under(
                 topology,
                 topology.root,
-                list(records),
+                fleet,
+                np.arange(len(records)),
                 global_basis,
                 mapping,
                 diagnostics,
@@ -252,69 +315,72 @@ class WorkloadAwarePlacer:
         self,
         topology: PowerTopology,
         node: PowerNode,
-        records: List[InstanceRecord],
-        basis: TraceSet,
+        fleet: _FleetRows,
+        rows: np.ndarray,
+        basis: Optional[TraceSet],
         mapping: Dict[str, str],
         diagnostics: Dict[str, Dict[str, int]],
     ) -> None:
-        """Place ``records`` under ``node``.
+        """Place the fleet's ``rows`` under ``node``.
 
-        ``basis`` is the datacenter-level basis; with
-        ``rebuild_basis_per_node`` each clustered node extracts its own from
-        its records instead (see :meth:`_cluster`).
+        ``basis`` is what this node's rows are scored against, or ``None``
+        for a node that extracts its own from its rows.  The root's rows are
+        the whole fleet, so it is handed the datacenter-level basis; with
+        ``rebuild_basis_per_node`` every clustered node below it gets
+        ``None``.  A single-child node hands its rows and basis down as-is.
         """
-        if not records:
+        if len(rows) == 0:
             return
         if node.is_leaf:
-            if node.capacity is not None and len(records) > node.capacity:
+            if node.capacity is not None and len(rows) > node.capacity:
                 raise AssignmentError(
-                    f"leaf {node.name} receives {len(records)} instances, "
+                    f"leaf {node.name} receives {len(rows)} instances, "
                     f"capacity {node.capacity}"
                 )
-            for record in records:
-                mapping[record.instance_id] = node.name
+            for row in rows.tolist():
+                mapping[fleet.ids[row]] = node.name
             return
         if len(node.children) == 1:
             self._place_under(
-                topology, node.children[0], records, basis, mapping, diagnostics
+                topology, node.children[0], fleet, rows, basis, mapping, diagnostics
             )
             return
 
         obs.count("place.nodes_clustered")
-        clusters, labels = self._cluster(node, records, basis)
+        if basis is None:
+            basis = fleet.services.basis(self.config.top_m_services, rows)
+        clusters, labels = self._cluster(node, fleet, rows, basis)
         diagnostics[node.name] = {
-            record.instance_id: int(label)
-            for record, label in zip(records, labels)
+            fleet.ids[row]: label for row, label in zip(rows.tolist(), labels.tolist())
         }
-        shares = self._child_shares(topology, node, records)
-        buckets = self._deal_round_robin(node, records, clusters, shares)
+        shares = self._child_shares(topology, node, len(rows))
+        buckets = self._deal_round_robin(node, fleet, clusters, shares)
+        child_basis = None if self.config.rebuild_basis_per_node else basis
         for child, bucket in zip(node.children, buckets):
-            self._place_under(topology, child, bucket, basis, mapping, diagnostics)
+            self._place_under(
+                topology, child, fleet, bucket, child_basis, mapping, diagnostics
+            )
 
     # ------------------------------------------------------------------
     def _cluster(
         self,
         node: PowerNode,
-        records: List[InstanceRecord],
+        fleet: _FleetRows,
+        rows: np.ndarray,
         basis: TraceSet,
-    ) -> Tuple[List[List[InstanceRecord]], np.ndarray]:
-        """Cluster the local instances in asynchrony-score space."""
-        local_basis = basis
-        if self.config.rebuild_basis_per_node:
-            local_basis = extract_basis_traces(records, self.config.top_m_services)
-        traces = TraceSet.from_traces(
-            {record.instance_id: record.training_trace for record in records}
-        )
+    ) -> Tuple[List[np.ndarray], np.ndarray]:
+        """Cluster the node's rows in asynchrony-score space."""
         scores = score_matrix(
-            traces,
-            local_basis,
+            fleet.traces,
+            basis,
             chunk_size=self.config.score_chunk_size,
             max_bytes=self.config.score_max_bytes,
             dtype=self.config.score_dtype,
             workers=self.config.score_workers,
+            rows=rows,
         )
         q = len(node.children)
-        h = min(len(records), q * self.config.clusters_per_child)
+        h = min(len(rows), q * self.config.clusters_per_child)
         h = max(h, 1)
         result = balanced_kmeans(
             scores,
@@ -323,15 +389,11 @@ class WorkloadAwarePlacer:
             n_init=self.config.kmeans_n_init,
             max_iter=self.config.kmeans_max_iter,
         )
-        clusters: List[List[InstanceRecord]] = [[] for _ in range(result.k)]
-        for record, label in zip(records, result.labels):
-            clusters[int(label)].append(record)
         # Deterministic intra-cluster order: deal the power-hungriest
         # instances first so the heaviest members spread widest.
-        for cluster in clusters:
-            cluster.sort(
-                key=lambda r: (-r.training_trace.peak(), r.instance_id)
-            )
+        clusters = [
+            fleet.deal_order(rows[result.labels == label]) for label in range(result.k)
+        ]
         return clusters, result.labels
 
     def _node_seed(self, node: PowerNode) -> int:
@@ -339,16 +401,13 @@ class WorkloadAwarePlacer:
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _child_shares(
-        topology: PowerTopology, node: PowerNode, records: List[InstanceRecord]
-    ) -> List[int]:
-        """How many instances each child should receive.
+    def _child_shares(topology: PowerTopology, node: PowerNode, n: int) -> List[int]:
+        """How many of the node's ``n`` instances each child should receive.
 
         Even split, adjusted down where a child's subtree capacity binds and
         the overflow pushed to children with room.
         """
         q = len(node.children)
-        n = len(records)
         capacities = [
             topology.total_leaf_capacity(child.name) for child in node.children
         ]
@@ -378,32 +437,32 @@ class WorkloadAwarePlacer:
     @staticmethod
     def _deal_round_robin(
         node: PowerNode,
-        records: List[InstanceRecord],
-        clusters: List[List[InstanceRecord]],
+        fleet: _FleetRows,
+        clusters: List[np.ndarray],
         shares: List[int],
-    ) -> List[List[InstanceRecord]]:
-        """Deal each cluster's members across children like cards.
+    ) -> List[np.ndarray]:
+        """Deal each cluster's rows across children like cards.
 
         Iterating cluster-by-cluster and child-by-child gives every child
         ``≈ |c_j| / q`` members of each cluster j — the paper's round-robin
         heuristic.  Children that reached their share are skipped.
         """
         q = len(node.children)
-        buckets: List[List[InstanceRecord]] = [[] for _ in range(q)]
+        buckets: List[List[int]] = [[] for _ in range(q)]
         child_cursor = 0
         for cluster in clusters:
-            for record in cluster:
+            for row in cluster.tolist():
                 placed = False
                 for _ in range(q):
                     index = child_cursor % q
                     child_cursor += 1
                     if len(buckets[index]) < shares[index]:
-                        buckets[index].append(record)
+                        buckets[index].append(row)
                         placed = True
                         break
                 if not placed:
                     raise AssignmentError(
                         f"no child of {node.name} can take instance "
-                        f"{record.instance_id}"
+                        f"{fleet.ids[row]}"
                     )
-        return buckets
+        return [np.array(bucket, dtype=np.intp) for bucket in buckets]

@@ -4,17 +4,107 @@ For a service *Y*, the S-trace is the mean of the averaged I-traces of all of
 *Y*'s instances.  The S-traces of the top power-consumer services form the
 basis against which every instance's asynchrony-score vector is computed
 (Sec. 3.3-3.4).
+
+:class:`ServiceRows` holds the one implementation of the top-consumer
+ranking and of Eq. 5.  It works on row indices of a stacked trace matrix,
+which is how the placer asks for a basis at every node of the power tree;
+the record-based functions here are thin wrappers over it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
+from .grid import TimeGrid
 from .instance import InstanceRecord, group_by_service
 from .series import PowerTrace
 from .traceset import TraceSet
+
+
+class ServiceRows:
+    """A stacked ``(n, T)`` trace matrix whose rows are tagged by service.
+
+    Each row's facts are computed once: a service code (codes number the
+    services in order of first appearance, ``names[code]`` is the service)
+    and its energy, ``matrix.sum(axis=1) * step``, which equals that row's
+    :meth:`PowerTrace.energy` bit for bit.  Every query then takes an
+    optional index array ``rows`` (all rows by default) and answers for
+    those rows in that order, with the same bits as a loop over the
+    matching records: ``np.bincount`` adds the energies in row order, like
+    a running per-service total, and an axis-0 sum adds the rows in order,
+    like ``total += values``.
+    """
+
+    __slots__ = ("grid", "matrix", "names", "codes", "energy")
+
+    def __init__(
+        self, grid: TimeGrid, matrix: np.ndarray, services: Sequence[str]
+    ) -> None:
+        if matrix.shape != (len(services), grid.n_samples):
+            raise ValueError(
+                f"matrix shape {matrix.shape} inconsistent with "
+                f"{len(services)} services x {grid.n_samples} samples"
+            )
+        code_of: Dict[str, int] = {}
+        self.codes = np.array(
+            [code_of.setdefault(service, len(code_of)) for service in services],
+            dtype=np.intp,
+        )
+        self.names = list(code_of)
+        self.grid = grid
+        self.matrix = matrix
+        self.energy = matrix.sum(axis=1) * grid.step_minutes
+
+    @classmethod
+    def from_records(cls, records: Sequence[InstanceRecord]) -> "ServiceRows":
+        """Stack the records' training traces (one grid for all, checked)."""
+        if not records:
+            raise ValueError("no records to stack")
+        grid = records[0].training_trace.grid
+        for record in records:
+            grid.require_same(record.training_trace.grid)
+        matrix = np.stack([record.training_trace.values for record in records])
+        return cls(grid, matrix, [record.service for record in records])
+
+    def top_services(
+        self, top_m: int, rows: Optional[np.ndarray] = None
+    ) -> List[str]:
+        """The ``top_m`` services of ``rows`` by total energy, largest first.
+
+        Ties break by service name, and ``top_m`` is clamped to the number
+        of services present.
+        """
+        return [self.names[code] for code in self._ranked(top_m, rows)]
+
+    def basis(self, top_m: int, rows: Optional[np.ndarray] = None) -> TraceSet:
+        """S-traces of the ``top_m`` services of ``rows`` (Eq. 5), ranked.
+
+        The set's ids are service names in :meth:`top_services` order — the
+        basis *{PS_1 .. PS_m}* of Figure 7.
+        """
+        ranked = self._ranked(top_m, rows)
+        rows = np.arange(len(self.codes)) if rows is None else rows
+        codes = self.codes[rows]
+        matrix = np.empty((len(ranked), self.grid.n_samples))
+        for k, code in enumerate(ranked):
+            members = rows[codes == code]
+            matrix[k] = self.matrix[members].sum(axis=0) / len(members)
+        return TraceSet(self.grid, [self.names[code] for code in ranked], matrix)
+
+    def _ranked(self, top_m: int, rows: Optional[np.ndarray]) -> List[int]:
+        if top_m <= 0:
+            raise ValueError(f"top_m must be positive, got {top_m}")
+        codes = self.codes if rows is None else self.codes[rows]
+        energy = self.energy if rows is None else self.energy[rows]
+        size = len(self.names)
+        totals = np.bincount(codes, weights=energy, minlength=size)
+        present = np.flatnonzero(np.bincount(codes, minlength=size))
+        ranked = sorted(
+            present.tolist(), key=lambda code: (-totals[code], self.names[code])
+        )
+        return ranked[:top_m]
 
 
 def service_power_trace(records: Sequence[InstanceRecord]) -> PowerTrace:
@@ -24,12 +114,7 @@ def service_power_trace(records: Sequence[InstanceRecord]) -> PowerTrace:
     services = {record.service for record in records}
     if len(services) > 1:
         raise ValueError(f"records span multiple services: {sorted(services)}")
-    grid = records[0].training_trace.grid
-    total = np.zeros(grid.n_samples)
-    for record in records:
-        grid.require_same(record.training_trace.grid)
-        total += record.training_trace.values
-    return PowerTrace(grid, total / len(records))
+    return ServiceRows.from_records(records).basis(1)[records[0].service]
 
 
 def build_service_traces(
@@ -64,9 +149,9 @@ def top_power_consumers(
     """
     if top_m <= 0:
         raise ValueError(f"top_m must be positive, got {top_m}")
-    energy = total_energy_by_service(records)
-    ranked = sorted(energy.items(), key=lambda item: (-item[1], item[0]))
-    return [service for service, _ in ranked[:top_m]]
+    if not records:
+        return []
+    return ServiceRows.from_records(records).top_services(top_m)
 
 
 def extract_basis_traces(
@@ -78,7 +163,4 @@ def extract_basis_traces(
     the basis *{PS_1 .. PS_m}* of Figure 7.  ``top_m`` is clamped to the
     number of distinct services.
     """
-    services = top_power_consumers(records, top_m)
-    grouped = group_by_service(records)
-    traces = {service: service_power_trace(grouped[service]) for service in services}
-    return TraceSet.from_traces(traces)
+    return ServiceRows.from_records(records).basis(top_m)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core import (
     asynchrony_score,
     averaged_group_trace,
@@ -113,12 +114,25 @@ class TestScoreVectors:
             {f"i{k}": PowerTrace(grid, rng.random(24)) for k in range(12)}
         )
         unbounded = score_matrix(instances, basis, max_bytes=None)
-        # One block row is 4 basis × 24 samples × 8 bytes = 768 B, so this
-        # bound forces chunk_size down to a single row.
-        tight = score_matrix(instances, basis, max_bytes=768)
+        # One plane row is 24 samples × 8 bytes = 192 B, so this bound
+        # forces chunk_size down to a single row.
+        tight = score_matrix(instances, basis, max_bytes=192)
         generous = score_matrix(instances, basis, max_bytes=1 << 30)
         assert np.array_equal(unbounded, tight)
         assert np.array_equal(unbounded, generous)
+
+    def test_max_bytes_bounds_the_plane_not_the_basis_block(self, grid, rng):
+        """Scoring works in one (chunk, T) plane however large the basis."""
+        basis = TraceSet.from_traces(
+            {f"s{k}": PowerTrace(grid, rng.random(24)) for k in range(4)}
+        )
+        instances = TraceSet.from_traces(
+            {f"i{k}": PowerTrace(grid, rng.random(24)) for k in range(12)}
+        )
+        before = obs.snapshot_metrics()["counters"].get("score.chunks", 0.0)
+        score_matrix(instances, basis, max_bytes=2 * 24 * 8)
+        after = obs.snapshot_metrics()["counters"].get("score.chunks", 0.0)
+        assert after - before == 6
 
     def test_max_bytes_smaller_than_a_row_still_progresses(self, grid):
         basis = TraceSet.from_traces({"s1": up(grid), "s2": down(grid)})

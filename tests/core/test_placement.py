@@ -11,7 +11,7 @@ from repro.infra import (
     build_topology,
     two_level_spec,
 )
-from repro.traces import training_trace_set
+from repro.traces import InstanceRecord, ServiceInstance, training_trace_set
 
 
 @pytest.fixture
@@ -39,6 +39,19 @@ class TestBasics:
     def test_rejects_empty(self, placer, tiny_topology):
         with pytest.raises(ValueError):
             placer.place([], tiny_topology)
+
+    def test_rejects_a_repeated_instance_id(self, placer, tiny_records, tiny_topology):
+        """A repeated id once made the placer drop records silently: the
+        copy shadowed the first record's trace, and every record after it
+        took its neighbour's cluster label."""
+        records = list(tiny_records)
+        repeated = records[3].instance_id
+        records[12] = InstanceRecord(
+            ServiceInstance(repeated, records[12].service, records[12].kind),
+            records[12].training_trace,
+        )
+        with pytest.raises(ValueError, match=f"duplicate instance id '{repeated}'"):
+            placer.place(records, tiny_topology)
 
     def test_rejects_overflow(self, placer, synthesizer):
         from repro.traces import web_profile

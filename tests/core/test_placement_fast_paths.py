@@ -1,0 +1,70 @@
+"""The placer's fast paths, checked against its exact serial path.
+
+``score_workers > 1`` shards fleet-scale scoring across the worker pool
+and must not change a decision.  ``score_dtype=np.float32`` scores in
+float32 and may change decisions, but must keep the paper's metrics: the
+RPP-level peak reduction and the extra-server fraction of Fig. 10.
+"""
+
+import numpy as np
+import pytest
+
+from repro import obs
+from repro.core import asynchrony
+from repro.core.asynchrony import PARALLEL_MIN_ROWS
+from repro.core.pipeline import SmoothOperator, SmoothOperatorConfig
+from repro.core.placement import PlacementConfig, WorkloadAwarePlacer
+from repro.datasets import facebook
+from repro.infra import Level
+
+#: How far float32 scoring may move a Fig. 10 metric at paper scale.
+FLOAT32_TOLERANCE = 1e-3
+
+
+def test_pooled_scoring_keeps_every_decision():
+    spec = facebook.dc3_spec(n_instances=4200, seed=7)
+    dc = facebook.build_datacenter(spec, weeks=3, step_minutes=60)
+    assert len(dc.records) > PARALLEL_MIN_ROWS  # the root scores on the pool
+    serial = WorkloadAwarePlacer(PlacementConfig()).place(dc.records, dc.topology)
+
+    from repro.engine.parallel import shutdown_pools
+
+    before = obs.snapshot_metrics()["counters"].get("score.shards", 0.0)
+    try:
+        pooled = WorkloadAwarePlacer(PlacementConfig(score_workers=2)).place(
+            dc.records, dc.topology
+        )
+    finally:
+        shutdown_pools()
+    assert obs.snapshot_metrics()["counters"].get("score.shards", 0.0) > before
+    assert pooled.assignment.as_mapping() == serial.assignment.as_mapping()
+    assert pooled.cluster_labels == serial.cluster_labels
+
+
+def fig10_metrics(dc, dtype):
+    operator = SmoothOperator(
+        SmoothOperatorConfig(placement=PlacementConfig(score_dtype=dtype))
+    )
+    outcome = operator.optimize(dc.records, dc.topology)
+    report = operator.evaluate(dc.records, dc.baseline, outcome.assignment)
+    return report.peak_reduction[Level.RPP], report.extra_server_fraction
+
+
+@pytest.mark.parametrize(
+    "spec", [facebook.dc1_spec, facebook.dc2_spec, facebook.dc3_spec]
+)
+def test_float32_scoring_keeps_the_fig10_metrics(spec, monkeypatch):
+    dc = facebook.build_datacenter(spec(n_instances=1440), weeks=3, step_minutes=10)
+    exact = fig10_metrics(dc, None)
+
+    kernel = asynchrony._score_rows
+    dtypes = set()
+
+    def recording(rows, basis_matrix):
+        dtypes.add(np.result_type(rows, basis_matrix))
+        return kernel(rows, basis_matrix)
+
+    monkeypatch.setattr(asynchrony, "_score_rows", recording)
+    fast = fig10_metrics(dc, np.float32)
+    assert dtypes == {np.dtype(np.float32)}  # the placer scored in float32
+    assert fast == pytest.approx(exact, abs=FLOAT32_TOLERANCE)

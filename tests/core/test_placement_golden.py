@@ -4,8 +4,11 @@
 :class:`~repro.core.placement.WorkloadAwarePlacer` decides for the three
 paper datacenters (1440 instances, 10-minute steps, spec seed 7): the
 instance → leaf assignment, every node's cluster labels, and the
-assignment after an RPP remap (``max_swaps=30``).  Performance work on
-clustering, placement or the topology must leave every digest unchanged.
+assignment after an RPP remap (``max_swaps=30``).  For DC3 it also pins
+the placer under each non-default configuration in :data:`CONFIGURATIONS`
+and a serial suite-scoped re-placement of the oblivious baseline.
+Performance work on clustering, placement or the topology must leave
+every digest unchanged.
 
 Regenerate only for a change meant to alter placement decisions, and say
 so in the commit message::
@@ -23,7 +26,7 @@ from typing import Dict, Mapping
 import pytest
 
 from repro.core.pipeline import SmoothOperator, SmoothOperatorConfig
-from repro.core.placement import PlacementConfig
+from repro.core.placement import PlacementConfig, WorkloadAwarePlacer, scoped_placement
 from repro.core.remapping import RemapConfig
 from repro.datasets import facebook
 from repro.infra.topology import Level
@@ -31,6 +34,17 @@ from repro.infra.topology import Level
 GOLDEN_PATH = pathlib.Path(__file__).resolve().parent / "placement_golden.json"
 SCALE = {"n_instances": 1440, "step_minutes": 10, "seed": 7}
 SPECS = {"DC1": facebook.dc1_spec, "DC2": facebook.dc2_spec, "DC3": facebook.dc3_spec}
+
+#: Non-default placer configurations, pinned on DC3.  Each takes a branch
+#: the default does not: one basis for every node, a smaller basis, and
+#: coarser and finer clusterings per node.
+CONFIGURATIONS = {
+    "rebuild_basis_per_node=False": PlacementConfig(rebuild_basis_per_node=False),
+    "top_m_services=3": PlacementConfig(top_m_services=3),
+    "clusters_per_child=1": PlacementConfig(clusters_per_child=1),
+    "clusters_per_child=4": PlacementConfig(clusters_per_child=4),
+}
+SCOPED = "scoped_placement(Level.SUITE)"
 
 
 def mapping_digest(mapping: Mapping[str, str]) -> str:
@@ -50,10 +64,14 @@ def labels_digest(labels: Mapping[str, Mapping[str, int]]) -> str:
     return h.hexdigest()
 
 
+def build(name: str) -> facebook.Datacenter:
+    spec = SPECS[name](n_instances=SCALE["n_instances"], seed=SCALE["seed"])
+    return facebook.build_datacenter(spec, weeks=3, step_minutes=SCALE["step_minutes"])
+
+
 def fingerprint(name: str) -> Dict[str, str]:
     """Digests of one datacenter's placement, labels and remapped placement."""
-    spec = SPECS[name](n_instances=SCALE["n_instances"], seed=SCALE["seed"])
-    dc = facebook.build_datacenter(spec, weeks=3, step_minutes=SCALE["step_minutes"])
+    dc = build(name)
     operator = SmoothOperator(
         SmoothOperatorConfig(
             placement=PlacementConfig(),
@@ -68,6 +86,18 @@ def fingerprint(name: str) -> Dict[str, str]:
     }
 
 
+def configuration_fingerprint(dc: facebook.Datacenter, label: str) -> Dict[str, str]:
+    """Digests of one :data:`CONFIGURATIONS` placement, or of :data:`SCOPED`."""
+    if label == SCOPED:
+        scoped = scoped_placement(dc.records, dc.baseline, Level.SUITE, PlacementConfig())
+        return {"placement": mapping_digest(scoped.as_mapping())}
+    result = WorkloadAwarePlacer(CONFIGURATIONS[label]).place(dc.records, dc.topology)
+    return {
+        "placement": mapping_digest(result.assignment.as_mapping()),
+        "cluster_labels": labels_digest(result.cluster_labels),
+    }
+
+
 @pytest.fixture(scope="module")
 def golden():
     document = json.loads(GOLDEN_PATH.read_text())
@@ -75,15 +105,33 @@ def golden():
     return document
 
 
+@pytest.fixture(scope="module")
+def dc3():
+    return build("DC3")
+
+
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_placement_matches_golden(golden, name):
     assert fingerprint(name) == golden["datacenters"][name]
 
 
+@pytest.mark.parametrize("label", sorted([*CONFIGURATIONS, SCOPED]))
+def test_configuration_matches_golden(golden, dc3, label):
+    expected = golden["configurations"]["DC3"][label]
+    assert configuration_fingerprint(dc3, label) == expected
+
+
 if __name__ == "__main__":
+    dc = build("DC3")
     document = {
         "scale": SCALE,
         "datacenters": {name: fingerprint(name) for name in sorted(SPECS)},
+        "configurations": {
+            "DC3": {
+                label: configuration_fingerprint(dc, label)
+                for label in [*CONFIGURATIONS, SCOPED]
+            }
+        },
     }
     GOLDEN_PATH.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN_PATH}")
