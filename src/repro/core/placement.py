@@ -31,11 +31,10 @@ from .. import obs
 from ..infra.assignment import Assignment, AssignmentError
 from ..infra.topology import PowerNode, PowerTopology
 from ..traces.instance import InstanceRecord
-from ..traces.series import PowerTrace
 from ..traces.service import ServiceRows
 from ..traces.service import extract_basis_traces  # noqa: F401  (wrapped by bench/layers.py)
 from ..traces.traceset import TraceSet
-from .asynchrony import DEFAULT_SCORE_MAX_BYTES, score_matrix
+from .asynchrony import score_matrix
 from .clustering import balanced_kmeans
 
 
@@ -57,20 +56,14 @@ class PlacementConfig:
         Re-extract S-traces from the local instance subset at every
         recursion step (matches Sec. 3.5's description).  When False the
         datacenter-level basis is reused throughout, which is faster.
-    score_max_bytes:
-        Ceiling on the ``(chunk, T)`` plane one scoring chunk works in
-        (see :func:`repro.core.asynchrony.score_matrix`); ``None`` disables
-        the bound and chunks purely by ``score_chunk_size``.
     score_workers:
         Worker processes for the I-to-S scoring stage.  Above 1, fleet-
         scale :func:`~repro.core.asynchrony.score_matrix` calls shard their
         rows across the persistent pool over shared memory; small per-node
         batches stay serial, and results are identical either way (row
-        scores are independent).
-    score_dtype:
-        Exactness toggle forwarded to the scorer: ``None`` (default) keeps
-        the bit-exact float64 broadcast, ``numpy.float32`` halves the
-        scoring stage's memory traffic at the cost of float32 rounding.
+        scores are independent).  Scoring otherwise runs at
+        :func:`~repro.core.asynchrony.score_matrix`'s defaults: float64,
+        bit-exact, in bounded chunks.
     """
 
     top_m_services: int = 10
@@ -79,18 +72,13 @@ class PlacementConfig:
     kmeans_n_init: int = 3
     kmeans_max_iter: int = 50
     rebuild_basis_per_node: bool = True
-    score_chunk_size: int = 256
-    score_max_bytes: Optional[int] = DEFAULT_SCORE_MAX_BYTES
     score_workers: int = 1
-    score_dtype: Optional[object] = None
 
     def __post_init__(self) -> None:
         if self.top_m_services <= 0:
             raise ValueError("top_m_services must be positive")
         if self.clusters_per_child <= 0:
             raise ValueError("clusters_per_child must be positive")
-        if self.score_max_bytes is not None and self.score_max_bytes <= 0:
-            raise ValueError("score_max_bytes must be positive or None")
         if self.score_workers < 1:
             raise ValueError("score_workers must be at least 1")
 
@@ -110,8 +98,6 @@ def scoped_placement(
     baseline: Assignment,
     scope_level: str,
     config: Optional[PlacementConfig] = None,
-    *,
-    workers: int = 1,
 ) -> Assignment:
     """Re-place each ``scope_level`` subtree independently, keeping every
     instance inside the subtree that currently powers it.
@@ -123,97 +109,21 @@ def scoped_placement(
     moves.  The cost is that cross-subtree imbalance in the original
     placement cannot be fixed — the global placer's reductions upper-bound
     the scoped ones.
-
-    Subtrees are independent by construction, so ``workers > 1`` fans them
-    out across the persistent pool: the fleet's training traces are
-    published once into shared memory and each task carries only its
-    subtree's row indices and metadata (see
-    :mod:`repro.engine.sharedmem`).  Per-node seeds derive from node names,
-    so the result is identical for any worker count.
     """
     _require_unique_ids(records)
-    topology = baseline.topology
     by_id = {record.instance_id: record for record in records}
     missing = [i for i in baseline.instance_ids() if i not in by_id]
     if missing:
         raise ValueError(f"records missing for placed instances: {missing[:5]}")
 
-    scoped = []
-    for node in topology.nodes_at_level(scope_level):
+    placer = WorkloadAwarePlacer(config)
+    mapping: Dict[str, str] = {}
+    for node in baseline.topology.nodes_at_level(scope_level):
         member_ids = baseline.instances_under(node.name)
         if member_ids:
-            scoped.append((node, member_ids))
-
-    mapping: Dict[str, str] = {}
-    if workers <= 1 or len(scoped) <= 1:
-        placer = WorkloadAwarePlacer(config)
-        for node, member_ids in scoped:
-            subtree = PowerTopology(node)
-            local = placer.place([by_id[i] for i in member_ids], subtree)
+            local = placer.place([by_id[i] for i in member_ids], PowerTopology(node))
             mapping.update(local.assignment.as_mapping())
-        return Assignment(topology, mapping)
-
-    # Parallel path: one shared segment for every training trace, one task
-    # per subtree.  Lazy imports keep repro.core free of a module-scope
-    # dependency on repro.engine (which imports core via the chaos harness).
-    from ..engine.parallel import get_pool
-    from ..engine.sharedmem import SharedMatrix
-
-    ordered = list(records)
-    row_of = {record.instance_id: row for row, record in enumerate(ordered)}
-    matrix = np.stack([record.training_trace.values for record in ordered])
-    grid = ordered[0].training_trace.grid
-    resolved = config if config is not None else PlacementConfig()
-    pool = get_pool(workers)
-    with SharedMatrix.create(matrix) as shared:
-        tasks = []
-        for node, member_ids in scoped:
-            members = [by_id[i] for i in member_ids]
-            tasks.append(
-                (
-                    shared.handle,
-                    grid,
-                    tuple(row_of[m.instance_id] for m in members),
-                    tuple(m.instance_id for m in members),
-                    tuple(m.service for m in members),
-                    tuple(m.kind for m in members),
-                    _detached_subtree(node),
-                    resolved,
-                )
-            )
-        obs.count("place.scope_shards", len(tasks))
-        for shard_mapping in pool.map_shards(
-            _scoped_place_shard, tasks, label="place.shard"
-        ):
-            mapping.update(shard_mapping)
-    return Assignment(topology, mapping)
-
-
-def _scoped_place_shard(
-    handle: object,
-    grid: object,
-    rows: Tuple[int, ...],
-    ids: Tuple[str, ...],
-    services: Tuple[str, ...],
-    kinds: Tuple[str, ...],
-    node: PowerNode,
-    config: PlacementConfig,
-) -> Dict[str, str]:
-    """Place one scope subtree from shared-memory trace rows (pool task)."""
-    from ..engine.sharedmem import attached_view
-    from ..traces.instance import ServiceInstance
-
-    view = attached_view(handle)
-    records = [
-        InstanceRecord(
-            instance=ServiceInstance(instance_id=i, service=s, kind=k),
-            training_trace=PowerTrace(grid, view[row]),
-        )
-        for row, i, s, k in zip(rows, ids, services, kinds)
-    ]
-    placer = WorkloadAwarePlacer(config)
-    result = placer.place(records, PowerTopology(node))
-    return result.assignment.as_mapping()
+    return Assignment(baseline.topology, mapping)
 
 
 def _require_unique_ids(records: Sequence[InstanceRecord]) -> None:
@@ -223,20 +133,6 @@ def _require_unique_ids(records: Sequence[InstanceRecord]) -> None:
         if record.instance_id in seen:
             raise ValueError(f"duplicate instance id {record.instance_id!r}")
         seen.add(record.instance_id)
-
-
-def _detached_subtree(node: PowerNode) -> PowerNode:
-    """A copy of ``node``'s subtree whose root has no parent.
-
-    Pickling a node follows its ``parent`` link, so a pool task carrying an
-    attached subtree would ship the whole power tree.
-    """
-    copy = PowerNode(
-        node.name, node.level, budget_watts=node.budget_watts, capacity=node.capacity
-    )
-    for child in node.children:
-        copy.add_child(_detached_subtree(child))
-    return copy
 
 
 class _FleetRows:
@@ -371,13 +267,7 @@ class WorkloadAwarePlacer:
     ) -> Tuple[List[np.ndarray], np.ndarray]:
         """Cluster the node's rows in asynchrony-score space."""
         scores = score_matrix(
-            fleet.traces,
-            basis,
-            chunk_size=self.config.score_chunk_size,
-            max_bytes=self.config.score_max_bytes,
-            dtype=self.config.score_dtype,
-            workers=self.config.score_workers,
-            rows=rows,
+            fleet.traces, basis, workers=self.config.score_workers, rows=rows
         )
         q = len(node.children)
         h = min(len(rows), q * self.config.clusters_per_child)

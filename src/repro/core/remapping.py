@@ -17,7 +17,8 @@ import numpy as np
 
 from .. import obs
 from ..obs import events as obs_events
-from ..infra.assignment import Assignment
+from ..infra.assignment import Assignment, AssignmentError
+from ..infra.topology import PowerTopology
 from ..traces.traceset import TraceSet
 
 #: Conventional period for the opt-in verification knob
@@ -55,7 +56,7 @@ class RemapConfig:
         are embarrassingly parallel (pass ``workers`` to
         :meth:`RemappingEngine.run`).  Mirrors the operational reality that
         migrations within a suite are cheap while cross-suite moves are
-        not.  ``None`` (default) keeps the global single-loop behaviour.
+        not.  ``None`` (default) makes the whole tree the one shard.
     verify_every:
         Opt-in verification knob.  Every this many accepted swaps touching
         a group, cross-check the group's exactly-maintained aggregate and
@@ -105,10 +106,6 @@ class RemapResult:
 
     assignment: Assignment
     swaps: List[Swap] = field(default_factory=list)
-    #: Final per-node aggregate value vectors.  Swap application is exact
-    #: (each swap rebuilds the two touched groups from member rows), so
-    #: these equal a from-scratch recomputation bit-for-bit.
-    node_totals: Dict[str, np.ndarray] = field(default_factory=dict)
 
     @property
     def n_swaps(self) -> int:
@@ -240,12 +237,12 @@ class RemappingEngine:
     ) -> RemapResult:
         """Iteratively swap instances out of the most fragmented node.
 
-        With :attr:`RemapConfig.shard_level` set, the loop runs per shard
-        subtree; ``workers > 1`` then fans the shards out across the
+        The loop runs once per shard: each :attr:`RemapConfig.shard_level`
+        subtree, or the whole tree when that is ``None``.  With more than
+        one shard, ``workers > 1`` fans the shards out across the
         persistent pool over a shared-memory view of ``traces`` (shards
-        are independent, so the result is identical for any worker count).
-        ``workers`` is ignored in the unsharded global mode, whose single
-        swap loop is inherently sequential.
+        are independent, so the result is identical for any worker count);
+        a single shard always runs here.
         """
         with obs.span(
             "remap",
@@ -253,72 +250,49 @@ class RemappingEngine:
             max_swaps=self.config.max_swaps,
             workers=workers,
         ):
-            return self._run(assignment, traces, workers)
-
-    def _run(
-        self, assignment: Assignment, traces: TraceSet, workers: int
-    ) -> RemapResult:
-        topology = assignment.topology
-        if self.config.shard_level is None:
-            groups = {
-                node.name: _NodeGroup(
-                    node.name, assignment.instances_under(node.name), traces
-                )
-                for node in topology.nodes_at_level(self.config.level)
-                if assignment.instances_under(node.name)
-            }
-            if len(groups) < 2:
-                return RemapResult(assignment=assignment)
-            swaps, node_totals = self._swap_groups(groups, traces)
-            return RemapResult(
-                assignment=_apply_swaps(assignment, swaps),
-                swaps=swaps,
-                node_totals=node_totals,
-            )
-
-        shards = self._shard_specs(assignment)
-        if workers <= 1 or len(shards) <= 1:
-            all_swaps: List[Swap] = []
-            node_totals: Dict[str, np.ndarray] = {}
-            for members_by_node in shards:
-                shard_swaps, shard_totals = _remap_shard_groups(
-                    self, members_by_node, traces
-                )
-                all_swaps.extend(shard_swaps)
-                node_totals.update(shard_totals)
-        else:
-            all_swaps, node_totals = self._run_shards_pooled(
-                shards, traces, workers
-            )
-        return RemapResult(
-            assignment=_apply_swaps(assignment, all_swaps),
-            swaps=all_swaps,
-            node_totals=node_totals,
-        )
+            shards = self._shards(assignment)
+            if workers <= 1 or len(shards) <= 1:
+                swaps = [
+                    swap
+                    for members_by_node in shards
+                    for swap in self._remap_shard(members_by_node, traces)
+                ]
+            else:
+                swaps = self._run_shards_pooled(shards, traces, workers)
+            return RemapResult(assignment=_apply_swaps(assignment, swaps), swaps=swaps)
 
     # ------------------------------------------------------------------
-    def _shard_specs(self, assignment: Assignment) -> List[Dict[str, List[str]]]:
-        """Per-shard ``{level-node name: member ids}`` maps, shard order."""
-        from ..infra.topology import PowerTopology
+    def _shards(self, assignment: Assignment) -> List[Dict[str, List[str]]]:
+        """Per-shard ``{level-node name: member ids}`` maps, shard order.
 
-        specs = []
-        for shard in assignment.topology.nodes_at_level(self.config.shard_level):
-            subtree = PowerTopology(shard)
-            members_by_node = {
-                node.name: assignment.instances_under(node.name)
-                for node in subtree.nodes_at_level(self.config.level)
-                if assignment.instances_under(node.name)
-            }
+        Without a shard level the whole tree is the one shard, read from
+        the assignment's own topology.
+        """
+        topology = assignment.topology
+        if self.config.shard_level is None:
+            subtrees = [topology]
+        else:
+            subtrees = [
+                PowerTopology(shard)
+                for shard in topology.nodes_at_level(self.config.shard_level)
+            ]
+        shards = []
+        for subtree in subtrees:
+            members_by_node = {}
+            for node in subtree.nodes_at_level(self.config.level):
+                members = assignment.instances_under(node.name)
+                if members:
+                    members_by_node[node.name] = members
             if members_by_node:
-                specs.append(members_by_node)
-        return specs
+                shards.append(members_by_node)
+        return shards
 
     def _run_shards_pooled(
         self,
         shards: List[Dict[str, List[str]]],
         traces: TraceSet,
         workers: int,
-    ) -> "tuple[List[Swap], Dict[str, np.ndarray]]":
+    ) -> List[Swap]:
         """Fan shard swap loops out over a shared-memory trace view."""
         # Lazy imports: repro.engine imports repro.core via the chaos
         # harness, so the reverse edge must not exist at module scope.
@@ -341,21 +315,22 @@ class RemappingEngine:
                 )
                 tasks.append((shared.handle, traces.grid, groups_spec, self.config))
             obs.count("remap.shards", len(tasks))
-            shard_results = pool.map_shards(
+            shard_swaps = pool.map_shards(
                 _remap_shard_task, tasks, label="remap.shard"
             )
-        all_swaps: List[Swap] = []
-        node_totals: Dict[str, np.ndarray] = {}
-        for shard_swaps, shard_totals in shard_results:
-            all_swaps.extend(shard_swaps)
-            node_totals.update(shard_totals)
-        return all_swaps, node_totals
+        return [swap for swaps in shard_swaps for swap in swaps]
 
     # ------------------------------------------------------------------
-    def _swap_groups(
-        self, groups: Dict[str, _NodeGroup], traces: TraceSet
-    ) -> "tuple[List[Swap], Dict[str, np.ndarray]]":
-        """The Sec. 3.6 loop over one set of groups; swaps + final totals."""
+    def _remap_shard(
+        self, members_by_node: Dict[str, List[str]], traces: TraceSet
+    ) -> List[Swap]:
+        """The Sec. 3.6 loop over one shard's groups; its accepted swaps."""
+        groups = {
+            name: _NodeGroup(name, members, traces)
+            for name, members in members_by_node.items()
+        }
+        if len(groups) < 2:
+            return []
         swaps: List[Swap] = []
         for _ in range(self.config.max_swaps):
             obs.count("remap.swaps_attempted")
@@ -390,9 +365,7 @@ class RemappingEngine:
                 gain_a=swap.gain_a,
                 gain_b=swap.gain_b,
             )
-        # No final recompute pass: swap application is exact, so every
-        # group's ``total`` already equals a from-scratch rebuild.
-        return swaps, {name: group.total for name, group in groups.items()}
+        return swaps
 
     # ------------------------------------------------------------------
     def _best_swap(
@@ -463,31 +436,28 @@ class RemappingEngine:
 # shard execution helpers
 # ----------------------------------------------------------------------
 def _apply_swaps(assignment: Assignment, swaps: List[Swap]) -> Assignment:
-    """Replay accepted swaps onto an assignment, in acceptance order.
+    """Exchange each swap's two leaves in acceptance order; one Assignment.
 
-    Shards touch disjoint instances, so replaying shard-by-shard yields
-    the same assignment whatever order the shards finished in.
+    The swaps go into one copy of the mapping.  Reassigning a key keeps its
+    place in the dict, so every leaf lists its members in the order a
+    swap-by-swap replay through :meth:`Assignment.with_swap` produces.
+    Shards touch disjoint instances, so the result does not depend on the
+    order the shards finished in.
     """
-    current = assignment
+    if not swaps:
+        return assignment
+    mapping = assignment.as_mapping()
     for swap in swaps:
-        current = current.with_swap(swap.instance_a, swap.instance_b)
-    return current
-
-
-def _remap_shard_groups(
-    engine: RemappingEngine,
-    members_by_node: Dict[str, List[str]],
-    traces: TraceSet,
-) -> "tuple[List[Swap], Dict[str, np.ndarray]]":
-    """Run one shard's swap loop (or just compute totals for a lone group)."""
-    groups = {
-        name: _NodeGroup(name, members, traces)
-        for name, members in members_by_node.items()
-    }
-    if len(groups) < 2:
-        # Nothing to swap against inside this shard; totals still reported.
-        return [], {name: group.total for name, group in groups.items()}
-    return engine._swap_groups(groups, traces)
+        leaf_a = mapping[swap.instance_a]
+        leaf_b = mapping[swap.instance_b]
+        if leaf_a == leaf_b:
+            raise AssignmentError(
+                f"{swap.instance_a} and {swap.instance_b} share leaf {leaf_a}; "
+                "swap is a no-op"
+            )
+        mapping[swap.instance_a] = leaf_b
+        mapping[swap.instance_b] = leaf_a
+    return Assignment(assignment.topology, mapping)
 
 
 def _remap_shard_task(
@@ -495,7 +465,7 @@ def _remap_shard_task(
     grid: object,
     groups_spec: "tuple",
     config: RemapConfig,
-) -> "tuple[List[Swap], Dict[str, np.ndarray]]":
+) -> List[Swap]:
     """One shard of a sharded remap, run in a pool worker.
 
     ``groups_spec`` is ``((node_name, ((instance_id, row), ...)), ...)`` —
@@ -521,4 +491,4 @@ def _remap_shard_task(
         name: [instance_id for instance_id, _ in members]
         for name, members in groups_spec
     }
-    return _remap_shard_groups(RemappingEngine(config), members_by_node, traces)
+    return RemappingEngine(config)._remap_shard(members_by_node, traces)

@@ -84,8 +84,6 @@ from .parallel import (  # noqa: F401
 from .sharedmem import (  # noqa: F401
     MatrixHandle,
     SharedMatrix,
-    SharedTraceSet,
-    ShardSpec,
     shard_ranges,
 )
 
@@ -128,9 +126,7 @@ __all__ = [
     "ScenarioSpec",
     "ServerFailurePolicy",
     "ServerFailureSchedule",
-    "ShardSpec",
     "SharedMatrix",
-    "SharedTraceSet",
     "SpikeEvent",
     "StaticFleetPolicy",
     "TaskDeadline",

@@ -5,8 +5,8 @@ is one ``(n_traces, n_samples)`` block) are far too large to pickle into
 worker processes per task — at 1M instances a single copy is gigabytes.
 Instead the parent publishes each matrix once into a POSIX shared-memory
 segment (:class:`SharedMatrix`), and tasks carry only a :class:`MatrixHandle`
-— segment name, shape, dtype — plus the row range they own
-(:class:`ShardSpec`).  Workers attach by name and build zero-copy numpy
+— segment name, shape, dtype — plus the row range they own (see
+:func:`shard_ranges`).  Workers attach by name and build zero-copy numpy
 views, so fanning a 100k-instance scoring job across 4 workers moves a few
 hundred bytes of descriptors, not hundreds of megabytes of traces.
 
@@ -47,7 +47,7 @@ import signal
 import threading
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -228,28 +228,6 @@ class MatrixHandle:
         return int(np.prod(self.shape)) * np.dtype(self.dtype).itemsize
 
 
-@dataclass(frozen=True)
-class ShardSpec:
-    """One worker's slice of a sharded job: row range + free-form params.
-
-    Lightweight by design (a few ints and strings): this is the entire
-    per-task payload of the shared-memory fast paths, replacing the pickled
-    fleets the fork-per-suite pool used to ship.
-    """
-
-    start: int
-    stop: int
-    params: Tuple[Tuple[str, object], ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.start < 0 or self.stop < self.start:
-            raise ValueError(f"invalid shard range [{self.start}, {self.stop})")
-
-    @property
-    def n_rows(self) -> int:
-        return self.stop - self.start
-
-
 def shard_ranges(n_rows: int, n_shards: int) -> Tuple[Tuple[int, int], ...]:
     """Split ``n_rows`` into ``n_shards`` contiguous near-equal ranges.
 
@@ -392,48 +370,6 @@ def _cleanup_attachments() -> None:
     detach_all()
 
 
-# ----------------------------------------------------------------------
-# TraceSet publication
-# ----------------------------------------------------------------------
-class SharedTraceSet:
-    """A :class:`~repro.traces.traceset.TraceSet` published for workers.
-
-    The parent keeps using the zero-copy :meth:`view`; tasks receive
-    ``(handle, grid, ids)`` — or just the handle plus index ranges when ids
-    are not needed — and rebuild their slice from the shared block.
-    """
-
-    def __init__(self, traceset: "object", dtype: Optional[object] = None) -> None:
-        from ..traces.traceset import TraceSet
-
-        if not isinstance(traceset, TraceSet):
-            raise TypeError("SharedTraceSet wraps a TraceSet")
-        self.grid = traceset.grid
-        self.ids = list(traceset.ids)
-        self._matrix = SharedMatrix.create(traceset.matrix, dtype=dtype)
-
-    @property
-    def handle(self) -> MatrixHandle:
-        return self._matrix.handle
-
-    def view(self) -> "object":
-        """A TraceSet over the shared block (no copy; do not mutate)."""
-        from ..traces.traceset import TraceSet
-
-        return TraceSet(
-            self.grid, self.ids, self._matrix.array, dtype=self._matrix.dtype
-        )
-
-    def close(self) -> None:
-        self._matrix.unlink()
-
-    def __enter__(self) -> "SharedTraceSet":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
 def attach_rows(handle: MatrixHandle, start: int, stop: int) -> np.ndarray:
     """The ``[start, stop)`` row block of a shared matrix (worker side)."""
     if not 0 <= start <= stop <= handle.shape[0]:
@@ -447,8 +383,6 @@ __all__ = [
     "MatrixHandle",
     "SEGMENT_PREFIX",
     "SharedMatrix",
-    "SharedTraceSet",
-    "ShardSpec",
     "attach_matrix",
     "attach_rows",
     "attached_view",

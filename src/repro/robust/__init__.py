@@ -14,12 +14,10 @@ instances can spike to their maximum simultaneously without a violation
 * :mod:`repro.robust.headroom` — the exact Γ-sum (sorted top-Γ radii) with
   O(log n) incremental updates (:class:`GammaAccountant`,
   :class:`RobustHeadroomIndex`) plus vectorised whole-tree accounting;
-* :mod:`repro.robust.placement` — :class:`RobustPlacer` with two
-  strategies: ``"swap"`` (default) seeds from the nominal workload-aware
-  placement and trades similar-draw instances to spread spike radii
-  without disturbing the asynchrony-optimised peaks, ``"first_fit"`` is a
-  strict Γ-feasible sorted first-fit against budgets (both fall back to
-  the nominal placement at ``Γ = 0``);
+* :mod:`repro.robust.placement` — :class:`RobustPlacer`, which seeds from
+  the nominal workload-aware placement and trades similar-draw instances
+  to spread spike radii without disturbing the asynchrony-optimised peaks
+  (at ``Γ = 0`` it returns the nominal placement);
 * :mod:`repro.robust.chaos` — the spike-burst chaos suite comparing
   robust vs. nominal placement, reporting violations and breaker trips
   avoided per watt of headroom sacrificed through the event log.
@@ -35,7 +33,6 @@ from .headroom import (
     robust_node_loads,
 )
 from .placement import (
-    STRATEGIES,
     RobustPlacementConfig,
     RobustPlacementResult,
     RobustPlacer,
@@ -54,7 +51,6 @@ from .chaos import (
 __all__ = [
     "GammaAccountant",
     "PlacementUnderSpikes",
-    "STRATEGIES",
     "RobustHeadroomIndex",
     "RobustPlacementConfig",
     "RobustPlacementResult",

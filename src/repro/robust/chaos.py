@@ -19,8 +19,8 @@ Budgets are provisioned the way breakers are actually rated: each target
 node gets ``(1 + budget_margin) ×`` its own clean aggregate peak, so any
 violation the audit sees is spike-induced by construction, and the cost of
 robustness is the extra capacity the robust placement needs to reach the
-same margin (near zero for the swap strategy, which preserves the nominal
-peaks).  The safety outcome is measured through the existing observability
+same margin (near zero for the robust placer's swaps, which preserve the
+nominal peaks).  The safety outcome is measured through the existing observability
 stack — :func:`repro.obs.telemetry.record_view` emits one ``violation``
 event per contiguous over-budget run and
 :func:`repro.infra.breaker.audit_view` one ``breaker_trip`` per persistent
@@ -127,10 +127,7 @@ class RobustScenarioOutcome:
     dc_name: str
     nominal: PlacementUnderSpikes
     robust: PlacementUnderSpikes
-    #: Instances the robust placer could not place Γ-feasibly (first-fit
-    #: strategy only; the swap strategy always places everything).
-    n_infeasible: int
-    #: Swap-strategy iterations the robust placement needed.
+    #: Swap-loop iterations the robust placement needed.
     n_swaps: int = 0
 
     # ------------------------------------------------------------------
@@ -275,7 +272,6 @@ def run_robust_scenario(
         dc_name=dc_name,
         nominal=nominal,
         robust=robust,
-        n_infeasible=len(robust_result.infeasible),
         n_swaps=robust_result.n_swaps,
     )
 

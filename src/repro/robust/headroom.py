@@ -15,10 +15,10 @@ Two access patterns are served:
 * :func:`robust_node_loads` / :func:`robust_node_headroom` — vectorised
   whole-tree sweeps (``np.partition`` per node) for one-shot audits;
 * :class:`GammaAccountant` / :class:`RobustHeadroomIndex` — mutable
-  per-node state for inner loops (first-fit placement, swap evaluation):
-  adding or removing one instance costs O(log n) comparisons against a
-  sorted radius list plus an O(1) patch of the cached top-Γ sum, so a
-  placement pass over the whole fleet never re-sorts a node.
+  per-node state for inner loops (the robust placer's swap evaluation,
+  delta application): adding or removing one instance costs O(log n)
+  comparisons against a sorted radius list plus an O(1) patch of the
+  cached top-Γ sum, so a pass over the whole fleet never re-sorts a node.
 """
 
 from __future__ import annotations
@@ -159,15 +159,6 @@ class GammaAccountant:
     def robust_load(self) -> float:
         return self._nominal_sum + self._top_sum
 
-    def load_if_added(self, nominal: float, radius: float) -> float:
-        """Robust load after a hypothetical add — no mutation, O(log n)."""
-        return (
-            self._nominal_sum
-            + nominal
-            + self._top_sum
-            + self._top_delta_for_add(radius)
-        )
-
     def headroom(self, budget: float) -> float:
         """Budget minus robust load (may be negative: Γ-infeasible)."""
         return budget - self.robust_load()
@@ -184,8 +175,7 @@ class RobustHeadroomIndex:
     """Γ-accountants for every node of a topology, updated along root paths.
 
     Placing (or removing) one instance touches every ancestor of its leaf,
-    so a single placement step costs ``O(depth × log n)``.  The index is
-    what keeps the first-fit placement pass and swap-style loops fast: no
+    so a single placement step costs ``O(depth × log n)``, with no
     per-step re-aggregation of any node.
     """
 
@@ -300,73 +290,6 @@ class RobustHeadroomIndex:
     # ------------------------------------------------------------------
     def robust_load(self, node_name: str) -> float:
         return self.accountants[node_name].robust_load()
-
-    def headroom_along_path(
-        self, leaf_name: str, budgets: Dict[str, float]
-    ) -> float:
-        """Scarcest budgeted headroom on the leaf's root path (inf if none)."""
-        slack = float("inf")
-        for name in self.path(leaf_name):
-            budget = budgets.get(name)
-            if budget is None:
-                continue
-            slack = min(slack, self.accountants[name].headroom(budget))
-        return slack
-
-    def fits(
-        self, instance_id: str, leaf_name: str, budgets: Dict[str, float]
-    ) -> bool:
-        """Would placing the instance keep every budgeted ancestor Γ-feasible?"""
-        nominal = self.model.nominal_of(instance_id)
-        radius = self.model.radius_of(instance_id)
-        for name in self.path(leaf_name):
-            budget = budgets.get(name)
-            if budget is None:
-                continue
-            if self.accountants[name].load_if_added(nominal, radius) > budget + 1e-9:
-                return False
-        return True
-
-    def slack_if_added(
-        self, instance_id: str, leaf_name: str, budgets: Dict[str, float]
-    ) -> float:
-        """Scarcest post-placement headroom along the path (inf if unbudgeted)."""
-        nominal = self.model.nominal_of(instance_id)
-        radius = self.model.radius_of(instance_id)
-        slack = float("inf")
-        for name in self.path(leaf_name):
-            budget = budgets.get(name)
-            if budget is None:
-                continue
-            slack = min(
-                slack,
-                budget - self.accountants[name].load_if_added(nominal, radius),
-            )
-        return slack
-
-    def slack_vector_if_added(
-        self, instance_id: str, leaf_name: str, budgets: Dict[str, float]
-    ) -> tuple:
-        """Post-placement headrooms along the path, sorted ascending.
-
-        The full vector matters when budgets are tight: candidate leaves
-        share their upper ancestors, so once a shared level goes negative
-        the scalar min is identical for every candidate and can no longer
-        rank them.  Comparing the sorted vectors lexicographically (leximin)
-        lets the leaf-local terms break exactly those ties.
-        """
-        nominal = self.model.nominal_of(instance_id)
-        radius = self.model.radius_of(instance_id)
-        slacks = []
-        for name in self.path(leaf_name):
-            budget = budgets.get(name)
-            if budget is None:
-                continue
-            slacks.append(
-                budget - self.accountants[name].load_if_added(nominal, radius)
-            )
-        slacks.sort()
-        return tuple(slacks)
 
 
 # ----------------------------------------------------------------------

@@ -1,27 +1,21 @@
-"""Γ-robust service placement: sorted first-fit over robust headroom.
+"""Γ-robust service placement: spike radii spread by swaps.
 
 The workload-aware placer in :mod:`repro.core.placement` minimises the
 *nominal* aggregate peak by spreading asynchronous instances; it is blind
-to spikes.  :class:`RobustPlacer` instead guarantees a budget property:
-after placement, every budgeted power node can absorb any ``Γ`` of its
+to spikes.  :class:`RobustPlacer` works towards a budget property: after
+placement, every budgeted power node should absorb any ``Γ`` of its
 instances spiking to ``p_c + p_r`` simultaneously without breaching its
-budget (when a Γ-feasible placement exists for the heuristic to find).
+budget.  :attr:`RobustPlacementResult.robust_headroom` measures how far
+each node gets (negative where it does not).
 
-Two strategies share the incremental Γ-sum machinery of
-:class:`~repro.robust.headroom.RobustHeadroomIndex` (each membership
-change costs ``O(depth × log n)``):
+The placer starts from the nominal workload-aware placement and runs a
+swap loop over per-leaf :class:`~repro.robust.headroom.GammaAccountant`
+state: repeatedly trade the largest radius on the most
+protection-burdened leaf against a smaller radius of similar nominal
+draw elsewhere.  Swapping (instead of moving) spreads spike risk while
+preserving the balanced clean peaks the seed placement earned.
 
-* ``"swap"`` (default) — start from the nominal workload-aware placement
-  and run a swap loop: repeatedly trade the largest radius on the most
-  protection-burdened leaf against a smaller radius of similar nominal
-  draw elsewhere.  Swapping (instead of moving) spreads spike risk while
-  preserving the balanced clean peaks the seed placement earned.
-* ``"first_fit"`` — first-fit decreasing, the classic bin-packing
-  workhorse: instances sorted by worst-case draw ``p_c + p_r`` (largest
-  first), each assigned to the leaf whose budgeted root path keeps the
-  leximin-best Γ-robust slack after the add.
-
-At ``Γ = 0`` there is nothing robust to protect, so both fall back to
+At ``Γ = 0`` there is nothing robust to protect, so the placer returns
 the nominal workload-aware placement and its asynchrony-aware peak
 reduction.
 """
@@ -29,26 +23,21 @@ reduction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from .. import obs
 from ..core.placement import PlacementConfig, PlacementResult, WorkloadAwarePlacer
-from ..infra.assignment import Assignment, AssignmentError
+from ..infra.assignment import Assignment
 from ..infra.topology import PowerTopology
 from ..traces.instance import InstanceRecord
 from .headroom import GammaAccountant, RobustHeadroomIndex
 from .uncertainty import DEFAULT_NOMINAL_PERCENTILE, UncertainPowerModel
 
 __all__ = [
-    "STRATEGIES",
     "RobustPlacementConfig",
     "RobustPlacementResult",
     "RobustPlacer",
 ]
-
-
-#: Placement strategies the robust placer knows.
-STRATEGIES = ("swap", "first_fit")
 
 
 @dataclass(frozen=True)
@@ -61,28 +50,21 @@ class RobustPlacementConfig:
         Protection level: how many co-located instances may spike to their
         maximum simultaneously without breaching any budget.  ``0`` falls
         back to the nominal workload-aware placement.
-    strategy:
-        ``"swap"`` (default) seeds from the nominal workload-aware
-        placement and spreads spike radii by swapping similar-nominal
-        instances, keeping the nominal peaks the asynchrony-aware placer
-        earned; ``"first_fit"`` is the classic sorted first-fit-decreasing
-        pass over robust headroom.
     nominal_percentile / radius_scale:
         Forwarded to :meth:`UncertainPowerModel.from_records` when no
         model is supplied explicitly.
     swap_nominal_tolerance_watts:
-        Maximum nominal-draw mismatch the swap strategy accepts between
+        Maximum nominal-draw mismatch the swap loop accepts between
         exchanged instances (large values spread radii faster but perturb
         the clean peaks more).
     max_swaps:
-        Hard cap on swap-strategy iterations.
+        Hard cap on swap-loop iterations.
     nominal:
         Configuration for the underlying workload-aware placer (the Γ=0
-        fallback, and the seed placement of the swap strategy).
+        fallback, and the seed placement of the swap loop).
     """
 
     gamma: int = 0
-    strategy: str = "swap"
     nominal_percentile: float = DEFAULT_NOMINAL_PERCENTILE
     radius_scale: float = 1.0
     swap_nominal_tolerance_watts: float = 100.0
@@ -92,10 +74,6 @@ class RobustPlacementConfig:
     def __post_init__(self) -> None:
         if self.gamma < 0:
             raise ValueError("gamma cannot be negative")
-        if self.strategy not in STRATEGIES:
-            raise ValueError(
-                f"unknown strategy {self.strategy!r}; known: {STRATEGIES}"
-            )
         if self.swap_nominal_tolerance_watts < 0:
             raise ValueError("swap tolerance cannot be negative")
         if self.max_swaps < 0:
@@ -111,20 +89,13 @@ class RobustPlacementResult:
     gamma: int
     #: Live Γ-accountants for every node under the final assignment.
     index: RobustHeadroomIndex
-    #: node name → budget − Γ-robust load, for every budgeted node.
+    #: node name → budget − Γ-robust load, for every budgeted node
+    #: (negative where Γ simultaneous spikes would breach the budget).
     robust_headroom: Dict[str, float]
-    #: Instances for which no leaf kept every budgeted ancestor Γ-feasible
-    #: (they were placed on the least-bad leaf instead; first-fit strategy
-    #: only — the swap strategy always places everything).
-    infeasible: List[str] = field(default_factory=list)
     #: Diagnostics of the nominal fallback run, present only at Γ = 0.
     fallback: Optional[PlacementResult] = None
-    #: Swap-strategy iterations actually performed.
+    #: Swap-loop iterations actually performed.
     n_swaps: int = 0
-
-    @property
-    def is_feasible(self) -> bool:
-        return not self.infeasible
 
     def min_headroom(self) -> float:
         """Scarcest budgeted robust headroom (inf if nothing is budgeted)."""
@@ -134,7 +105,7 @@ class RobustPlacementResult:
 
 
 class RobustPlacer:
-    """First-fit-decreasing placement over Γ-robust headroom."""
+    """Nominal placement with spike radii spread by Γ-aware swaps."""
 
     def __init__(self, config: Optional[RobustPlacementConfig] = None) -> None:
         self.config = config if config is not None else RobustPlacementConfig()
@@ -160,99 +131,9 @@ class RobustPlacer:
                 nominal_percentile=self.config.nominal_percentile,
                 radius_scale=self.config.radius_scale,
             )
-        gamma = self.config.gamma
-        if gamma == 0:
+        if self.config.gamma == 0:
             return self._place_nominal(records, topology, model)
-        if self.config.strategy == "swap":
-            return self._place_swap(records, topology, model)
-        return self._place_first_fit(records, topology, model)
-
-    # ------------------------------------------------------------------
-    def _place_first_fit(
-        self,
-        records: Sequence[InstanceRecord],
-        topology: PowerTopology,
-        model: UncertainPowerModel,
-    ) -> RobustPlacementResult:
-        gamma = self.config.gamma
-        capacity = topology.total_leaf_capacity()
-        if capacity is not None and len(records) > capacity:
-            raise AssignmentError(
-                f"{len(records)} instances exceed total leaf capacity {capacity}"
-            )
-        with obs.span("robust_place", instances=len(records), gamma=gamma):
-            index = RobustHeadroomIndex(topology, model, gamma)
-            budgets = {
-                node.name: node.budget_watts
-                for node in topology.nodes()
-                if node.budget_watts is not None
-            }
-            leaves = topology.leaves()
-            occupancy = {leaf.name: 0 for leaf in leaves}
-            infeasible: List[str] = []
-
-            # First-fit decreasing: the fattest worst-case draws claim
-            # headroom first, while every leaf still has slack to offer.
-            order = sorted(
-                records,
-                key=lambda r: (-model.upper(r.instance_id), r.instance_id),
-            )
-            for record in order:
-                iid = record.instance_id
-                open_leaves = [
-                    leaf
-                    for leaf in leaves
-                    if leaf.capacity is None or occupancy[leaf.name] < leaf.capacity
-                ]
-                if not open_leaves:
-                    raise AssignmentError(
-                        f"no leaf has capacity left for instance {iid!r}"
-                    )
-                fitting = [
-                    leaf for leaf in open_leaves if index.fits(iid, leaf.name, budgets)
-                ]
-                if not fitting:
-                    # Γ-infeasible: record it and take the least-bad leaf so
-                    # the rest of the fleet still gets placed sensibly.
-                    infeasible.append(iid)
-                    fitting = open_leaves
-                # Leximin over the path's post-add headrooms: maximise the
-                # scarcest level first, then the next-scarcest, and so on.
-                # A plain max-min key goes blind once a shared ancestor is
-                # the bottleneck for every candidate; the deeper vector
-                # entries keep ranking leaves by their local slack.
-                best = min(
-                    fitting,
-                    key=lambda leaf: (
-                        tuple(
-                            -s
-                            for s in index.slack_vector_if_added(
-                                iid, leaf.name, budgets
-                            )
-                        ),
-                        occupancy[leaf.name],
-                        leaf.name,
-                    ),
-                )
-                index.place(iid, best.name)
-                occupancy[best.name] += 1
-
-            assignment = Assignment(topology, index.as_mapping())
-            obs.count("robust_place.instances_placed", len(records))
-            if infeasible:
-                obs.count("robust_place.infeasible", len(infeasible))
-            headroom = {
-                name: index.accountants[name].headroom(budget)
-                for name, budget in budgets.items()
-            }
-            return RobustPlacementResult(
-                assignment=assignment,
-                model=model,
-                gamma=gamma,
-                index=index,
-                robust_headroom=headroom,
-                infeasible=infeasible,
-            )
+        return self._place_swap(records, topology, model)
 
     # ------------------------------------------------------------------
     def _place_swap(
@@ -282,9 +163,7 @@ class RobustPlacer:
             records, topology
         )
         mapping = dict(nominal_result.assignment.as_mapping())
-        with obs.span(
-            "robust_place", instances=len(records), gamma=gamma, strategy="swap"
-        ):
+        with obs.span("robust_place", instances=len(records), gamma=gamma):
             accountants: Dict[str, GammaAccountant] = {}
             for iid, leaf_name in mapping.items():
                 accountants.setdefault(leaf_name, GammaAccountant(gamma)).add(
@@ -370,7 +249,6 @@ class RobustPlacer:
                 gamma=gamma,
                 index=index,
                 robust_headroom=headroom,
-                infeasible=[],
                 n_swaps=n_swaps,
             )
 
@@ -400,6 +278,5 @@ class RobustPlacer:
             gamma=0,
             index=index,
             robust_headroom=headroom,
-            infeasible=[],
             fallback=nominal_result,
         )

@@ -18,11 +18,6 @@ from .grid import TimeGrid
 
 Number = Union[int, float]
 
-#: Member traces materialised per stacked block by :meth:`PowerTrace.aggregate`
-#: — bounds peak memory at ``block_rows × n_samples`` floats regardless of
-#: fleet size.
-AGGREGATE_BLOCK_ROWS = 1024
-
 
 def check_power_values(values: np.ndarray) -> None:
     """Raise ``ValueError`` unless every reading is finite and non-negative.
@@ -76,43 +71,21 @@ class PowerTrace:
         return cls(grid, np.zeros(grid.n_samples))
 
     @classmethod
-    def aggregate(
-        cls,
-        traces: Sequence["PowerTrace"],
-        *,
-        exact: bool = True,
-        block_rows: int = AGGREGATE_BLOCK_ROWS,
-    ) -> "PowerTrace":
+    def aggregate(cls, traces: Sequence["PowerTrace"]) -> "PowerTrace":
         """Element-wise sum of ``traces`` (the aggregate power at a node).
 
-        Accumulation is blocked — at most ``block_rows`` member traces are
-        materialised as one stack at a time — so a fleet-scale aggregate
-        never allocates the full ``(n, T)`` tensor.  ``exact=True`` (the
-        default) adds rows in sequence in float64, bit-identical to the
-        historical implementation; ``exact=False`` is the fleet-scale fast
-        path, reducing each block in float32 before accumulating into a
-        float64 running total — half the memory traffic, with per-sample
-        error bounded by float32 rounding of a block.
+        Rows are added in sequence in float64: the same order, hence the
+        same floats, as one stacked axis-0 sum, without allocating the
+        ``(n, T)`` stack.
         """
         if not traces:
             raise ValueError("cannot aggregate an empty set of traces")
-        if block_rows < 1:
-            raise ValueError("block_rows must be positive")
         grid = traces[0].grid
         for trace in traces:
             grid.require_same(trace.grid)
         total = np.zeros(grid.n_samples)
-        if exact:
-            # Sequential row adds: identical order (hence identical floats)
-            # to the single stacked axis-0 reduce this replaces.
-            for trace in traces:
-                total += trace.values
-        else:
-            for start in range(0, len(traces), block_rows):
-                block = np.stack(
-                    [trace.values for trace in traces[start : start + block_rows]]
-                ).astype(np.float32, copy=False)
-                total += block.sum(axis=0, dtype=np.float32)
+        for trace in traces:
+            total += trace.values
         return cls(grid, total)
 
     # ------------------------------------------------------------------

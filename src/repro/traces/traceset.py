@@ -24,8 +24,8 @@ class TraceSet:
     path).  Passing ``dtype=np.float32`` keeps a float32 matrix as-is —
     the fleet-scale fast path, where a million-instance block at half the
     bytes doubles effective memory bandwidth — and ``np.asarray`` makes
-    both cases zero-copy when the input already matches (e.g. a shared
-    -memory view published by :class:`repro.engine.sharedmem.SharedTraceSet`).
+    both cases zero-copy when the input already matches (e.g. a view of a
+    :class:`repro.engine.sharedmem.SharedMatrix` in a pool worker).
     Readings must be finite and non-negative, as in a :class:`PowerTrace`.
     """
 

@@ -7,6 +7,22 @@ from repro.analysis import experiments as E
 SMALL = dict(n_instances=192, step_minutes=30)
 
 
+def test_cached_datacenter_budgets_are_left_alone():
+    """The study provisions budgets on the cached datacenter for its own
+    capping runs; a later reader of that datacenter once saw them.
+
+    The placement study's evaluation sets the budgets every reader of the
+    cached datacenter expects, so it runs before they are recorded.  The
+    test comes before the module's study fixture: once budgets leaked by
+    an earlier study are in place, a leak would leave them unchanged."""
+    dc = E.get_datacenter("DC3", **SMALL)
+    E.run_placement_study(dc)
+    before = {node.name: node.budget_watts for node in dc.topology.nodes()}
+    E.run_power_safety("DC3", **SMALL)
+    after = {node.name: node.budget_watts for node in dc.topology.nodes()}
+    assert after == before
+
+
 @pytest.fixture(scope="module")
 def study():
     return E.run_power_safety("DC3", surge_factor=1.3, **SMALL)

@@ -1,16 +1,19 @@
 """The placer's fast paths, checked against its exact serial path.
 
 ``score_workers > 1`` shards fleet-scale scoring across the worker pool
-and must not change a decision.  ``score_dtype=np.float32`` scores in
-float32 and may change decisions, but must keep the paper's metrics: the
-RPP-level peak reduction and the extra-server fraction of Fig. 10.
+and must not change a decision.  Scoring in float32 (the scorer's
+``dtype=np.float32``, which the placer does not expose) may change
+decisions, but must keep the paper's metrics: the RPP-level peak
+reduction and the extra-server fraction of Fig. 10.
 """
+
+import functools
 
 import numpy as np
 import pytest
 
 from repro import obs
-from repro.core import asynchrony
+from repro.core import asynchrony, placement
 from repro.core.asynchrony import PARALLEL_MIN_ROWS
 from repro.core.pipeline import SmoothOperator, SmoothOperatorConfig
 from repro.core.placement import PlacementConfig, WorkloadAwarePlacer
@@ -41,10 +44,8 @@ def test_pooled_scoring_keeps_every_decision():
     assert pooled.cluster_labels == serial.cluster_labels
 
 
-def fig10_metrics(dc, dtype):
-    operator = SmoothOperator(
-        SmoothOperatorConfig(placement=PlacementConfig(score_dtype=dtype))
-    )
+def fig10_metrics(dc):
+    operator = SmoothOperator(SmoothOperatorConfig(placement=PlacementConfig()))
     outcome = operator.optimize(dc.records, dc.topology)
     report = operator.evaluate(dc.records, dc.baseline, outcome.assignment)
     return report.peak_reduction[Level.RPP], report.extra_server_fraction
@@ -55,7 +56,7 @@ def fig10_metrics(dc, dtype):
 )
 def test_float32_scoring_keeps_the_fig10_metrics(spec, monkeypatch):
     dc = facebook.build_datacenter(spec(n_instances=1440), weeks=3, step_minutes=10)
-    exact = fig10_metrics(dc, None)
+    exact = fig10_metrics(dc)
 
     kernel = asynchrony._score_rows
     dtypes = set()
@@ -65,6 +66,12 @@ def test_float32_scoring_keeps_the_fig10_metrics(spec, monkeypatch):
         return kernel(rows, basis_matrix)
 
     monkeypatch.setattr(asynchrony, "_score_rows", recording)
-    fast = fig10_metrics(dc, np.float32)
+    # The placer calls the scorer through its own module's binding.
+    monkeypatch.setattr(
+        placement,
+        "score_matrix",
+        functools.partial(asynchrony.score_matrix, dtype=np.float32),
+    )
+    fast = fig10_metrics(dc)
     assert dtypes == {np.dtype(np.float32)}  # the placer scored in float32
     assert fast == pytest.approx(exact, abs=FLOAT32_TOLERANCE)

@@ -5,10 +5,11 @@
 paper datacenters (1440 instances, 10-minute steps, spec seed 7): the
 instance → leaf assignment, every node's cluster labels, and the
 assignment after an RPP remap (``max_swaps=30``).  For DC3 it also pins
-the placer under each non-default configuration in :data:`CONFIGURATIONS`
-and a serial suite-scoped re-placement of the oblivious baseline.
-Performance work on clustering, placement or the topology must leave
-every digest unchanged.
+the placer under each non-default configuration in :data:`CONFIGURATIONS`,
+a serial suite-scoped re-placement of the oblivious baseline, and a
+suite-sharded RPP remap of that baseline (:data:`SHARDED_REMAP`, checked
+serially and on two workers).  Performance work on clustering, placement,
+remapping or the topology must leave every digest unchanged.
 
 Regenerate only for a change meant to alter placement decisions, and say
 so in the commit message::
@@ -27,9 +28,11 @@ import pytest
 
 from repro.core.pipeline import SmoothOperator, SmoothOperatorConfig
 from repro.core.placement import PlacementConfig, WorkloadAwarePlacer, scoped_placement
-from repro.core.remapping import RemapConfig
+from repro.core.remapping import RemapConfig, RemappingEngine
 from repro.datasets import facebook
+from repro.infra.assignment import Assignment
 from repro.infra.topology import Level
+from repro.traces import training_trace_set
 
 GOLDEN_PATH = pathlib.Path(__file__).resolve().parent / "placement_golden.json"
 SCALE = {"n_instances": 1440, "step_minutes": 10, "seed": 7}
@@ -45,6 +48,10 @@ CONFIGURATIONS = {
     "clusters_per_child=4": PlacementConfig(clusters_per_child=4),
 }
 SCOPED = "scoped_placement(Level.SUITE)"
+#: The suite-sharded RPP remap with every other field at its default (50
+#: swaps per suite), applied to the oblivious baseline.
+SHARDED_REMAP = "remap(shard_level=Level.SUITE)"
+SHARDED_REMAP_CONFIG = RemapConfig(level=Level.RPP, shard_level=Level.SUITE)
 
 
 def mapping_digest(mapping: Mapping[str, str]) -> str:
@@ -86,8 +93,16 @@ def fingerprint(name: str) -> Dict[str, str]:
     }
 
 
-def configuration_fingerprint(dc: facebook.Datacenter, label: str) -> Dict[str, str]:
-    """Digests of one :data:`CONFIGURATIONS` placement, or of :data:`SCOPED`."""
+def configuration_fingerprint(
+    dc: facebook.Datacenter, label: str, *, workers: int = 1
+) -> Dict[str, str]:
+    """Digests of one :data:`CONFIGURATIONS` placement, of :data:`SCOPED`,
+    or of :data:`SHARDED_REMAP` (run on ``workers`` processes)."""
+    if label == SHARDED_REMAP:
+        result = RemappingEngine(SHARDED_REMAP_CONFIG).run(
+            dc.baseline, training_trace_set(dc.records), workers=workers
+        )
+        return {"remap": mapping_digest(result.assignment.as_mapping())}
     if label == SCOPED:
         scoped = scoped_placement(dc.records, dc.baseline, Level.SUITE, PlacementConfig())
         return {"placement": mapping_digest(scoped.as_mapping())}
@@ -115,10 +130,37 @@ def test_placement_matches_golden(golden, name):
     assert fingerprint(name) == golden["datacenters"][name]
 
 
-@pytest.mark.parametrize("label", sorted([*CONFIGURATIONS, SCOPED]))
+@pytest.mark.parametrize("label", sorted([*CONFIGURATIONS, SCOPED, SHARDED_REMAP]))
 def test_configuration_matches_golden(golden, dc3, label):
     expected = golden["configurations"]["DC3"][label]
     assert configuration_fingerprint(dc3, label) == expected
+
+
+def test_pooled_sharded_remap_matches_golden(golden, dc3):
+    from repro.engine.parallel import shutdown_pools
+
+    try:
+        fingerprint = configuration_fingerprint(dc3, SHARDED_REMAP, workers=2)
+    finally:
+        shutdown_pools()
+    assert fingerprint == golden["configurations"]["DC3"][SHARDED_REMAP]
+
+
+def test_sharded_remap_builds_one_assignment(dc3, monkeypatch):
+    """The accepted swaps (145 on this fleet) are applied to one copy of the
+    mapping, not replayed through one ``Assignment`` build each."""
+    built = []
+    init = Assignment.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    traces = training_trace_set(dc3.records)
+    monkeypatch.setattr(Assignment, "__init__", counting_init)
+    result = RemappingEngine(SHARDED_REMAP_CONFIG).run(dc3.baseline, traces)
+    assert result.n_swaps > 1
+    assert len(built) <= 1
 
 
 if __name__ == "__main__":
@@ -129,7 +171,7 @@ if __name__ == "__main__":
         "configurations": {
             "DC3": {
                 label: configuration_fingerprint(dc, label)
-                for label in [*CONFIGURATIONS, SCOPED]
+                for label in [*CONFIGURATIONS, SCOPED, SHARDED_REMAP]
             }
         },
     }

@@ -1,12 +1,10 @@
 """Unit tests for scope-restricted placement."""
 
-import pickle
-
 import pytest
 
 from repro.baselines import oblivious_placement
 from repro.core import PlacementConfig, WorkloadAwarePlacer, scoped_placement
-from repro.infra import Level, NodePowerView, PowerNode
+from repro.infra import Level, NodePowerView
 from repro.traces import InstanceRecord, ServiceInstance, training_trace_set
 
 
@@ -69,23 +67,6 @@ class TestScopedPlacement:
         with pytest.raises(ValueError):
             scoped_placement(tiny_records[:-1], baseline, Level.SB, config)
 
-    def test_worker_count_never_changes_the_placement(
-        self, tiny_records, tiny_topology, config
-    ):
-        """Subtrees are independent and per-node seeds derive from node
-        names, so the pooled fan-out must reproduce the serial mapping."""
-        from repro.engine.parallel import shutdown_pools
-
-        baseline = oblivious_placement(tiny_records, tiny_topology)
-        serial = scoped_placement(tiny_records, baseline, Level.RPP, config)
-        try:
-            pooled = scoped_placement(
-                tiny_records, baseline, Level.RPP, config, workers=2
-            )
-        finally:
-            shutdown_pools()
-        assert pooled.as_mapping() == serial.as_mapping()
-
     def test_repeated_instance_id_rejected(self, tiny_records, tiny_topology, config):
         """A second record under a placed id once replaced the first one's
         trace without a word."""
@@ -98,29 +79,3 @@ class TestScopedPlacement:
             scoped_placement(
                 [*tiny_records, duplicate], baseline, Level.SB, config
             )
-
-    def test_pool_tasks_carry_only_their_subtree(
-        self, tiny_records, tiny_topology, config, monkeypatch
-    ):
-        """A task's node is pickled: a parent link would ship the whole tree."""
-        from repro.engine import parallel
-
-        sent = []
-
-        class InlinePool:
-            def map_shards(self, fn, tasks, label):
-                sent.extend(tasks)
-                return [fn(*task) for task in tasks]
-
-        monkeypatch.setattr(parallel, "get_pool", lambda workers: InlinePool())
-        baseline = oblivious_placement(tiny_records, tiny_topology)
-        pooled = scoped_placement(tiny_records, baseline, Level.RPP, config, workers=2)
-        serial = scoped_placement(tiny_records, baseline, Level.RPP, config)
-        assert pooled.as_mapping() == serial.as_mapping()
-
-        root_bytes = len(pickle.dumps(tiny_topology.root))
-        nodes = [item for task in sent for item in task if isinstance(item, PowerNode)]
-        assert len(nodes) == len(tiny_topology.nodes_at_level(Level.RPP))
-        for node in nodes:
-            assert node.parent is None
-            assert len(pickle.dumps(node)) < root_bytes / 2

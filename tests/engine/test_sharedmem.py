@@ -16,7 +16,6 @@ from repro.engine.parallel import WorkerPool
 from repro.engine.sharedmem import (
     SEGMENT_PREFIX,
     SharedMatrix,
-    ShardSpec,
     attach_matrix,
     attach_rows,
     attached_view,
@@ -61,14 +60,6 @@ def test_shard_ranges_validates_inputs():
         shard_ranges(-1, 2)
     with pytest.raises(ValueError):
         shard_ranges(4, 0)
-
-
-def test_shard_spec_validates_range():
-    assert ShardSpec(2, 5).n_rows == 3
-    with pytest.raises(ValueError):
-        ShardSpec(5, 2)
-    with pytest.raises(ValueError):
-        ShardSpec(-1, 2)
 
 
 # ----------------------------------------------------------------------

@@ -67,15 +67,6 @@ def test_accountant_matches_brute_force_over_random_churn(rng):
             assert acc.radius_sum == pytest.approx(float(radius_vec.sum()))
 
 
-def test_accountant_load_if_added_is_hypothetical():
-    acc = GammaAccountant(1)
-    acc.add("a", 10.0, 5.0)
-    probe = acc.load_if_added(20.0, 8.0)
-    assert probe == pytest.approx(10.0 + 20.0 + 8.0)  # 8 evicts 5 from top-1
-    assert acc.robust_load() == pytest.approx(15.0)  # unchanged
-    assert acc.headroom(20.0) == pytest.approx(5.0)
-
-
 def test_accountant_rejects_duplicates_and_unknowns():
     acc = GammaAccountant(2)
     acc.add("a", 1.0, 1.0)
@@ -135,27 +126,6 @@ def test_index_remove_and_move_keep_ancestors_consistent(
     assert index.robust_load(root) == 0.0
     with pytest.raises(KeyError):
         index.leaf_of("i1")
-
-
-def test_index_fits_and_slack_respect_budgets(small_index, tiny_topology):
-    index, _ = small_index
-    leaf = tiny_topology.leaves()[0]
-    budgets = {leaf.name: 150.0}
-    assert index.fits("i3", leaf.name, budgets)  # 105 <= 150
-    index.place("i3", leaf.name)
-    assert not index.fits("i0", leaf.name, budgets)  # 210 + 10 > 150
-    assert index.slack_if_added("i0", leaf.name, budgets) < 0
-    vector = index.slack_vector_if_added("i0", leaf.name, budgets)
-    assert vector == (budgets[leaf.name] - index.accountants[leaf.name].load_if_added(100.0, 10.0),)
-
-
-def test_index_slack_vector_is_sorted_ascending(small_index, tiny_topology):
-    index, _ = small_index
-    leaf = tiny_topology.leaves()[0]
-    budgets = {name: 1000.0 - 10 * k for k, name in enumerate(index.path(leaf.name))}
-    vector = index.slack_vector_if_added("i0", leaf.name, budgets)
-    assert list(vector) == sorted(vector)
-    assert len(vector) == len(index.path(leaf.name))
 
 
 # ----------------------------------------------------------------------

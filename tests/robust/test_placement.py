@@ -1,11 +1,9 @@
-"""Unit tests for the Γ-robust placer (both strategies, Γ=0 fallback)."""
+"""Unit tests for the Γ-robust placer (swap loop, Γ=0 fallback)."""
 
-import numpy as np
 import pytest
 
 from repro.core.placement import PlacementConfig, WorkloadAwarePlacer
 from repro.robust import (
-    STRATEGIES,
     GammaAccountant,
     RobustPlacementConfig,
     RobustPlacer,
@@ -23,11 +21,8 @@ def spiky_model(records, *, fraction=0.25, spike_watts=120.0, seed=5):
 # config validation
 # ----------------------------------------------------------------------
 def test_config_validation():
-    assert RobustPlacementConfig().strategy in STRATEGIES
     with pytest.raises(ValueError, match="gamma"):
         RobustPlacementConfig(gamma=-1)
-    with pytest.raises(ValueError, match="strategy"):
-        RobustPlacementConfig(strategy="magic")
     with pytest.raises(ValueError, match="tolerance"):
         RobustPlacementConfig(swap_nominal_tolerance_watts=-1.0)
     with pytest.raises(ValueError, match="max_swaps"):
@@ -42,25 +37,21 @@ def test_empty_fleet_is_rejected(tiny_topology):
 # ----------------------------------------------------------------------
 # Γ = 0 fallback
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("strategy", STRATEGIES)
-def test_gamma_zero_reduces_to_the_nominal_placement(
-    tiny_records, tiny_topology, strategy
-):
+def test_gamma_zero_reduces_to_the_nominal_placement(tiny_records, tiny_topology):
     nominal = WorkloadAwarePlacer(PlacementConfig(seed=0)).place(
         tiny_records, tiny_topology
     )
-    robust = RobustPlacer(
-        RobustPlacementConfig(gamma=0, strategy=strategy)
-    ).place(tiny_records, tiny_topology)
+    robust = RobustPlacer(RobustPlacementConfig(gamma=0)).place(
+        tiny_records, tiny_topology
+    )
     assert robust.assignment.as_mapping() == nominal.assignment.as_mapping()
     assert robust.gamma == 0
     assert robust.n_swaps == 0
-    assert robust.is_feasible
     assert robust.fallback is not None
 
 
 # ----------------------------------------------------------------------
-# swap strategy
+# swap loop
 # ----------------------------------------------------------------------
 def test_swap_places_everyone_and_respects_capacity(
     tiny_records, tiny_topology
@@ -73,7 +64,6 @@ def test_swap_places_everyone_and_respects_capacity(
     assert sorted(mapping) == sorted(r.instance_id for r in tiny_records)
     for leaf in tiny_topology.leaves():
         assert len(result.assignment.instances_on_leaf(leaf.name)) <= leaf.capacity
-    assert result.infeasible == []
 
 
 def test_swap_strategy_spreads_spike_radii(tiny_records, tiny_topology):
@@ -125,44 +115,3 @@ def test_max_swaps_zero_returns_the_seed_placement(tiny_records, tiny_topology):
     assert result.n_swaps == 0
     assert result.assignment.as_mapping() == seed.assignment.as_mapping()
 
-
-# ----------------------------------------------------------------------
-# first-fit strategy
-# ----------------------------------------------------------------------
-def test_first_fit_respects_budgets_when_feasible(tiny_records, tiny_topology):
-    model = UncertainPowerModel.from_records(tiny_records)
-    # Generous budgets at every level: everything must be Γ-feasible.
-    for node in tiny_topology.nodes():
-        node.budget_watts = 1e9
-    try:
-        result = RobustPlacer(
-            RobustPlacementConfig(gamma=2, strategy="first_fit")
-        ).place(tiny_records, tiny_topology, model=model)
-        assert result.is_feasible
-        assert result.min_headroom() > 0
-        assert sorted(result.assignment.as_mapping()) == sorted(
-            r.instance_id for r in tiny_records
-        )
-    finally:
-        for node in tiny_topology.nodes():
-            node.budget_watts = None
-
-
-def test_first_fit_records_infeasible_instances(tiny_records, tiny_topology):
-    model = spiky_model(tiny_records, spike_watts=500.0)
-    # Budgets so tight nothing fits: every instance is flagged, yet all are
-    # still placed (least-bad leaf) so downstream consumers get a complete
-    # assignment.
-    for node in tiny_topology.nodes():
-        node.budget_watts = 1.0
-    try:
-        result = RobustPlacer(
-            RobustPlacementConfig(gamma=1, strategy="first_fit")
-        ).place(tiny_records, tiny_topology, model=model)
-        assert not result.is_feasible
-        assert len(result.infeasible) == len(tiny_records)
-        assert len(result.assignment) == len(tiny_records)
-        assert result.min_headroom() < 0
-    finally:
-        for node in tiny_topology.nodes():
-            node.budget_watts = None

@@ -116,26 +116,13 @@ class TestArithmetic:
             PowerTrace.aggregate([])
 
     def test_aggregate_exact_matches_stacked_reduce(self, small_grid):
-        """The blocked exact path must stay bit-identical to the historical
-        single-stack axis-0 sum, whatever the block size."""
+        """The row-by-row sum must stay bit-identical to the historical
+        single-stack axis-0 sum."""
         rng = np.random.default_rng(7)
         traces = [PowerTrace(small_grid, rng.random(24) * 10) for _ in range(50)]
         stacked = np.stack([t.values for t in traces]).sum(axis=0)
-        for block_rows in (1, 7, 50, 1000):
-            result = PowerTrace.aggregate(traces, block_rows=block_rows)
-            assert np.array_equal(result.values, stacked)
-
-    def test_aggregate_fast_path_tracks_exact(self, small_grid):
-        rng = np.random.default_rng(8)
-        traces = [PowerTrace(small_grid, rng.random(24) * 10) for _ in range(50)]
-        exact = PowerTrace.aggregate(traces)
-        fast = PowerTrace.aggregate(traces, exact=False, block_rows=16)
-        # float32 block reduction: close, not identical.
-        assert np.allclose(exact.values, fast.values, rtol=1e-5)
-
-    def test_aggregate_rejects_bad_block_rows(self, small_grid):
-        with pytest.raises(ValueError):
-            PowerTrace.aggregate([ramp(small_grid)], block_rows=0)
+        result = PowerTrace.aggregate(traces)
+        assert np.array_equal(result.values, stacked)
 
     def test_equality(self, small_grid):
         assert ramp(small_grid) == ramp(small_grid)
