@@ -305,18 +305,14 @@ def _cmd_profile(args: argparse.Namespace) -> None:
             )
 
     if args.json:
-        payload = {
-            "workload": {
-                "datacenter": dc.name,
-                "instances": len(dc.records),
-                "samples_per_trace": dc.records[0].training_trace.grid.n_samples,
-                "swaps_accepted": outcome.remap.n_swaps if outcome.remap else 0,
-            },
-            "spans": tracer.to_dict()["spans"],
-            "stages": obs.stage_timings(tracer),
-            "metrics": obs.snapshot_metrics(),
-            "peak_reduction": report.peak_reduction,
+        payload = obs.json_document(tracer=tracer, registry=obs.global_registry())
+        payload["workload"] = {
+            "datacenter": dc.name,
+            "instances": len(dc.records),
+            "samples_per_trace": dc.records[0].training_trace.grid.n_samples,
+            "swaps_accepted": outcome.remap.n_swaps if outcome.remap else 0,
         }
+        payload["peak_reduction"] = report.peak_reduction
         print(json.dumps(payload, indent=2, sort_keys=True))
         return
     print(tracer.render())
@@ -410,45 +406,46 @@ def _cmd_monitor(args: argparse.Namespace) -> None:
 
 
 def _cmd_report(args: argparse.Namespace) -> None:
-    """Render a unified run report for the parallel data plane.
+    """Render the run report of the parallel data plane.
 
-    By default reads a previously written RunReport JSON (produced by a
-    run with ``REPRO_RUN_REPORT=<path>`` set, or by a benchmark).  With
-    ``--run``, executes the chaos suite on a worker pool right now and
-    reports on that run — the quickest way to see per-worker utilization
-    and shard imbalance on this machine.
+    By default reads a run document (:func:`repro.obs.json_document`)
+    written by an earlier ``--run``.  With ``--run``, executes the chaos
+    suite on a worker pool under tracing right now, writes its document to
+    ``--report`` and reports on that run — the quickest way to see
+    per-worker utilization and shard imbalance on this machine.
     """
     import json
     import pathlib
 
     from . import obs
 
+    path = pathlib.Path(args.report)
     if args.run:
         from .engine import run_many
 
-        obs.reset_report()
+        obs.reset_metrics()
         specs = _chaos_specs(args)
-        workers = max(2, args.workers)
-        with obs.tracing():
-            run_many(specs, workers=workers)
-            report = obs.build_report()
-        if args.report:
-            path = pathlib.Path(args.report)
-            path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-            print(f"run report written to {path}\n", file=sys.stderr)
+        with obs.tracing() as tracer:
+            run_many(specs, workers=max(2, args.workers))
+        document = obs.json_document(tracer=tracer, registry=obs.global_registry())
+        path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
+        print(f"run report written to {path}\n", file=sys.stderr)
     else:
-        path = pathlib.Path(args.report)
         if not path.exists():
             raise SystemExit(
                 f"no run report at {path} — produce one with "
-                f"REPRO_RUN_REPORT={path} set during a parallel run, "
-                "or use 'smoothoperator report --run'"
+                f"'smoothoperator report --run --report {path}'"
             )
-        report = json.loads(path.read_text())
+        document = json.loads(path.read_text())
     if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(json.dumps(document, indent=2, sort_keys=True))
         return
-    print(obs.render_report(report))
+    if "pool" not in document:
+        raise SystemExit(
+            f"{path} records no pooled stage — produce one with worker "
+            f"capture on: 'smoothoperator report --run --report {path}'"
+        )
+    print(obs.render_report(document["pool"]))
 
 
 _COMMANDS = {
@@ -538,7 +535,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--report",
         default="run_report.json",
-        help="RunReport JSON path to render or write (report command)",
+        help="run document JSON path to render or write (report command)",
     )
     parser.add_argument(
         "--run",
@@ -546,6 +543,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="run the chaos suite on a worker pool and report on it (report command)",
     )
     args = parser.parse_args(argv)
+    if args.instances < 1:
+        parser.error("--instances must be positive")
     if args.command == "list":
         for name in sorted(_COMMANDS):
             print(name)

@@ -51,10 +51,11 @@ The pool is not an observability boundary: unless ``REPRO_OBS_CAPTURE=0``
 disables it, every pooled task runs under worker-side telemetry capture
 (:mod:`repro.obs.remote`) and ships its spans, metric deltas, and events
 back with its result; the coordinator merges them into its live tracer,
-registry, and event log, records pool health metrics (dispatch/completion
-counters, roundtrip/execution/queue latency histograms, worker deaths and
-rebuilds, timeouts), and feeds each stage into the unified run report
-(:mod:`repro.obs.report`).
+registry, and event log, and records pool health metrics
+(dispatch/completion counters, roundtrip/execution/queue latency
+histograms, worker deaths and rebuilds, timeouts).  Under a live tracer
+each stage opens one ``pool.stage`` span that the merged task spans hang
+under; the run report (:mod:`repro.obs.report`) is read off those spans.
 """
 
 from __future__ import annotations
@@ -226,22 +227,6 @@ def _run_task(
         return call(*args)
     with obs_events.recording():
         return call(*args)
-
-
-def _bundle_stats(bundle: Any, roundtrip_s: float, *, ok: bool = True):
-    """Coordinator-side: a run-report row for one shipped bundle."""
-    from ..obs.report import TaskStats
-
-    return TaskStats(
-        shard_id=bundle.shard_id,
-        worker_pid=bundle.worker_pid,
-        attempt=bundle.attempt,
-        exec_s=bundle.wall_s,
-        cpu_s=bundle.cpu_s,
-        roundtrip_s=roundtrip_s,
-        queue_s=max(0.0, roundtrip_s - bundle.wall_s),
-        ok=ok,
-    )
 
 
 def _decorrelated_backoff(
@@ -451,10 +436,11 @@ class WorkerPool:
         ship back with the result and are merged into this process's live
         tracer/registry/log — sorted by shard id, so the merged state is
         independent of completion order.  ``label`` names the per-task root
-        span (tagged with shard id and worker pid) and the stage's entry in
-        the run report (:mod:`repro.obs.report`); the pool also records its
-        own health metrics (dispatch/completion/retry counters,
-        roundtrip/execution/queue latency histograms).
+        span (tagged with shard id, worker pid and attempt) and the stage's
+        ``pool.stage`` span, which the run report (:mod:`repro.obs.report`)
+        reads; the pool also records its own health metrics
+        (dispatch/completion/retry counters, roundtrip/execution/queue
+        latency histograms).
         """
         driver = _StageDriver(
             self,
@@ -467,28 +453,34 @@ class WorkerPool:
         )
         return driver.run()
 
-    def _finish_stage(
-        self,
-        label: str,
-        started_at: float,
-        bundles: Sequence[Any],
-        stats: Sequence[Any],
-    ) -> None:
-        """Merge shipped telemetry and record the stage in the run report."""
+    def _finish_stage(self, bundles: Sequence[Any]) -> None:
+        """Observe task latencies, merge shipped telemetry, stamp the stage.
+
+        Runs inside the stage's ``pool.stage`` span, so the merge grafts the
+        task spans under it.  Latencies are observed in ``(shard, attempt)``
+        order, the order the merge folds in, so the histograms are a
+        function of the work rather than of completion order.
+        """
         from ..obs import metrics as obs_metrics
         from ..obs import remote as obs_remote
-        from ..obs import report as obs_report
+        from ..obs import spans as obs_spans
 
+        bundles = sorted(bundles, key=lambda bundle: (bundle.shard_id, bundle.attempt))
+        for bundle in bundles:
+            if bundle.failed:
+                continue
+            roundtrip_s = bundle.spans[0]["meta"]["roundtrip_s"]
+            obs_metrics.observe("pool.task_roundtrip_s", roundtrip_s)
+            obs_metrics.observe("pool.task_exec_s", bundle.wall_s)
+            obs_metrics.observe(
+                "pool.task_queue_s", max(0.0, roundtrip_s - bundle.wall_s)
+            )
         obs_remote.merge_bundles(bundles)
         obs_metrics.set_gauge("pool.workers", self.workers)
         obs_metrics.set_gauge("pool.generation", self.generation)
-        obs_report.record_stage(
-            label,
-            workers=self.workers,
-            wall_s=time.perf_counter() - started_at,
-            tasks=stats,
-            generation=self.generation,
-        )
+        stage = obs_spans.current_span()
+        if stage is not None:
+            stage.meta["generation"] = self.generation
 
 
 # ----------------------------------------------------------------------
@@ -515,9 +507,9 @@ class _StageDriver:
     to record a :class:`RunFailure` in the task's slot.  Pooled tasks only
     ever run in pool workers, never in this process.  With ``pool=None``
     every task runs inline in this process — no pool is built, no
-    telemetry is captured, no pool metric or run-report stage is recorded,
-    no watchdog runs — with the same retry rounds and backoff.  With
-    ``deadline=None`` (and no process default) the wait loop blocks
+    telemetry is captured, no pool metric or ``pool.stage`` span is
+    recorded, no watchdog runs — with the same retry rounds and backoff.
+    With ``deadline=None`` (and no process default) the wait loop blocks
     unbounded.
     """
 
@@ -561,13 +553,27 @@ class _StageDriver:
         self.errors: Dict[int, BaseException] = {}
         self.failed: List[int] = []
         self.bundles: List[Any] = []
-        self.stats: List[Any] = []
-        self.started_at = time.perf_counter()
         self._rng = random.Random()
         self._backoff_prev = retry_backoff_s
 
     # ------------------------------------------------------------------
     def run(self) -> List[Any]:
+        """Settle every task; under capture, inside one ``pool.stage`` span.
+
+        The span covers dispatch and the final merge, so the task spans
+        graft under it and the stage's ``pool.*`` counters attribute to it.
+        """
+        if not self.do_capture:
+            return self._run_rounds()
+        from ..obs import report as obs_report
+        from ..obs import spans as obs_spans
+
+        with obs_spans.span(
+            obs_report.POOL_STAGE, label=self.label, workers=self.pool.workers
+        ):
+            return self._run_rounds()
+
+    def _run_rounds(self) -> List[Any]:
         pending = list(range(self.n_tasks))
         round_index = 0
         isolate = False
@@ -615,9 +621,7 @@ class _StageDriver:
 
     def finish(self) -> None:
         if self.do_capture:
-            self.pool._finish_stage(
-                self.label, self.started_at, self.bundles, self.stats
-            )
+            self.pool._finish_stage(self.bundles)
 
     # ------------------------------------------------------------------
     def _run_one_inline(self, index: int) -> None:
@@ -714,15 +718,8 @@ class _StageDriver:
         if self.do_capture:
             result, bundle = outcome
             self.results[index] = result
-            roundtrip_s = time.perf_counter() - dispatched_time
-            self.bundles.append(bundle)
-            self.stats.append(_bundle_stats(bundle, roundtrip_s))
+            self._keep_bundle(bundle, dispatched_time)
             obs_metrics.count("pool.tasks_completed")
-            obs_metrics.observe("pool.task_roundtrip_s", roundtrip_s)
-            obs_metrics.observe("pool.task_exec_s", bundle.wall_s)
-            obs_metrics.observe(
-                "pool.task_queue_s", max(0.0, roundtrip_s - bundle.wall_s)
-            )
         else:
             self.results[index] = outcome
 
@@ -742,14 +739,14 @@ class _StageDriver:
             obs_metrics.count("pool.tasks_failed")
             bundle = obs_remote.bundle_from_error(error)
             if bundle is not None:
-                self.bundles.append(bundle)
-                self.stats.append(
-                    _bundle_stats(
-                        bundle,
-                        time.perf_counter() - dispatched_time,
-                        ok=False,
-                    )
-                )
+                self._keep_bundle(bundle, dispatched_time)
+
+    def _keep_bundle(self, bundle: Any, dispatched_time: float) -> None:
+        """Stamp the task's coordinator-side roundtrip on its root span and
+        keep the bundle for the stage's final merge."""
+        roundtrip_s = time.perf_counter() - dispatched_time
+        bundle.spans[0]["meta"]["roundtrip_s"] = roundtrip_s
+        self.bundles.append(bundle)
 
     def _enforce_hard_deadline(
         self,
@@ -900,9 +897,10 @@ def run_many(
     ``REPRO_OBS_CAPTURE`` kill switch disables it: each spec's span
     subtree, metric deltas, and capture-level events ship back with its
     artifacts and merge into this process's live observability surfaces,
-    the pool records its health metrics, and the batch lands in the run
-    report (:mod:`repro.obs.report`) as a ``run.many`` stage.  An inline
-    batch records nothing — in-process runs are already fully observable.
+    the pool records its health metrics, and under a live tracer the batch
+    is a ``pool.stage`` span labelled ``run.many``, which the run report
+    (:mod:`repro.obs.report`) reads.  An inline batch records nothing —
+    in-process runs are already fully observable.
     """
     specs = list(specs)
     if workers <= 1 or len(specs) <= 1:

@@ -59,8 +59,7 @@ class ScenarioSpec:
     ``conversion`` is required for every mode (it carries the dispatch
     threshold); the fault models (``failures``, ``conversion_faults``,
     ``breaker``, ``capping_policy``) only matter for the chaos modes and
-    default to the no-fault models when ``None``.  ``policies`` /
-    ``actuators`` override the mode's default pipeline when given.
+    default to the no-fault models when ``None``.
     """
 
     mode: str
@@ -80,8 +79,6 @@ class ScenarioSpec:
     extra_throttle_funded: Optional[int] = None
     seed: int = 0
     name: Optional[str] = None
-    policies: Optional[Tuple[Policy, ...]] = None
-    actuators: Optional[Tuple[Actuator, ...]] = None
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -99,11 +96,8 @@ def build_pipeline(
 ) -> Tuple[Tuple[Policy, ...], Tuple[Actuator, ...]]:
     """The (policies, actuators) pipeline for one spec.
 
-    Explicit ``spec.policies`` / ``spec.actuators`` win; otherwise the
-    mode picks the same plugin sequence the legacy runtimes hard-coded.
+    The mode picks the same plugin sequence the legacy runtimes hard-coded.
     """
-    if spec.policies is not None or spec.actuators is not None:
-        return tuple(spec.policies or ()), tuple(spec.actuators or ())
     if spec.mode == "pre":
         return (), ()
     if spec.mode == "lc_only":

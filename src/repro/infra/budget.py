@@ -10,6 +10,7 @@ provisioning (StatProf) at several levels of aggressiveness.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Mapping
 
@@ -104,8 +105,8 @@ def compute_budgets(view: NodePowerView, policy) -> Dict[str, float]:
 def apply_budgets(topology: PowerTopology, budgets: Mapping[str, float]) -> None:
     """Write budgets onto the topology's nodes (in place)."""
     for name, budget in budgets.items():
-        if budget < 0:
-            raise ValueError(f"negative budget for {name}")
+        if not 0 <= budget < math.inf:
+            raise ValueError(f"budget for {name} must be finite and non-negative")
         topology.node(name).budget_watts = float(budget)
 
 

@@ -13,6 +13,7 @@ This module models that tree.  Nodes are identified by unique names; servers
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterator, List, Optional, Tuple
 
 
@@ -54,8 +55,8 @@ class PowerNode:
     ) -> None:
         if not name:
             raise TopologyError("node name cannot be empty")
-        if budget_watts is not None and budget_watts < 0:
-            raise TopologyError("budget cannot be negative")
+        if budget_watts is not None and not 0 <= budget_watts < math.inf:
+            raise TopologyError("budget must be a finite, non-negative number of watts")
         if capacity is not None and capacity <= 0:
             raise TopologyError("capacity must be positive when given")
         self.name = name

@@ -1,4 +1,4 @@
-"""Observability: spans, metrics, telemetry, events, exporters, run reports.
+"""Observability: spans, metrics, telemetry, events, and one run document.
 
 The substrate every perf-sensitive subsystem reports into:
 
@@ -18,21 +18,21 @@ The substrate every perf-sensitive subsystem reports into:
   (budget violations, breaker trips, conversions, throttle/boost, swap
   decisions, fault injections, advisories) with span correlation ids,
   serialisable as JSONL.
-* :mod:`repro.obs.export` — Prometheus text exposition and a merged JSON
-  document over all of the above.
 * :mod:`repro.obs.remote` — cross-process capture/ship/merge: pool tasks
   record into a private tracer/registry/log inside the worker, ship a
   :class:`~repro.obs.remote.TelemetryBundle` back with their result, and
   the coordinator merges everything into its live surfaces — one coherent
   span tree, metric set, and event log across process boundaries
   (``REPRO_OBS_CAPTURE=0`` disables it).
-* :mod:`repro.obs.report` — the unified run report over pooled stages:
-  per-worker utilization, shard imbalance, straggler shards, queue vs
-  execution latency, rendered by ``smoothoperator report`` and
-  auto-written when ``REPRO_RUN_REPORT`` names a path.
+* :mod:`repro.obs.report` — :func:`json_document`, the one JSON record of
+  a run (span forest, stage timings, metrics), and the run report read off
+  its merged span tree: each pooled stage's ``pool.stage`` span and its
+  worker task spans give per-worker utilization, shard imbalance, straggler
+  shards and queue vs execution latency, rendered by ``smoothoperator
+  report``.
 """
 
-from . import events, export, remote, report, telemetry
+from . import events, remote, report, telemetry
 from .events import Event, EventLog, emit, get_event_log
 from .metrics import (
     Histogram,
@@ -46,7 +46,7 @@ from .metrics import (
     snapshot_metrics,
 )
 from .remote import TelemetryBundle, capture_enabled, merge_bundles
-from .report import build_report, record_stage, render_report, reset_report, write_report
+from .report import json_document, render_report
 from .spans import Span, Tracer, current_span, get_tracer, span, stage_timings, tracing
 from .telemetry import FlightRecorder, RingBuffer, record_delta, record_power, record_view
 
@@ -82,18 +82,13 @@ __all__ = [
     "record_power",
     "record_view",
     "telemetry",
-    # export
-    "export",
     # remote (cross-process capture)
     "TelemetryBundle",
     "capture_enabled",
     "merge_bundles",
     "remote",
-    # run report
-    "build_report",
-    "record_stage",
+    # the run document and its run report
+    "json_document",
     "render_report",
     "report",
-    "reset_report",
-    "write_report",
 ]

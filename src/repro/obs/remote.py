@@ -26,10 +26,10 @@ pipeline:
 * **merge** — the coordinator calls :func:`merge_bundles`, which sorts
   bundles by ``(shard id, attempt)`` (so completion order can never change
   the outcome), grafts each bundle's spans under the coordinator's open
-  dispatching span (worker span ids are re-allocated; event correlations
-  are remapped to match), folds counters/gauges/histograms into the live
-  registry, and re-emits events into the active log tagged with
-  ``worker_pid`` and ``shard_id``.
+  span (the stage's ``pool.stage`` span; worker span ids are re-allocated
+  and event correlations are remapped to match), folds
+  counters/gauges/histograms into the live registry, and re-emits events
+  into the active log tagged with ``worker_pid`` and ``shard_id``.
 
 The ``REPRO_OBS_CAPTURE`` environment variable is the kill switch:
 ``REPRO_OBS_CAPTURE=0`` disables capture entirely — tasks run bare, no
@@ -134,11 +134,12 @@ class capture:
         ship(cap.bundle)
 
     Installs a fresh tracer, metrics registry, and event log for the
-    duration, and opens one root span named ``label`` carrying the shard id
-    and worker pid — everything the task records nests under it.  On exit
-    (normal or exceptional) the bundle is finalized; an exception is
-    recorded on the root span (``meta["error"]``) and as a ``task_error``
-    event before it propagates, so failed tasks still ship their story.
+    duration, and opens one root span named ``label`` carrying the shard id,
+    worker pid and attempt — everything the task records nests under it.
+    On exit (normal or exceptional) the bundle is finalized; an exception
+    is recorded on the root span (``meta["error"]``) and as a
+    ``task_error`` event before it propagates, so failed tasks still ship
+    their story.
     """
 
     __slots__ = (
@@ -169,6 +170,7 @@ class capture:
             self.bundle.label,
             shard=self.bundle.shard_id,
             pid=self.bundle.worker_pid,
+            attempt=self.bundle.attempt,
         )
         self._root = self._span_context.__enter__()
         return self

@@ -1,283 +1,197 @@
-"""Unified run report for the parallel data plane.
+"""One JSON document per run, and the run report read off its span tree.
 
-The capture/ship/merge layer (:mod:`repro.obs.remote`) makes worker
-telemetry *visible*; this module makes it *legible*.  Every pooled stage —
-``run_many`` batches and ``map_shards`` sharded stages alike — records one
-:class:`StageRecord` into the process-global collector: which shards ran,
-on which worker pids, how long each executed inside the worker versus how
-long it spent queued, and how many attempts it took.  :func:`build_report`
-turns the accumulated records into one JSON-ready document answering the
-questions a fleet-scale benchmark run raises:
+:func:`json_document` is the one machine-readable record of a run: the
+span forest, per-name stage timings and the metrics snapshot.
+``smoothoperator profile --json`` prints it, and ``smoothoperator report``
+writes, re-reads and renders it.
 
-* **per-worker utilization** — of the stage's wall time, what fraction was
+The run report is a view of the merged span tree, not a second record.
+Every pooled stage (a ``map_shards`` call or a ``run_many`` batch) run
+with worker capture under a live tracer opens one ``pool.stage`` span
+(meta: ``label``, ``workers``, the pool ``generation`` at the end of the
+stage), and the final merge grafts the stage's worker task spans under it.
+Each task's root span carries ``shard``, ``pid`` and ``attempt`` from the
+worker, ``roundtrip_s`` stamped by the coordinator, and ``error`` when the
+attempt failed.  :func:`stage_summary` reads one stage's economics off
+that subtree:
+
+* **per-worker utilization**: of the stage's wall time, what fraction was
   each worker pid actually executing shards?  Idle workers mean shards too
   coarse or a pool too wide;
-* **imbalance** — max over mean shard execution wall.  1.0 is a perfectly
+* **imbalance**: max over mean shard execution wall.  1.0 is a perfectly
   balanced stage; 2.0 means the slowest shard ran twice the average and the
   stage's critical path is one straggler;
-* **slowest shards** — the stragglers themselves, by shard id and pid;
-* **span topology** — when a tracer is live at build time, the merged
-  cross-process span forest is embedded, so one document carries both the
-  timing tree and the worker-level economics.
+* **slowest shards**: the stragglers themselves, by shard id and pid.
 
-Reports are rendered by ``smoothoperator report`` and written
-automatically when the ``REPRO_RUN_REPORT`` environment variable names a
-path (one write per recorded stage — the file is always the report of the
-run so far, so even a crashed run leaves a usable document).
+When the tracer holds ``pool.stage`` spans, the document's ``pool``
+section is :func:`run_report`; :func:`render_report` renders it.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import pathlib
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional
 
-from . import spans as _spans
+from .metrics import MetricsRegistry
+from .spans import Span, Tracer, stage_timings
 
 __all__ = [
-    "REPORT_ENV",
-    "RunReportCollector",
-    "StageRecord",
-    "TaskStats",
-    "build_report",
-    "collector",
-    "record_stage",
+    "POOL_STAGE",
+    "json_document",
     "render_report",
-    "report_path",
-    "reset_report",
-    "write_report",
+    "run_report",
+    "stage_summary",
 ]
 
-#: When set, every recorded stage rewrites the run report to this path.
-REPORT_ENV = "REPRO_RUN_REPORT"
+#: Name of the span each captured pooled stage opens around its dispatch.
+POOL_STAGE = "pool.stage"
 
 
-def report_path() -> Optional[pathlib.Path]:
-    """The auto-write destination from ``REPRO_RUN_REPORT``, if set."""
-    raw = os.environ.get(REPORT_ENV, "").strip()
-    return pathlib.Path(raw) if raw else None
+def _queue_s(task: Span) -> float:
+    """Roundtrip minus execution, clamped at zero: time the task spent
+    queued, pickled and in transit rather than executing."""
+    return max(0.0, float(task.meta["roundtrip_s"]) - task.wall_s)  # type: ignore[arg-type]
 
 
-@dataclass(frozen=True)
-class TaskStats:
-    """One pool task's economics, as observed by the coordinator.
+def _task_stats(task: Span) -> Dict[str, object]:
+    """One pool task's economics, from its merged root span.
 
-    ``exec_s``/``cpu_s`` come from the worker's own root span (measured
-    inside the worker, so cross-process clock skew cannot touch them);
-    ``roundtrip_s`` is coordinator-side submit-to-result wall; ``queue_s``
-    is their difference clamped at zero — time the task spent queued,
-    pickled, and in transit rather than executing.
+    ``exec_s``/``cpu_s`` were measured inside the worker, so cross-process
+    clock skew cannot touch them; ``roundtrip_s`` is coordinator-side
+    submit-to-result wall.
     """
-
-    shard_id: int
-    worker_pid: int
-    attempt: int = 1
-    exec_s: float = 0.0
-    cpu_s: float = 0.0
-    roundtrip_s: float = 0.0
-    queue_s: float = 0.0
-    ok: bool = True
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "shard_id": self.shard_id,
-            "worker_pid": self.worker_pid,
-            "attempt": self.attempt,
-            "exec_s": self.exec_s,
-            "cpu_s": self.cpu_s,
-            "roundtrip_s": self.roundtrip_s,
-            "queue_s": self.queue_s,
-            "ok": self.ok,
-        }
+    return {
+        "shard_id": task.meta["shard"],
+        "worker_pid": task.meta["pid"],
+        "attempt": task.meta["attempt"],
+        "exec_s": task.wall_s,
+        "cpu_s": task.cpu_s,
+        "roundtrip_s": task.meta["roundtrip_s"],
+        "queue_s": _queue_s(task),
+        "ok": "error" not in task.meta,
+    }
 
 
-@dataclass
-class StageRecord:
-    """One pooled stage: a ``map_shards`` call or a ``run_many`` batch."""
+def stage_summary(stage: Span) -> Dict[str, object]:
+    """One ``pool.stage`` span's economics (imbalance, utilization, stragglers).
 
-    label: str
-    workers: int
-    wall_s: float
-    generation: Optional[int] = None
-    tasks: List[TaskStats] = field(default_factory=list)
-
-    def summary(self) -> Dict[str, object]:
-        """Derived stage economics (imbalance, utilization, stragglers)."""
-        tasks = sorted(self.tasks, key=lambda t: (t.shard_id, t.attempt))
-        execs = [t.exec_s for t in tasks if t.ok]
-        mean_exec = sum(execs) / len(execs) if execs else 0.0
-        max_exec = max(execs) if execs else 0.0
-        by_worker: Dict[int, Dict[str, float]] = {}
-        for task in tasks:
-            row = by_worker.setdefault(
-                task.worker_pid, {"tasks": 0, "busy_s": 0.0, "cpu_s": 0.0}
-            )
-            row["tasks"] += 1
-            row["busy_s"] += task.exec_s
-            row["cpu_s"] += task.cpu_s
-        workers = {
-            str(pid): {
-                "tasks": int(row["tasks"]),
-                "busy_s": row["busy_s"],
-                "cpu_s": row["cpu_s"],
-                "utilization": (row["busy_s"] / self.wall_s) if self.wall_s > 0 else 0.0,
-            }
-            for pid, row in sorted(by_worker.items())
-        }
-        slowest = [
-            {"shard_id": t.shard_id, "worker_pid": t.worker_pid, "exec_s": t.exec_s}
-            for t in sorted(tasks, key=lambda t: (-t.exec_s, t.shard_id))[:5]
-        ]
-        payload: Dict[str, object] = {
-            "label": self.label,
-            "workers": self.workers,
-            "wall_s": self.wall_s,
-            "tasks": len(tasks),
-            "retries": sum(1 for t in tasks if t.attempt > 1),
-            "failures": sum(1 for t in tasks if not t.ok),
-            "mean_exec_s": mean_exec,
-            "max_exec_s": max_exec,
-            "imbalance": (max_exec / mean_exec) if mean_exec > 0 else 1.0,
-            "mean_queue_s": (
-                sum(t.queue_s for t in tasks) / len(tasks) if tasks else 0.0
-            ),
-            "per_worker": workers,
-            "slowest_shards": slowest,
-            "task_stats": [t.to_dict() for t in tasks],
-        }
-        if self.generation is not None:
-            payload["pool_generation"] = self.generation
-        return payload
-
-
-class RunReportCollector:
-    """Accumulates stage records for one process (or one test)."""
-
-    __slots__ = ("stages",)
-
-    def __init__(self) -> None:
-        self.stages: List[StageRecord] = []
-
-    # ------------------------------------------------------------------
-    def record_stage(
-        self,
-        label: str,
-        *,
-        workers: int,
-        wall_s: float,
-        tasks: Sequence[TaskStats] = (),
-        generation: Optional[int] = None,
-    ) -> StageRecord:
-        """Record one pooled stage (and auto-write when the env asks)."""
-        record = StageRecord(
-            label=label,
-            workers=workers,
-            wall_s=wall_s,
-            generation=generation,
-            tasks=list(tasks),
+    The stage's children are its task spans, one per attempt that shipped
+    telemetry; failed attempts count towards retries, failures and busy
+    time but not towards the execution statistics.
+    """
+    tasks = sorted(
+        stage.children, key=lambda task: (task.meta["shard"], task.meta["attempt"])
+    )
+    execs = [task.wall_s for task in tasks if "error" not in task.meta]
+    # Summed in task order rather than with sum() (compensated from Python
+    # 3.12), so the mean matches the pool.task_exec_s histogram bit for bit.
+    exec_total = 0.0
+    for value in execs:
+        exec_total += value
+    mean_exec = exec_total / len(execs) if execs else 0.0
+    max_exec = max(execs) if execs else 0.0
+    wall_s = stage.wall_s
+    by_worker: Dict[object, Dict[str, float]] = {}
+    for task in tasks:
+        row = by_worker.setdefault(
+            task.meta["pid"], {"tasks": 0, "busy_s": 0.0, "cpu_s": 0.0}
         )
-        self.stages.append(record)
-        destination = report_path()
-        if destination is not None:
-            try:
-                write_report(destination, collector=self)
-            except OSError:  # pragma: no cover - unwritable autowrite path
-                pass
-        return record
-
-    def reset(self) -> None:
-        self.stages.clear()
-
-    # ------------------------------------------------------------------
-    def build(self, *, include_spans: bool = True) -> Dict[str, object]:
-        """The JSON-ready run report for everything recorded so far."""
-        stages = [record.summary() for record in self.stages]
-        busy: Dict[str, float] = {}
-        tasks_total = 0
-        for stage in stages:
-            tasks_total += int(stage["tasks"])  # type: ignore[arg-type]
-            for pid, row in stage["per_worker"].items():  # type: ignore[union-attr]
-                busy[pid] = busy.get(pid, 0.0) + float(row["busy_s"])
-        wall_total = sum(float(stage["wall_s"]) for stage in stages)
-        report: Dict[str, object] = {
-            "schema": "repro.run_report/v1",
-            "stages": stages,
-            "totals": {
-                "stages": len(stages),
-                "tasks": tasks_total,
-                "wall_s": wall_total,
-                "worker_pids": sorted(busy, key=int),
-                "per_worker_utilization": {
-                    pid: (busy[pid] / wall_total) if wall_total > 0 else 0.0
-                    for pid in sorted(busy, key=int)
-                },
-            },
+        row["tasks"] += 1
+        row["busy_s"] += task.wall_s
+        row["cpu_s"] += task.cpu_s
+    workers = {
+        str(pid): {
+            "tasks": int(row["tasks"]),
+            "busy_s": row["busy_s"],
+            "cpu_s": row["cpu_s"],
+            "utilization": (row["busy_s"] / wall_s) if wall_s > 0 else 0.0,
         }
-        if include_spans:
-            tracer = _spans.get_tracer()
-            if tracer is not None:
-                report["spans"] = [root.to_dict() for root in tracer.roots]
-        return report
+        for pid, row in sorted(by_worker.items())
+    }
+    slowest = [
+        {
+            "shard_id": task.meta["shard"],
+            "worker_pid": task.meta["pid"],
+            "exec_s": task.wall_s,
+        }
+        for task in sorted(tasks, key=lambda task: (-task.wall_s, task.meta["shard"]))[:5]
+    ]
+    payload: Dict[str, object] = {
+        "label": stage.meta["label"],
+        "workers": stage.meta["workers"],
+        "wall_s": wall_s,
+        "tasks": len(tasks),
+        "retries": sum(1 for task in tasks if task.meta["attempt"] > 1),  # type: ignore[operator]
+        "failures": len(tasks) - len(execs),
+        "mean_exec_s": mean_exec,
+        "max_exec_s": max_exec,
+        "imbalance": (max_exec / mean_exec) if mean_exec > 0 else 1.0,
+        "mean_queue_s": (
+            sum(_queue_s(task) for task in tasks) / len(tasks) if tasks else 0.0
+        ),
+        "per_worker": workers,
+        "slowest_shards": slowest,
+        "task_stats": [_task_stats(task) for task in tasks],
+    }
+    if "generation" in stage.meta:
+        payload["pool_generation"] = stage.meta["generation"]
+    return payload
 
 
-# ----------------------------------------------------------------------
-# the process-global collector and module-level API
-# ----------------------------------------------------------------------
-_COLLECTOR = RunReportCollector()
+def run_report(tracer: Tracer) -> Optional[Dict[str, object]]:
+    """Every ``pool.stage`` in ``tracer`` summarised, plus totals across
+    them; ``None`` when the tracer recorded no pooled stage."""
+    stages = [stage_summary(span) for span in tracer.walk() if span.name == POOL_STAGE]
+    if not stages:
+        return None
+    busy: Dict[str, float] = {}
+    for stage in stages:
+        for pid, row in stage["per_worker"].items():  # type: ignore[union-attr]
+            busy[pid] = busy.get(pid, 0.0) + float(row["busy_s"])
+    wall_total = sum(float(stage["wall_s"]) for stage in stages)  # type: ignore[arg-type]
+    return {
+        "stages": stages,
+        "totals": {
+            "stages": len(stages),
+            "tasks": sum(int(stage["tasks"]) for stage in stages),  # type: ignore[call-overload]
+            "wall_s": wall_total,
+            "worker_pids": sorted(busy, key=int),
+            "per_worker_utilization": {
+                pid: (busy[pid] / wall_total) if wall_total > 0 else 0.0
+                for pid in sorted(busy, key=int)
+            },
+        },
+    }
 
 
-def collector() -> RunReportCollector:
-    """The process-global collector pooled stages record into."""
-    return _COLLECTOR
-
-
-def record_stage(
-    label: str,
+def json_document(
     *,
-    workers: int,
-    wall_s: float,
-    tasks: Sequence[TaskStats] = (),
-    generation: Optional[int] = None,
-) -> StageRecord:
-    """Record a stage into the process-global collector."""
-    return _COLLECTOR.record_stage(
-        label, workers=workers, wall_s=wall_s, tasks=tasks, generation=generation
-    )
+    tracer: Optional[Tracer] = None,
+    registry: Optional[MetricsRegistry] = None,
+) -> Dict[str, object]:
+    """One JSON-ready document over the supplied observability surfaces.
 
-
-def reset_report() -> None:
-    """Forget every recorded stage (tests and benchmark repetitions)."""
-    _COLLECTOR.reset()
-
-
-def build_report(*, include_spans: bool = True) -> Dict[str, object]:
-    """Build the run report from the process-global collector."""
-    return _COLLECTOR.build(include_spans=include_spans)
-
-
-def write_report(
-    path: Union[str, pathlib.Path],
-    *,
-    collector: Optional[RunReportCollector] = None,
-    include_spans: bool = True,
-) -> pathlib.Path:
-    """Write the run report as JSON to ``path`` and return the path."""
-    source = collector if collector is not None else _COLLECTOR
-    path = pathlib.Path(path)
-    path.write_text(
-        json.dumps(source.build(include_spans=include_spans), indent=2, sort_keys=True)
-        + "\n"
-    )
-    return path
+    Sections are present only for the surfaces supplied, so the top-level
+    keys are stable per configuration: ``spans`` and ``stages`` for a
+    tracer, ``pool`` (the run report) when that tracer holds ``pool.stage``
+    spans, and ``metrics`` for a registry.
+    """
+    document: Dict[str, object] = {}
+    if tracer is not None:
+        document["spans"] = tracer.to_dict()["spans"]
+        document["stages"] = stage_timings(tracer)
+        pool = run_report(tracer)
+        if pool is not None:
+            document["pool"] = pool
+    if registry is not None:
+        document["metrics"] = registry.snapshot()
+    return document
 
 
 # ----------------------------------------------------------------------
 # rendering (the ``smoothoperator report`` command)
 # ----------------------------------------------------------------------
 def render_report(report: Dict[str, object]) -> str:
-    """A terminal-friendly rendering of a run report document."""
+    """A terminal-friendly rendering of a document's ``pool`` section."""
     lines: List[str] = []
     totals = report.get("totals", {})
     lines.append(

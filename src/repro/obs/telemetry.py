@@ -181,9 +181,6 @@ class FlightRecorder:
             out.setdefault(path, {})[name] = buffer.summary()
         return out
 
-    def to_dict(self) -> Dict[str, object]:
-        return {"capacity": self.capacity, "nodes": self.summary()}
-
 
 # ----------------------------------------------------------------------
 # precursor detection: utilization trending toward the budget

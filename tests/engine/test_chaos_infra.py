@@ -49,11 +49,9 @@ EVENTS_ENV = "REPRO_INFRA_EVENTS"
 @pytest.fixture(autouse=True)
 def _clean_surfaces():
     obs.reset_metrics()
-    obs.reset_report()
     chaos_infra.deactivate()
     yield
     obs.reset_metrics()
-    obs.reset_report()
     chaos_infra.deactivate()
 
 

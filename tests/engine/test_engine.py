@@ -65,16 +65,6 @@ def test_build_pipeline_knows_every_mode(mode):
         assert actuators  # emergency capping guards the chaos modes
 
 
-def test_explicit_pipeline_overrides_the_mode_default():
-    spec = ScenarioSpec(
-        mode="conversion",
-        fleet=make_fleet(),
-        demand=make_demand(),
-        policies=(),
-    )
-    assert build_pipeline(spec) == ((), ())
-
-
 def test_from_spec_requires_a_conversion_policy():
     spec = ScenarioSpec(mode="pre", fleet=make_fleet(), demand=make_demand())
     with pytest.raises(ValueError, match="conversion policy"):

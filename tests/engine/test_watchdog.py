@@ -45,10 +45,8 @@ HANG_S = 120.0
 @pytest.fixture(autouse=True)
 def _clean_surfaces():
     obs.reset_metrics()
-    obs.reset_report()
     yield
     obs.reset_metrics()
-    obs.reset_report()
 
 
 def ident(value):

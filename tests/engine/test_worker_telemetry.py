@@ -3,8 +3,10 @@
 Pins the cross-process observability contract end to end:
 
 * a sharded job on a real pool yields ONE merged span tree — per-shard
-  child spans under the dispatching span, tagged with worker pid and
-  shard id — plus merged counters/histograms and pool health metrics;
+  spans under the stage's ``pool.stage`` span inside the dispatching span,
+  tagged with worker pid and shard id — plus merged counters/histograms
+  and pool health metrics, and the run report read off that tree agrees
+  with the spans and the pool's histogram bit for bit;
 * a raising task still ships its telemetry (span error + ``task_error``
   event reach the coordinator's event log);
 * a worker dying mid-task loses that attempt's bundle, but the *retried*
@@ -25,16 +27,13 @@ from repro import obs
 from repro.engine.parallel import RunFailure, WorkerPool, run_many
 from repro.engine.sharedmem import SharedMatrix, attach_rows, shard_ranges
 from repro.obs import events as obs_events
-from repro.obs import export as obs_export
 
 
 @pytest.fixture(autouse=True)
 def _clean_surfaces():
     obs.reset_metrics()
-    obs.reset_report()
     yield
     obs.reset_metrics()
-    obs.reset_report()
 
 
 # ----------------------------------------------------------------------
@@ -94,10 +93,15 @@ def test_sharded_stage_produces_one_merged_tree_and_registry():
     # Results are exactly what an in-process loop would produce.
     assert results == [float(matrix[a:b].sum()) for a, b in ranges]
 
-    # One tree: the per-shard spans hang under the dispatching span, in
-    # shard order, each tagged with shard id and a real worker pid.
+    # One tree: the per-shard spans hang under the stage's pool.stage span
+    # inside the dispatching span, in shard order, each tagged with shard
+    # id and a real worker pid.
     [stage] = tracer.roots
-    shard_spans = [c for c in stage.children if c.name == "score.shard"]
+    [pool_stage] = stage.children
+    assert pool_stage.name == "pool.stage"
+    assert pool_stage.meta["label"] == "score.shard"
+    assert pool_stage.meta["workers"] == 2
+    shard_spans = [c for c in pool_stage.children if c.name == "score.shard"]
     assert [s.meta["shard"] for s in shard_spans] == [0, 1, 2, 3]
     assert all(s.meta["pid"] != os.getpid() for s in shard_spans)
     assert all(s.wall_s > 0 for s in shard_spans)
@@ -114,6 +118,7 @@ def test_sharded_stage_produces_one_merged_tree_and_registry():
     assert snapshot["histograms"]["pool.task_exec_s"]["count"] == 4
     assert snapshot["histograms"]["pool.task_queue_s"]["count"] == 4
     assert snapshot["gauges"]["pool.workers"] == 2.0
+    assert snapshot["gauges"]["shm.segments_live"] == 0.0
 
     # Worker events landed in the coordinator log, remapped and tagged.
     advisories = log.by_kind("advisory")
@@ -123,7 +128,7 @@ def test_sharded_stage_produces_one_merged_tree_and_registry():
     assert all(e.fields["worker_pid"] != os.getpid() for e in advisories)
 
     # The run report saw the stage.
-    report = obs.build_report()
+    report = obs.json_document(tracer=tracer)["pool"]
     [stage_summary] = report["stages"]
     assert stage_summary["label"] == "score.shard"
     assert stage_summary["tasks"] == 4
@@ -131,16 +136,31 @@ def test_sharded_stage_produces_one_merged_tree_and_registry():
     assert len(report["totals"]["per_worker_utilization"]) >= 1
 
 
-def test_pool_health_metrics_reach_prometheus_export():
-    matrix = np.ones((20, 3))
-    with WorkerPool(2) as pool:
-        with SharedMatrix.create(matrix) as shared:
-            tasks = [(shared.handle, a, b) for a, b in shard_ranges(20, 2)]
-            pool.map_shards(traced_shard_sum, tasks, label="score.shard")
-    text = obs_export.prometheus_text(obs.global_registry())
-    assert "repro_pool_tasks_completed_total 2.0" in text
-    assert "repro_pool_task_exec_s_count 2.0" in text
-    assert "repro_shm_segments_live 0.0" in text
+def test_run_report_matches_spans_and_histogram_bit_for_bit():
+    """The pool section is a view of the merged task spans: its per-task
+    execution times and per-worker busy times are theirs, and its imbalance
+    is the pool.task_exec_s histogram's max over mean, to the last bit."""
+    matrix = np.arange(500, dtype=np.float64).reshape(100, 5)
+    with obs.tracing() as tracer:
+        with WorkerPool(2) as pool:
+            with SharedMatrix.create(matrix) as shared:
+                tasks = [(shared.handle, a, b) for a, b in shard_ranges(100, 5)]
+                pool.map_shards(traced_shard_sum, tasks, label="score.shard")
+    [pool_stage] = tracer.roots
+    task_spans = pool_stage.children
+    [stage] = obs.json_document(tracer=tracer)["pool"]["stages"]
+    assert stage["pool_generation"] == pool.generation
+
+    assert [t["exec_s"] for t in stage["task_stats"]] == [s.wall_s for s in task_spans]
+    busy = {}
+    for span in task_spans:
+        pid = str(span.meta["pid"])
+        busy[pid] = busy.get(pid, 0.0) + span.wall_s
+    assert {pid: row["busy_s"] for pid, row in stage["per_worker"].items()} == busy
+
+    hist = obs.global_registry().histograms["pool.task_exec_s"]
+    assert hist.count == len(task_spans) == 5
+    assert stage["imbalance"] == hist.max / (hist.total / hist.count)
 
 
 def test_merged_totals_independent_of_worker_count():
@@ -189,7 +209,10 @@ def test_raising_task_ships_its_events_and_span_error():
     assert all(e.fields["error_type"] == "ValueError" for e in task_errors)
     # The failed shards' spans are in the tree, marked with the error.
     [stage] = tracer.roots
-    doomed = [c for c in stage.children if c.name == "doomed.shard"]
+    [pool_stage] = stage.children
+    assert pool_stage.meta["label"] == "doomed.shard"
+    assert pool_stage.meta["workers"] == 2
+    doomed = [c for c in pool_stage.children if c.name == "doomed.shard"]
     assert len(doomed) == 2
     assert all("ValueError" in s.meta["error"] for s in doomed)
     assert obs.counter_value("pool.tasks_failed") == 2.0
@@ -212,7 +235,10 @@ def test_worker_death_does_not_lose_the_retried_tasks_bundle(tmp_path):
     # full matrix and every shard span is present.
     assert obs.counter_value("shard.rows") == 10.0
     [stage] = tracer.roots
-    shard_spans = [c for c in stage.children if c.name == "fragile.shard"]
+    [pool_stage] = stage.children
+    assert pool_stage.meta["label"] == "fragile.shard"
+    assert pool_stage.meta["workers"] == 2
+    shard_spans = [c for c in pool_stage.children if c.name == "fragile.shard"]
     assert sorted(s.meta["shard"] for s in shard_spans) == [0, 1]
     # The death was observed as pool health.
     assert obs.counter_value("pool.worker_deaths") >= 1.0
@@ -231,8 +257,9 @@ def test_run_many_failure_keeps_original_error_type_under_capture():
 
 
 def test_run_many_batch_lands_in_run_report():
-    run_many([forty_two, forty_two, forty_two], workers=2)
-    report = obs.build_report()
+    with obs.tracing() as tracer:
+        run_many([forty_two, forty_two, forty_two], workers=2)
+    report = obs.json_document(tracer=tracer)["pool"]
     labels = [stage["label"] for stage in report["stages"]]
     assert labels == ["run.many"]
     assert report["stages"][0]["tasks"] == 3
@@ -256,7 +283,6 @@ def test_capture_disabled_adds_zero_registry_entries(monkeypatch):
     assert snapshot["gauges"] == {}
     assert snapshot["histograms"] == {}
     assert tracer.roots == []
-    assert obs.build_report()["stages"] == []
 
 
 def test_capture_disabled_run_many_still_reports_failures(monkeypatch):

@@ -68,6 +68,13 @@ class TestApplication:
         with pytest.raises(ValueError):
             apply_budgets(topo, {"dc": -1.0})
 
+    @pytest.mark.parametrize("budget", [float("nan"), float("inf")])
+    def test_apply_non_finite_rejected(self, setup, budget):
+        topo, _ = setup
+        with pytest.raises(ValueError):
+            apply_budgets(topo, {"dc": budget})
+        assert topo.node("dc").budget_watts is None
+
     def test_provision_from_view_writes(self, setup):
         topo, view = setup
         budgets = provision_from_view(view, margin=0.0)

@@ -22,6 +22,13 @@ class TestPowerNode:
         with pytest.raises(TopologyError):
             PowerNode("x", Level.RPP, budget_watts=-1)
 
+    @pytest.mark.parametrize("budget", [float("nan"), float("inf")])
+    def test_non_finite_budget_rejected(self, budget):
+        # A NaN budget would pass a plain ``< 0`` check and silently
+        # disable the node's breaker.
+        with pytest.raises(TopologyError):
+            PowerNode("x", Level.RPP, budget_watts=budget)
+
     def test_zero_capacity_rejected(self):
         with pytest.raises(TopologyError):
             PowerNode("x", Level.RACK, capacity=0)

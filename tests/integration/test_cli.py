@@ -63,6 +63,13 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main(["table1", "--task-timeout", "0"])
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_instances_must_be_positive(self, capsys, count):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fig5", "--instances", count])
+        assert exit_info.value.code == 2
+        assert "--instances must be positive" in capsys.readouterr().err
+
     def test_profile_small(self, capsys):
         assert main(["profile", "--instances", "96"]) == 0
         out = capsys.readouterr().out
@@ -186,3 +193,38 @@ class TestMonitorCommand:
                     str(tmp_path / "e.jsonl"),
                 ]
             )
+
+
+class TestReportCommand:
+    def test_run_writes_a_report_that_renders_again(self, capsys, tmp_path):
+        path = tmp_path / "run_report.json"
+        argv = ["report", "--run", "--workers", "2", "--instances", "48"]
+        assert main(argv + ["--report", str(path)]) == 0
+        rendered = capsys.readouterr().out
+        assert path.exists()
+        lines = rendered.splitlines()
+        [stage] = [line for line in lines if line.startswith("  run.many:")]
+        assert "imbalance" in stage
+        workers = [line for line in lines if line.startswith("    pid ") and "task(s)" in line]
+        assert workers
+
+        assert main(["report", "--report", str(path)]) == 0
+        assert capsys.readouterr().out == rendered
+
+        assert main(["report", "--report", str(path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == json.loads(path.read_text())
+
+    def test_document_without_pool_stages_exits_naming_the_path(self, tmp_path):
+        path = tmp_path / "serial.json"
+        path.write_text(json.dumps({"spans": [], "stages": []}))
+        with pytest.raises(SystemExit) as exit_info:
+            main(["report", "--report", str(path)])
+        assert str(path) in str(exit_info.value.code)
+
+    def test_missing_report_exits_with_the_hint(self, tmp_path):
+        path = tmp_path / "absent.json"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["report", "--report", str(path)])
+        message = str(exit_info.value.code)
+        assert str(path) in message
+        assert "smoothoperator report --run" in message

@@ -23,10 +23,8 @@ from repro.obs import events as obs_events
 @pytest.fixture(autouse=True)
 def _clean_surfaces():
     obs.reset_metrics()
-    obs.reset_report()
     yield
     obs.reset_metrics()
-    obs.reset_report()
 
 
 # ----------------------------------------------------------------------

@@ -57,7 +57,7 @@ class TestCapture:
         assert bundle.histograms["work.latency"]["count"] == 1
         [root] = bundle.spans
         assert root["name"] == "score.shard"
-        assert root["meta"] == {"shard": 3, "pid": os.getpid()}
+        assert root["meta"] == {"shard": 3, "pid": os.getpid(), "attempt": 1}
         assert [c["name"] for c in root.get("children", [])] == ["inner"]
         [event] = bundle.events
         assert event["kind"] == "advisory"

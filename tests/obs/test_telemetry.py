@@ -95,7 +95,6 @@ class TestFlightRecorder:
         recorder.record("dc", "utilization", np.array([0.2, 0.4]))
         summary = recorder.summary()
         assert summary["dc"]["utilization"]["count"] == 2
-        assert recorder.to_dict()["capacity"] == recorder.capacity
 
 
 class TestPrecursorDetection:
