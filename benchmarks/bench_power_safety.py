@@ -69,7 +69,7 @@ def _run_faulted(full_scale):
         dirty_copy,
     )
     from repro.faults.repair import repair_telemetry
-    from repro.infra.budget import provision_hierarchical
+    from repro.infra.budget import preserved_budgets, provision_hierarchical
     from repro.infra.aggregation import NodePowerView
     from repro.engine.capping import CappingSimulator
     from repro.traces.instance import ServiceKind
@@ -99,8 +99,7 @@ def _run_faulted(full_scale):
     assignment = study.optimized.assignment
     # The datacenter is cached and shared with later benchmarks: provision
     # its budgets for these runs only.
-    saved_budgets = {node.name: node.budget_watts for node in dc.topology.nodes()}
-    try:
+    with preserved_budgets(dc.topology):
         provision_hierarchical(
             NodePowerView(dc.topology, dc.baseline, test), margin=0.03
         )
@@ -112,9 +111,6 @@ def _run_faulted(full_scale):
                 dc.topology, assignment, repaired, kinds
             ).run(),
         }
-    finally:
-        for node in dc.topology.nodes():
-            node.budget_watts = saved_budgets[node.name]
     return reports
 
 

@@ -485,7 +485,7 @@ def run_power_safety(
     had before (set by the placement study's evaluation) once they finish.
     """
     from ..engine.capping import CappingSimulator
-    from ..infra.budget import provision_hierarchical
+    from ..infra.budget import preserved_budgets, provision_hierarchical
     from ..traces.instance import ServiceKind
     from ..traces.perturbations import inject_surge
 
@@ -505,8 +505,7 @@ def run_power_safety(
     )
     kinds = {r.instance_id: r.kind for r in dc.records}
 
-    saved_budgets = {node.name: node.budget_watts for node in dc.topology.nodes()}
-    try:
+    with preserved_budgets(dc.topology):
         baseline_view = NodePowerView(dc.topology, dc.baseline, test)
         provision_hierarchical(baseline_view, margin=budget_margin)
         reports = {}
@@ -516,9 +515,6 @@ def run_power_safety(
         ):
             simulator = CappingSimulator(dc.topology, assignment, surged, kinds)
             reports[label] = simulator.run()
-    finally:
-        for node in dc.topology.nodes():
-            node.budget_watts = saved_budgets[node.name]
     return PowerSafetyStudy(
         datacenter=dc, surge_factor=surge_factor, reports=reports
     )

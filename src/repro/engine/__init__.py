@@ -3,10 +3,10 @@
 One :class:`Engine` runs every Sec. 4 scenario: the clean reshaping
 modes, the same modes under injected faults, and the emergency capping
 fallback.  Scenarios are described declaratively by
-:class:`ScenarioSpec` / :class:`ChaosSpec`, executed by :meth:`Engine.run`
-through a pipeline of :class:`Policy` / :class:`Actuator` plugins, and
-fanned out across processes by :func:`run_many`.  The golden parity suite
-in ``tests/engine/`` pins the results bit for bit.
+:class:`ScenarioSpec` / :class:`ChaosSpec`; :meth:`Engine.run` executes a
+spec's mode directly, and :func:`run_many` fans specs out across
+processes.  The golden parity suite in ``tests/engine/`` pins the results
+bit for bit.
 """
 
 from .delta import (  # noqa: F401  (import order: leaf modules first)
@@ -17,7 +17,6 @@ from .delta import (  # noqa: F401  (import order: leaf modules first)
 )
 from .state import (  # noqa: F401
     FleetDescription,
-    FleetState,
     ReshapingComparison,
     RunArtifacts,
     ScenarioResult,
@@ -37,28 +36,13 @@ from .faults import (  # noqa: F401
     ConversionFaultModel,
     ConversionLog,
     FailureEvent,
-    PowerSpikeSchedule,
     RecoveryReport,
     ServerFailureSchedule,
-    SpikeEvent,
-)
-from .policy import (  # noqa: F401
-    Actuator,
-    ConversionFaultPolicy,
-    ConversionPlanPolicy,
-    EmergencyCapping,
-    Policy,
-    PowerSpikePolicy,
-    RunContext,
-    ServerFailurePolicy,
-    StaticFleetPolicy,
-    ThrottleBoostPlan,
 )
 from .spec import (  # noqa: F401
     MODES,
     ChaosSpec,
     ScenarioSpec,
-    build_pipeline,
     chaos_spec,
 )
 from .chaos_infra import (  # noqa: F401
@@ -88,7 +72,6 @@ from .sharedmem import (  # noqa: F401
 )
 
 __all__ = [
-    "Actuator",
     "BATCH_POOL",
     "CappingPolicy",
     "CappingReport",
@@ -96,16 +79,12 @@ __all__ = [
     "ChaosRunResult",
     "ChaosSpec",
     "ConversionFaultModel",
-    "ConversionFaultPolicy",
     "ConversionLog",
-    "ConversionPlanPolicy",
     "DEFAULT_PRIORITY",
-    "EmergencyCapping",
     "Engine",
     "FailureEvent",
     "FleetDelta",
     "FleetDescription",
-    "FleetState",
     "InfraFault",
     "InjectedFault",
     "LC_POOL",
@@ -114,26 +93,17 @@ __all__ = [
     "Move",
     "NodeCappingStats",
     "PlacementState",
-    "Policy",
-    "PowerSpikePolicy",
-    "PowerSpikeSchedule",
     "RecoveryReport",
     "ReshapingComparison",
     "RunArtifacts",
-    "RunContext",
     "RunFailure",
     "ScenarioResult",
     "ScenarioSpec",
-    "ServerFailurePolicy",
     "ServerFailureSchedule",
     "SharedMatrix",
-    "SpikeEvent",
-    "StaticFleetPolicy",
     "TaskDeadline",
     "TaskTimeoutError",
-    "ThrottleBoostPlan",
     "WorkerPool",
-    "build_pipeline",
     "chaos_spec",
     "compare_capping",
     "deadline_scope",

@@ -12,7 +12,8 @@ class down to a floor.
 
 The headline metric is **LC energy shed**: work taken away from user-facing
 services, the paper's proxy for QoS damage.  The engine's emergency
-fallback (:class:`~repro.engine.policy.EmergencyCapping`) drives this loop.
+fallback (:meth:`~repro.engine.Engine.recover`, which ends every
+``*_chaos`` mode) drives this loop.
 """
 
 from __future__ import annotations

@@ -1,10 +1,13 @@
-"""The simulation core: one run loop for every scenario runtime.
+"""The simulation core: one run loop for every scenario mode.
 
 :class:`Engine` owns the fleet models, the trace assembly step, the
 conversion planner, and the emergency capping fallback.  :meth:`Engine.run`
-executes one declarative :class:`~repro.engine.spec.ScenarioSpec` through
-its policy/actuator pipeline and returns
-:class:`~repro.engine.state.RunArtifacts`; the golden parity suite in
+executes one declarative :class:`~repro.engine.spec.ScenarioSpec` by its
+mode: it plans the per-step fleet (extra LC servers, the conversion plan,
+throttle/boost, and for the ``*_chaos`` modes the fault models), assembles
+the :class:`~repro.engine.state.ScenarioResult`, routes the chaos modes
+through :meth:`Engine.recover`, and returns
+:class:`~repro.engine.state.RunArtifacts`.  The golden parity suite in
 ``tests/engine/`` pins its results bit for bit.
 """
 
@@ -30,13 +33,30 @@ from ..traces.series import PowerTrace
 from ..traces.traceset import TraceSet
 from .capping import CappingPolicy, CappingReport, CappingSimulator
 from .faults import (
+    BATCH_POOL,
+    LC_POOL,
     ChaosRunResult,
     ConversionFaultModel,
+    ConversionLog,
     RecoveryReport,
     ServerFailureSchedule,
 )
-from .spec import ScenarioSpec, build_pipeline
-from .state import FleetDescription, FleetState, RunArtifacts, ScenarioResult
+from .spec import ScenarioSpec
+from .state import FleetDescription, RunArtifacts, ScenarioResult
+
+#: Spec fields that configure the engine; a spec that sets one (not
+#: ``None``) must agree with the engine it runs on.
+_ENGINE_FIELDS = (
+    "fleet",
+    "conversion",
+    "throttle",
+    "dvfs",
+    "failures",
+    "conversion_faults",
+    "breaker",
+    "capping_policy",
+    "seed",
+)
 
 
 class Engine:
@@ -71,8 +91,6 @@ class Engine:
 
     @classmethod
     def from_spec(cls, spec: ScenarioSpec) -> "Engine":
-        if spec.conversion is None:
-            raise ValueError("spec needs a conversion policy")
         return cls(
             spec.fleet,
             spec.conversion,
@@ -89,33 +107,182 @@ class Engine:
     # the run loop
     # ------------------------------------------------------------------
     def run(self, spec: ScenarioSpec) -> RunArtifacts:
-        """Execute one spec through its policy/actuator pipeline."""
-        from .policy import RunContext  # local import keeps module DAG flat
-
-        state = FleetState.initial(self.fleet, spec.demand)
-        ctx = RunContext(engine=self, spec=spec, state=state)
-        policies, actuators = build_pipeline(spec)
-        for policy in policies:
-            policy.apply(ctx)
-        result = ctx.result
-        if result is None:
+        """Execute one spec's mode; the ``*_chaos`` modes end in :meth:`recover`."""
+        for name in _ENGINE_FIELDS:
+            value = getattr(spec, name)
+            mine = getattr(self, name)
+            if value is not None and value is not mine and value != mine:
+                raise ValueError(
+                    f"spec.{name} differs from the engine's; "
+                    "run the spec on Engine.from_spec(spec)"
+                )
+        mode = spec.mode
+        n = spec.demand.grid.n_samples
+        logs = None
+        if mode in ("throttle_boost", "throttle_boost_chaos"):
+            result = self._throttle_boost(spec)
+        else:
+            n_lc_active = np.full(n, float(self.fleet.n_lc))
+            n_batch_active = np.full(n, float(self.fleet.n_batch))
+            parked = None
+            if mode == "lc_only":
+                n_lc_active = n_lc_active + float(spec.extra_servers)
+            elif mode in ("conversion", "conversion_chaos"):
+                _, n_lc_active, n_batch_active, parked = self.conversion_plan(
+                    spec.demand, spec.extra_servers
+                )
+            if mode == "conversion_chaos":
+                n_lc_active, n_batch_active, parked, logs = self._conversion_faults(
+                    spec.extra_servers, n_lc_active, n_batch_active
+                )
+                n_lc_active, n_batch_active = self._server_failures(
+                    n, n_lc_active, n_batch_active
+                )
             result = self.assemble(
                 spec.scenario_name,
                 spec.demand,
-                n_lc_active=state.n_lc_active,
-                n_batch_active=state.n_batch_active,
-                batch_freq=state.batch_freq,
-                parked=state.parked,
-                extra_power=state.extra_power,
+                n_lc_active=n_lc_active,
+                n_batch_active=n_batch_active,
+                batch_freq=np.ones(n),
+                parked=parked,
             )
-        for actuator in actuators:
-            result = actuator.actuate(ctx, result)
+        if mode.endswith("_chaos"):
+            result = self.recover(result)
+        if logs is not None:
+            recovery = result.recovery
+            recovery.conversion_lc, recovery.conversion_batch = logs
+            recovery.failure_downtime_server_steps = (
+                self.failures.downtime_server_steps(n)
+            )
         return RunArtifacts(
-            spec=spec,
-            result=result,
-            events=obs_events.get_event_log(),
-            telemetry=None,
-            metrics={},
+            spec=spec, result=result, events=obs_events.get_event_log()
+        )
+
+    def _throttle_boost(self, spec: ScenarioSpec) -> ScenarioResult:
+        """Conversion plus proactive batch DVFS (Sec. 4.3).
+
+        Nominal run → boost against the nominal slack → re-fit wherever
+        the boosted run still exceeds its budget.
+        """
+        fleet = self.fleet
+        demand = spec.demand
+        funded = spec.extra_throttle_funded
+        if funded is None:
+            funded = self.throttle.extra_conversion_servers(
+                fleet.n_batch,
+                fleet.batch_model,
+                fleet.lc_model,
+                n_lc=fleet.n_lc,
+            )
+        if funded < 0:
+            raise ValueError("extra_throttle_funded cannot be negative")
+        lc_heavy, n_lc_active, n_batch_active, parked = self.conversion_plan(
+            demand, spec.extra_servers + funded
+        )
+
+        def assemble(batch_freq: np.ndarray) -> ScenarioResult:
+            return self.assemble(
+                spec.scenario_name,
+                demand,
+                n_lc_active=n_lc_active,
+                n_batch_active=n_batch_active,
+                batch_freq=batch_freq,
+                parked=parked,
+            )
+
+        # LC-heavy: batch throttled.  Batch-heavy: boost into the slack left
+        # by the nominal-frequency power draw.
+        freq = np.where(lc_heavy, self.throttle.throttle_freq, 1.0)
+        nominal = assemble(freq)
+        boost = self.throttle.boost_schedule(
+            nominal.power_slack(), n_batch_active, fleet.batch_model, self.dvfs
+        )
+        freq = np.where(~lc_heavy, np.maximum(boost, 1.0), freq)
+        boosted = assemble(freq)
+        # Regression guard: the boost schedule is solved against the
+        # *nominal* run's slack.  Wherever the realised scenario still
+        # exceeds budget (pre-existing overload, full-safety rounding),
+        # re-solve the batch frequency against the actual non-batch draw so
+        # the boosted scenario never trades throughput for a breaker trip.
+        if boosted.overload_steps():
+            boosted = assemble(self.fit_freq_to_budget(boosted, freq))
+        throttled_steps = int(np.count_nonzero(boosted.batch_freq < 1.0 - 1e-12))
+        if throttled_steps:
+            obs_events.emit(
+                obs_events.THROTTLE,
+                source="reshaping.throttle_boost",
+                steps=throttled_steps,
+                min_freq=float(boosted.batch_freq.min()),
+                throttle_freq=float(self.throttle.throttle_freq),
+            )
+        boosted_steps = int(np.count_nonzero(boosted.batch_freq > 1.0 + 1e-12))
+        if boosted_steps:
+            obs_events.emit(
+                obs_events.BOOST,
+                source="reshaping.throttle_boost",
+                steps=boosted_steps,
+                max_freq=float(boosted.batch_freq.max()),
+            )
+        return boosted
+
+    def _conversion_faults(
+        self,
+        extra_servers: int,
+        n_lc_active: np.ndarray,
+        n_batch_active: np.ndarray,
+    ) -> Tuple[
+        np.ndarray, np.ndarray, np.ndarray, Tuple[ConversionLog, ConversionLog]
+    ]:
+        """Realise the conversion plan through the conversion fault model.
+
+        Returns ``(n_lc_active, n_batch_active, parked, (lc_log,
+        batch_log))``: what latency, retries and aborts actually deliver.
+        Extras neither serving LC nor running batch idle mid-conversion.
+        """
+        fleet = self.fleet
+        rng = np.random.default_rng([self.seed, 0xC0])
+        realized_lc, log_lc = self.conversion_faults.realize(
+            n_lc_active - fleet.n_lc, rng
+        )
+        realized_batch, log_batch = self.conversion_faults.realize(
+            n_batch_active - fleet.n_batch, rng
+        )
+        parked = np.maximum(extra_servers - realized_lc - realized_batch, 0.0)
+        for pool, log in ((LC_POOL, log_lc), (BATCH_POOL, log_batch)):
+            obs_events.emit(
+                obs_events.CONVERSION,
+                severity="warning" if log.n_aborted else "info",
+                source="faults.conversion",
+                pool=pool,
+                transitions=log.n_transitions,
+                failed_attempts=log.n_failed_attempts,
+                aborted=log.n_aborted,
+                delayed_server_steps=log.delayed_server_steps,
+            )
+        return (
+            fleet.n_lc + realized_lc,
+            fleet.n_batch + realized_batch,
+            parked,
+            (log_lc, log_batch),
+        )
+
+    def _server_failures(
+        self, n: int, n_lc_active: np.ndarray, n_batch_active: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Subtract the failure schedule's offline servers from the plan."""
+        lc_lost, batch_lost = self.failures.lost_servers(n)
+        if self.failures.events:
+            obs_events.emit(
+                obs_events.FAULT_INJECTION,
+                severity="warning",
+                source="faults.failures",
+                fault="server_failures",
+                events=len(self.failures.events),
+                downtime_server_steps=self.failures.downtime_server_steps(n),
+            )
+        return (
+            np.maximum(n_lc_active - lc_lost, 0.0),
+            np.maximum(n_batch_active - batch_lost, 0.0),
         )
 
     # ------------------------------------------------------------------
@@ -189,7 +356,6 @@ class Engine:
         n_batch_active: np.ndarray,
         batch_freq: np.ndarray,
         parked: Optional[np.ndarray] = None,
-        extra_power: Optional[np.ndarray] = None,
     ) -> ScenarioResult:
         """Assemble a :class:`ScenarioResult` from one per-step fleet plan."""
         with obs.span("reshape.assemble", scenario=name):
@@ -200,7 +366,6 @@ class Engine:
                 n_batch_active=n_batch_active,
                 batch_freq=batch_freq,
                 parked=parked,
-                extra_power=extra_power,
             )
 
     def _assemble_traced(
@@ -212,7 +377,6 @@ class Engine:
         n_batch_active: np.ndarray,
         batch_freq: np.ndarray,
         parked: Optional[np.ndarray] = None,
-        extra_power: Optional[np.ndarray] = None,
     ) -> ScenarioResult:
         obs.count("reshape.scenarios_assembled")
         obs.count("reshape.steps_simulated", demand.grid.n_samples)
@@ -228,10 +392,6 @@ class Engine:
             # Parked conversion servers idle with the OS up (no reboot on
             # conversion, Sec. 4.2), drawing the LC idle floor.
             total = total + np.asarray(parked, dtype=np.float64) * self.fleet.lc_model.power(0.0)
-        if extra_power is not None:
-            # Injected correlated spike bursts (PowerSpikePolicy): exogenous
-            # extra draw on top of the planned fleet.
-            total = total + np.asarray(extra_power, dtype=np.float64)
         if self.fleet.other_power is not None:
             demand.grid.require_same(self.fleet.other_power.grid)
             total = total + self.fleet.other_power.values

@@ -167,9 +167,7 @@ class PlacementState:
     """The single live owner of a placement, fanning deltas out to indices.
 
     The mutable counterpart of the immutable
-    :class:`~repro.infra.assignment.Assignment` — and the placement-side
-    sibling of :class:`~repro.engine.state.FleetState` (which owns the
-    scenario-run state the policy pipeline edits).  All placement changes
+    :class:`~repro.infra.assignment.Assignment`.  All placement changes
     flow through :meth:`apply`; registered subscribers (anything with an
     ``apply_delta(delta)`` method) observe every delta exactly once, in
     registration order.

@@ -119,85 +119,6 @@ class ServerFailureSchedule:
         return cls(events=tuple(events))
 
 
-@dataclass(frozen=True)
-class SpikeEvent:
-    """One correlated power burst: extra fleet draw for a contiguous window.
-
-    Models the spikes the Γ-robust accounting defends against — a group of
-    co-located instances simultaneously jumping from their nominal draw
-    toward ``p_c + p_r`` (deploy waves, cache flushes, synchronized load).
-    """
-
-    start_index: int
-    duration_samples: int
-    extra_watts: float
-
-    def __post_init__(self) -> None:
-        if self.start_index < 0:
-            raise ValueError("start_index cannot be negative")
-        if self.duration_samples <= 0:
-            raise ValueError("duration_samples must be positive")
-        if self.extra_watts < 0:
-            raise ValueError("extra_watts cannot be negative")
-
-
-@dataclass(frozen=True)
-class PowerSpikeSchedule:
-    """When correlated spike bursts hit the fleet, and how hard."""
-
-    events: Tuple[SpikeEvent, ...] = ()
-
-    def extra_power(self, n_samples: int) -> np.ndarray:
-        """Per-step extra draw from all bursts (overlaps stack)."""
-        extra = np.zeros(n_samples)
-        for event in self.events:
-            if event.start_index >= n_samples:
-                continue
-            stop = min(event.start_index + event.duration_samples, n_samples)
-            extra[event.start_index : stop] += event.extra_watts
-        return extra
-
-    def spike_watt_minutes(self, n_samples: int, step_minutes: float) -> float:
-        return float(self.extra_power(n_samples).sum()) * step_minutes
-
-    @classmethod
-    def random(
-        cls,
-        grid: TimeGrid,
-        *,
-        bursts_per_week: float = 6.0,
-        mean_duration_minutes: float = 30.0,
-        extra_watts_low: float,
-        extra_watts_high: float,
-        seed: int = 0,
-    ) -> "PowerSpikeSchedule":
-        """Poisson burst arrivals with uniform magnitudes.
-
-        Durations are exponential around ``mean_duration_minutes`` but
-        floored at one sample, so every burst is visible to the breaker's
-        persistence check when it lasts long enough.
-        """
-        if bursts_per_week < 0 or mean_duration_minutes <= 0:
-            raise ValueError("need non-negative rate and positive duration")
-        if not 0 <= extra_watts_low <= extra_watts_high:
-            raise ValueError("need 0 <= extra_watts_low <= extra_watts_high")
-        rng = np.random.default_rng(seed)
-        n_bursts = int(rng.poisson(bursts_per_week * grid.n_weeks))
-        mean_samples = max(1, int(round(mean_duration_minutes / grid.step_minutes)))
-        events: List[SpikeEvent] = []
-        for _ in range(n_bursts):
-            events.append(
-                SpikeEvent(
-                    start_index=int(rng.integers(0, grid.n_samples)),
-                    duration_samples=max(1, int(rng.exponential(mean_samples))),
-                    extra_watts=float(
-                        rng.uniform(extra_watts_low, extra_watts_high)
-                    ),
-                )
-            )
-        return cls(events=tuple(events))
-
-
 @dataclass
 class ConversionLog:
     """What happened to the conversions of one pool during a run."""

@@ -1,8 +1,8 @@
 """Declarative scenario specs: what to run, not how to run it.
 
-A :class:`ScenarioSpec` describes one reshaping/chaos scenario — fleet,
-demand, fault models, extra-server budget, seed — and maps to a pipeline
-of policies/actuators via :func:`build_pipeline`.  A :class:`ChaosSpec`
+A :class:`ScenarioSpec` describes one reshaping/chaos scenario — mode,
+fleet, demand, fault models, extra-server budget, seed — that
+:meth:`repro.engine.Engine.run` executes.  A :class:`ChaosSpec`
 describes one end-to-end chaos-harness run (synthesize → inject → repair →
 place → reshape).  Both are plain picklable dataclasses, so
 :func:`repro.engine.parallel.run_many` can fan them out to worker
@@ -12,23 +12,12 @@ processes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from ..sim.demand import DemandTrace
-from .policy import (
-    Actuator,
-    ConversionFaultPolicy,
-    ConversionPlanPolicy,
-    EmergencyCapping,
-    Policy,
-    PowerSpikePolicy,
-    ServerFailurePolicy,
-    StaticFleetPolicy,
-    ThrottleBoostPlan,
-)
 from .state import FleetDescription
 
-#: Scenario modes the engine knows how to build a pipeline for.
+#: Scenario modes :meth:`repro.engine.Engine.run` executes.
 MODES = (
     "pre",
     "lc_only",
@@ -36,7 +25,6 @@ MODES = (
     "throttle_boost",
     "conversion_chaos",
     "throttle_boost_chaos",
-    "spike_chaos",
 )
 
 #: The scenario label each mode stamps on its result (matches the legacy
@@ -48,7 +36,6 @@ _MODE_LABELS = {
     "throttle_boost": "throttle_boost",
     "conversion_chaos": "conversion_chaos",
     "throttle_boost_chaos": "throttle_boost",
-    "spike_chaos": "spike_chaos",
 }
 
 
@@ -59,7 +46,9 @@ class ScenarioSpec:
     ``conversion`` is required for every mode (it carries the dispatch
     threshold); the fault models (``failures``, ``conversion_faults``,
     ``breaker``, ``capping_policy``) only matter for the chaos modes and
-    default to the no-fault models when ``None``.
+    default to the no-fault models when ``None``.  Run on an existing
+    :class:`~repro.engine.Engine`, every engine field the spec sets must
+    equal the engine's (``None`` means the engine's).
     """
 
     mode: str
@@ -72,9 +61,6 @@ class ScenarioSpec:
     conversion_faults: Any = None
     breaker: Any = None
     capping_policy: Any = None
-    #: Correlated power-spike bursts (a PowerSpikeSchedule); only the
-    #: spike_chaos mode consumes it by default.
-    spikes: Any = None
     extra_servers: int = 0
     extra_throttle_funded: Optional[int] = None
     seed: int = 0
@@ -85,45 +71,12 @@ class ScenarioSpec:
             raise ValueError(f"unknown mode {self.mode!r}; known: {MODES}")
         if self.extra_servers < 0:
             raise ValueError("extra server count cannot be negative")
+        if self.conversion is None:
+            raise ValueError("spec needs a conversion policy")
 
     @property
     def scenario_name(self) -> str:
         return self.name if self.name is not None else _MODE_LABELS[self.mode]
-
-
-def build_pipeline(
-    spec: ScenarioSpec,
-) -> Tuple[Tuple[Policy, ...], Tuple[Actuator, ...]]:
-    """The (policies, actuators) pipeline for one spec.
-
-    The mode picks the same plugin sequence the legacy runtimes hard-coded.
-    """
-    if spec.mode == "pre":
-        return (), ()
-    if spec.mode == "lc_only":
-        return (StaticFleetPolicy(spec.extra_servers),), ()
-    if spec.mode == "conversion":
-        return (ConversionPlanPolicy(spec.extra_servers),), ()
-    if spec.mode == "throttle_boost":
-        return (
-            ThrottleBoostPlan(spec.extra_servers, spec.extra_throttle_funded),
-        ), ()
-    if spec.mode == "conversion_chaos":
-        return (
-            ConversionPlanPolicy(spec.extra_servers),
-            ConversionFaultPolicy(),
-            ServerFailurePolicy(),
-        ), (EmergencyCapping(attach_fault_logs=True),)
-    if spec.mode == "throttle_boost_chaos":
-        return (
-            ThrottleBoostPlan(spec.extra_servers, spec.extra_throttle_funded),
-        ), (EmergencyCapping(),)
-    if spec.mode == "spike_chaos":
-        return (
-            ConversionPlanPolicy(spec.extra_servers),
-            PowerSpikePolicy(),
-        ), (EmergencyCapping(),)
-    raise ValueError(f"unknown mode {spec.mode!r}")  # pragma: no cover
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,10 @@
-"""Shared simulation state: fleet description, per-run state, artifacts.
+"""Shared simulation values: fleet description, results, artifacts.
 
 :class:`FleetDescription` is the fleet the Sec. 4 scenarios reshape,
 :class:`ScenarioResult` one scenario's time series, and
 :class:`ReshapingComparison` the Figure 13/14 comparison of scenarios
-against ``pre``.  :class:`FleetState` is the mutable value object the
-engine's policy pipeline edits, and :class:`RunArtifacts` is the uniform
-return type of :meth:`repro.engine.Engine.run`.
+against ``pre``.  :class:`RunArtifacts` is the uniform return type of
+:meth:`repro.engine.Engine.run`.
 """
 
 from __future__ import annotations
@@ -15,15 +14,9 @@ from typing import Any, Dict, Optional
 
 import numpy as np
 
-from ..sim.demand import DemandTrace
 from ..sim.power_model import ServerPowerModel
 from ..traces.grid import TimeGrid
 from ..traces.series import PowerTrace
-
-# The placement-side state owner lives in repro.engine.delta (with the
-# FleetDelta value objects it fans out); re-exported here because it is
-# the placement counterpart of the scenario-run FleetState below.
-from .delta import FleetDelta, Move, PlacementState  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -149,65 +142,18 @@ class ReshapingComparison:
 
 
 @dataclass
-class FleetState:
-    """The per-run mutable state the policy pipeline edits.
-
-    One instance per :meth:`Engine.run`: policies mutate the plan arrays
-    (active server counts, batch frequency, parked extras) and record what
-    faults removed (lost-server masks); the engine assembles the final
-    :class:`ScenarioResult` from whatever the pipeline left here.
-    """
-
-    fleet: FleetDescription
-    demand: DemandTrace
-    #: Per-step planned LC / batch server counts and batch DVFS frequency.
-    n_lc_active: np.ndarray
-    n_batch_active: np.ndarray
-    batch_freq: np.ndarray
-    #: Conversion servers idling between modes, per step (``None`` = none).
-    parked: Optional[np.ndarray] = None
-    #: Per-step servers taken offline by failures (``None`` until a
-    #: failure policy runs).
-    lost_lc: Optional[np.ndarray] = None
-    lost_batch: Optional[np.ndarray] = None
-    #: Per-step exogenous extra draw injected by fault policies (correlated
-    #: power-spike bursts); ``None`` until a spike policy runs.
-    extra_power: Optional[np.ndarray] = None
-
-    @classmethod
-    def initial(cls, fleet: FleetDescription, demand: DemandTrace) -> "FleetState":
-        """The pre-reshaping plan: whole fleet on, nominal frequency."""
-        n = demand.grid.n_samples
-        return cls(
-            fleet=fleet,
-            demand=demand,
-            n_lc_active=np.full(n, float(fleet.n_lc)),
-            n_batch_active=np.full(n, float(fleet.n_batch)),
-            batch_freq=np.ones(n),
-        )
-
-    @property
-    def n_samples(self) -> int:
-        return self.demand.grid.n_samples
-
-
-@dataclass
 class RunArtifacts:
     """Everything one :meth:`Engine.run` produced.
 
     ``result`` is the scenario outcome (a :class:`ScenarioResult`, a
     :class:`~repro.engine.faults.ChaosRunResult`, or a chaos-harness
     outcome, depending on the spec).  ``events`` is the structured event
-    log active during the run (``None`` when no recording was installed),
-    ``telemetry`` the flight-recorder summary, and ``metrics`` a snapshot
-    of the process-global counters.
+    log active during the run (``None`` when no recording was installed).
     """
 
     spec: Any
     result: Any
     events: Optional[Any] = None
-    telemetry: Optional[Dict[str, Any]] = None
-    metrics: Dict[str, Any] = field(default_factory=dict)
 
     @property
     def scenario(self) -> Optional[ScenarioResult]:

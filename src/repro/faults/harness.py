@@ -35,7 +35,7 @@ from ..core.placement import PlacementConfig
 from ..engine import Engine, ScenarioSpec, chaos_spec, run_many
 from ..infra.aggregation import NodePowerView
 from ..infra.breaker import BreakerModel, audit_view, power_safe
-from ..infra.budget import provision_hierarchical
+from ..infra.budget import preserved_budgets, provision_hierarchical
 from ..infra.topology import Level
 from ..reshaping.conversion import ConversionPolicy
 from ..reshaping.fleet import derive_demand, describe_fleet
@@ -235,65 +235,76 @@ def run_chaos_scenario(
         dc = experiments.get_datacenter(
             dc_name, n_instances=n_instances, step_minutes=step_minutes, weeks=weeks
         )
-        clean_study = experiments.run_placement_study(dc, budget_margin=budget_margin)
-        test = dc.test_traces()
+        # The placement study and the audit provision the cached
+        # datacenter's budgets; the reshape reads the audit's root budget,
+        # and every later reader gets the budgets it had before.
+        with preserved_budgets(dc.topology):
+            clean_study = experiments.run_placement_study(
+                dc, budget_margin=budget_margin
+            )
+            test = dc.test_traces()
 
-        # -- inject + repair + place -------------------------------------
-        if scenario.telemetry_faults:
-            with obs.span("chaos.inject_repair"):
-                for fault in scenario.telemetry_faults:
-                    obs_events.emit(
-                        obs_events.FAULT_INJECTION,
-                        severity="warning",
-                        source="faults.inject",
-                        fault=type(fault).__name__,
-                        scenario=scenario.name,
+            # -- inject + repair + place ---------------------------------
+            if scenario.telemetry_faults:
+                with obs.span("chaos.inject_repair"):
+                    for fault in scenario.telemetry_faults:
+                        obs_events.emit(
+                            obs_events.FAULT_INJECTION,
+                            severity="warning",
+                            source="faults.inject",
+                            fault=type(fault).__name__,
+                            scenario=scenario.name,
+                        )
+                    dirty = dirty_copy(
+                        dc.training_traces(), scenario.fault_plan()
                     )
-                dirty = dirty_copy(dc.training_traces(), scenario.fault_plan())
-                dirty_missing = dirty.missing_fraction()
-                outcome = repair_telemetry(
-                    dirty, policy=repair_policy, target_grid=dc.training_traces().grid
+                    dirty_missing = dirty.missing_fraction()
+                    outcome = repair_telemetry(
+                        dirty,
+                        policy=repair_policy,
+                        target_grid=dc.training_traces().grid,
+                    )
+                repaired_records = _records_with_training(dc.records, outcome.traces)
+                operator = SmoothOperator(
+                    SmoothOperatorConfig(placement=PlacementConfig(seed=0))
                 )
-            repaired_records = _records_with_training(dc.records, outcome.traces)
-            operator = SmoothOperator(
-                SmoothOperatorConfig(placement=PlacementConfig(seed=0))
+                chaos_assignment = operator.optimize(
+                    repaired_records, dc.topology
+                ).assignment
+                repair_report = outcome.report
+            else:
+                dirty_missing = 0.0
+                chaos_assignment = clean_study.optimized.assignment
+                repair_report = RepairReport()
+
+            clean_assignment = clean_study.optimized.assignment
+            quality_clean = _placement_quality(clean_assignment, test)
+            quality_chaos = (
+                quality_clean
+                if chaos_assignment is clean_assignment
+                else _placement_quality(chaos_assignment, test)
             )
-            chaos_assignment = operator.optimize(
-                repaired_records, dc.topology
-            ).assignment
-            repair_report = outcome.report
-        else:
-            dirty_missing = 0.0
-            chaos_assignment = clean_study.optimized.assignment
-            repair_report = RepairReport()
 
-        clean_assignment = clean_study.optimized.assignment
-        quality_clean = _placement_quality(clean_assignment, test)
-        quality_chaos = (
-            quality_clean
-            if chaos_assignment is clean_assignment
-            else _placement_quality(chaos_assignment, test)
-        )
+            # Audit the deployed (repaired-input) placement against the
+            # budgets the clean plan would have provisioned: trips measure
+            # how badly the dirty telemetry mis-sized the infrastructure.
+            with obs.span("chaos.audit"):
+                provision_hierarchical(
+                    NodePowerView(dc.topology, clean_assignment, test),
+                    margin=budget_margin,
+                )
+                view = NodePowerView(dc.topology, chaos_assignment, test)
+                # Per-power-node flight recording: utilization/slack/headroom
+                # series plus violation/advisory events for every budgeted
+                # node of the deployed placement (no-op unless telemetry is
+                # on).
+                obs_telemetry.record_view(view)
+                trips = audit_view(view, BreakerModel())
+                safe = power_safe(view, BreakerModel())
 
-        # Audit the deployed (repaired-input) placement against the budgets
-        # the clean plan would have provisioned: trips measure how badly the
-        # dirty telemetry mis-sized the infrastructure.
-        with obs.span("chaos.audit"):
-            provision_hierarchical(
-                NodePowerView(dc.topology, clean_assignment, test),
-                margin=budget_margin,
-            )
-            view = NodePowerView(dc.topology, chaos_assignment, test)
-            # Per-power-node flight recording: utilization/slack/headroom
-            # series plus violation/advisory events for every budgeted node
-            # of the deployed placement (no-op unless telemetry is on).
-            obs_telemetry.record_view(view)
-            trips = audit_view(view, BreakerModel())
-            safe = power_safe(view, BreakerModel())
-
-        # -- reshape under runtime faults --------------------------------
-        with obs.span("chaos.reshape"):
-            reshaping = _run_reshaping_chaos(dc, clean_study, scenario)
+            # -- reshape under runtime faults ----------------------------
+            with obs.span("chaos.reshape"):
+                reshaping = _run_reshaping_chaos(dc, clean_study, scenario)
 
     return ChaosScenarioOutcome(
         scenario=scenario,

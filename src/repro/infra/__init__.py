@@ -33,6 +33,7 @@ from .budget import (
     PercentileProvisioningPolicy,
     apply_budgets,
     compute_budgets,
+    preserved_budgets,
     provision_from_view,
     provision_hierarchical,
 )
@@ -70,6 +71,7 @@ __all__ = [
     "PercentileProvisioningPolicy",
     "compute_budgets",
     "apply_budgets",
+    "preserved_budgets",
     "provision_from_view",
     "provision_hierarchical",
     "ExpansionPlan",

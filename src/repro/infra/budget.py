@@ -11,8 +11,9 @@ provisioning (StatProf) at several levels of aggressiveness.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Mapping
+from typing import Dict, Iterator, Mapping
 
 from .aggregation import NodePowerView
 from .topology import PowerTopology
@@ -146,3 +147,19 @@ def provision_hierarchical(
     visit(view.topology.root)
     apply_budgets(view.topology, budgets)
     return budgets
+
+
+@contextmanager
+def preserved_budgets(topology: PowerTopology) -> Iterator[None]:
+    """Put every node's budget back as it was when the block exits.
+
+    For code that provisions a shared topology (such as a cached
+    datacenter's) for its own measurement only.  Unbudgeted nodes get
+    ``None`` back; the restore runs on exceptions too.
+    """
+    saved = [(node, node.budget_watts) for node in topology.nodes()]
+    try:
+        yield
+    finally:
+        for node, budget in saved:
+            node.budget_watts = budget

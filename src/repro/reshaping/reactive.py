@@ -27,9 +27,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..sim.batch import batch_throughput
 from ..sim.demand import DemandTrace
-from ..sim.loadbalancer import dispatch
 from ..sim.power_model import DVFSModel
 from .conversion import ConversionPolicy
 from ..engine.state import FleetDescription, ScenarioResult
@@ -179,27 +177,16 @@ class ReactiveConversionRuntime:
             n_batch_active[t] = self.fleet.n_batch + batch_extras
             parked[t] += transit + max(0, idle_pool)
 
-        outcome = dispatch(demand.values, n_lc_active, threshold)
-        batch = batch_throughput(n_batch_active, np.ones(n), self.dvfs)
-        lc_power = n_lc_active * self.fleet.lc_model.power(outcome.per_server_load)
-        batch_power = n_batch_active * self.fleet.batch_model.power(1.0, batch.freq)
-        total = lc_power + batch_power + parked * self.fleet.lc_model.power(0.0)
-        if self.fleet.other_power is not None:
-            demand.grid.require_same(self.fleet.other_power.grid)
-            total = total + self.fleet.other_power.values
+        # Lazy: repro.engine.core imports this package (the throttling
+        # policy), so the engine is imported at call time.
+        from ..engine.core import Engine
 
-        return ScenarioResult(
-            name="reactive_conversion",
-            grid=demand.grid,
-            budget_watts=self.fleet.budget_watts,
-            demand=demand.values.copy(),
-            lc_served=outcome.served,
-            lc_dropped=outcome.dropped,
-            load_on_original=demand.values / self.fleet.n_lc,
-            per_server_load=outcome.per_server_load,
+        engine = Engine(self.fleet, self.conversion, dvfs=self.dvfs)
+        return engine.assemble(
+            "reactive_conversion",
+            demand,
             n_lc_active=n_lc_active,
             n_batch_active=n_batch_active,
-            batch_throughput=batch.throughput,
-            batch_freq=batch.freq,
-            total_power=total,
+            batch_freq=np.ones(n),
+            parked=parked,
         )

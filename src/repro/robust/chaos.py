@@ -43,6 +43,7 @@ from ..analysis.report import format_percent, format_table
 from ..core.placement import PlacementConfig, WorkloadAwarePlacer
 from ..infra.aggregation import NodePowerView
 from ..infra.breaker import BreakerModel, audit_view
+from ..infra.budget import preserved_budgets
 from ..infra.topology import Level
 from ..traces.traceset import TraceSet
 from .placement import RobustPlacementConfig, RobustPlacer
@@ -254,19 +255,13 @@ def run_robust_scenario(
 
         # The audit mutates node budgets (breaker ratings per placement);
         # the datacenter object is cached across scenarios, so restore.
-        saved_budgets = {
-            node.name: node.budget_watts for node in dc.topology.nodes()
-        }
-        try:
+        with preserved_budgets(dc.topology):
             nominal = _evaluate_placement(
                 "nominal", scenario, dc, nominal_assignment, model, test
             )
             robust = _evaluate_placement(
                 "robust", scenario, dc, robust_result.assignment, model, test
             )
-        finally:
-            for node in dc.topology.nodes():
-                node.budget_watts = saved_budgets[node.name]
     return RobustScenarioOutcome(
         scenario=scenario,
         dc_name=dc_name,

@@ -85,6 +85,24 @@ def reshaping_results():
     }
 
 
+def throttle_boost_chaos_result():
+    """The ``throttle_boost_chaos`` run ``golden.json`` pins, via ``Engine.run``.
+
+    At 28 kW the boosted week overloads, so the capping fallback engages.
+    """
+    fleet, conversion, throttle, dvfs = make_runtime_parts(budget_watts=28_000.0)
+    spec = ScenarioSpec(
+        mode="throttle_boost_chaos",
+        fleet=fleet,
+        demand=make_demand(),
+        conversion=conversion,
+        throttle=throttle,
+        dvfs=dvfs,
+        extra_servers=10,
+    )
+    return Engine.from_spec(spec).run(spec).result
+
+
 # ----------------------------------------------------------------------
 # fingerprints: position-weighted checksums catch any per-step change
 # ----------------------------------------------------------------------
@@ -108,8 +126,8 @@ def scenario_fingerprint(result):
     }
 
 
-def chaos_fingerprint(outcome):
-    run = outcome.reshaping
+def run_fingerprint(run):
+    """A :class:`~repro.engine.ChaosRunResult`: both scenarios and the audit."""
     recovery = run.recovery
     fingerprint = {
         "scenario": scenario_fingerprint(run.scenario),
@@ -122,10 +140,6 @@ def chaos_fingerprint(outcome):
         "forced_shutdown_watt_minutes": recovery.forced_shutdown_watt_minutes,
         "lc_energy_shed": recovery.lc_energy_shed,
         "failure_downtime": recovery.failure_downtime_server_steps,
-        "quality_clean": outcome.quality_clean,
-        "quality_chaos": outcome.quality_chaos,
-        "placement_trips": outcome.placement_trips,
-        "passed": outcome.passed,
     }
     if recovery.capping is not None:
         fingerprint["capping"] = {
@@ -141,6 +155,17 @@ def chaos_fingerprint(outcome):
             log.n_aborted,
             log.delayed_server_steps,
         ]
+    return fingerprint
+
+
+def chaos_fingerprint(outcome):
+    fingerprint = run_fingerprint(outcome.reshaping)
+    fingerprint.update(
+        quality_clean=outcome.quality_clean,
+        quality_chaos=outcome.quality_chaos,
+        placement_trips=outcome.placement_trips,
+        passed=outcome.passed,
+    )
     return fingerprint
 
 

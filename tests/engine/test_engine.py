@@ -1,40 +1,31 @@
 """Unit tests for the engine's building blocks."""
 
-import numpy as np
+import dataclasses
+
 import pytest
 
 from conftest import make_demand, make_fleet, make_runtime_parts
 from repro.engine import (
     MODES,
+    CappingPolicy,
+    ChaosRunResult,
+    ConversionFaultModel,
     Engine,
-    FleetState,
+    FailureEvent,
     RunArtifacts,
+    ScenarioResult,
     ScenarioSpec,
-    build_pipeline,
+    ServerFailureSchedule,
     execute,
     run_many,
 )
+from repro.infra.breaker import BreakerModel
+from repro.reshaping import ConversionPolicy, ThrottleBoostPolicy
+from repro.sim import DVFSModel
 
 
 # ----------------------------------------------------------------------
-# FleetState
-# ----------------------------------------------------------------------
-def test_fleet_state_initial_is_whole_fleet_at_nominal_freq():
-    fleet = make_fleet()
-    demand = make_demand()
-    state = FleetState.initial(fleet, demand)
-    n = demand.grid.n_samples
-    assert state.n_samples == n
-    assert np.array_equal(state.n_lc_active, np.full(n, float(fleet.n_lc)))
-    assert np.array_equal(state.n_batch_active, np.full(n, float(fleet.n_batch)))
-    assert np.array_equal(state.batch_freq, np.ones(n))
-    assert state.parked is None
-    assert state.lost_lc is None
-    assert state.lost_batch is None
-
-
-# ----------------------------------------------------------------------
-# ScenarioSpec validation and pipelines
+# ScenarioSpec validation and modes
 # ----------------------------------------------------------------------
 def test_spec_rejects_unknown_mode():
     with pytest.raises(ValueError, match="unknown mode"):
@@ -52,23 +43,85 @@ def test_spec_rejects_negative_extra_servers():
 
 
 @pytest.mark.parametrize("mode", MODES)
-def test_build_pipeline_knows_every_mode(mode):
-    spec = ScenarioSpec(mode=mode, fleet=make_fleet(), demand=make_demand())
-    policies, actuators = build_pipeline(spec)
-    assert isinstance(policies, tuple)
-    assert isinstance(actuators, tuple)
-    if mode == "pre":
-        assert policies == () and actuators == ()
-    else:
-        assert policies
+def test_run_executes_every_mode(mode):
+    fleet, conversion, throttle, dvfs = make_runtime_parts()
+    engine = Engine(fleet, conversion, throttle=throttle, dvfs=dvfs)
+    spec = ScenarioSpec(
+        mode=mode,
+        fleet=fleet,
+        demand=make_demand(),
+        conversion=conversion,
+        extra_servers=5,
+    )
+    result = engine.run(spec).result
     if mode.endswith("_chaos"):
-        assert actuators  # emergency capping guards the chaos modes
+        # Emergency capping guards the chaos modes.
+        assert isinstance(result, ChaosRunResult)
+        assert isinstance(result.scenario, ScenarioResult)
+    else:
+        assert isinstance(result, ScenarioResult)
 
 
 def test_from_spec_requires_a_conversion_policy():
-    spec = ScenarioSpec(mode="pre", fleet=make_fleet(), demand=make_demand())
+    """The spec checks it where it is built, before any engine or worker."""
     with pytest.raises(ValueError, match="conversion policy"):
-        Engine.from_spec(spec)
+        ScenarioSpec(mode="pre", fleet=make_fleet(), demand=make_demand())
+
+
+#: One value per engine field that differs from ``make_runtime_parts()``'s
+#: engine (built with its throttle and dvfs, everything else defaulted).
+DIFFERENT = {
+    "fleet": make_fleet(30_000.0),
+    "conversion": ConversionPolicy(conversion_threshold=0.7),
+    "throttle": ThrottleBoostPolicy(throttle_freq=0.7),
+    "dvfs": DVFSModel(max_freq=1.2),
+    "failures": ServerFailureSchedule(
+        events=(FailureEvent(start_index=0, duration_samples=1, n_servers=1),)
+    ),
+    "conversion_faults": ConversionFaultModel(latency_steps=1),
+    "breaker": BreakerModel(tolerance_minutes=5),
+    "capping_policy": CappingPolicy(floors={"batch": 0.1}),
+    "seed": 1,
+}
+
+
+@pytest.mark.parametrize("field", sorted(DIFFERENT))
+def test_run_rejects_a_spec_that_disagrees_with_the_engine(field):
+    fleet, conversion, throttle, dvfs = make_runtime_parts()
+    engine = Engine(fleet, conversion, throttle=throttle, dvfs=dvfs)
+    spec = ScenarioSpec(
+        mode="conversion_chaos",
+        fleet=fleet,
+        demand=make_demand(),
+        conversion=conversion,
+    )
+    with pytest.raises(ValueError, match=rf"spec\.{field} differs"):
+        engine.run(dataclasses.replace(spec, **{field: DIFFERENT[field]}))
+
+
+def test_run_accepts_equal_values_and_unset_fields():
+    """Engine fields compare by value; ``None`` means the engine's."""
+    fleet, conversion, throttle, dvfs = make_runtime_parts()
+    engine = Engine(fleet, conversion, throttle=throttle, dvfs=dvfs)
+    demand = make_demand()
+    equal = ScenarioSpec(
+        mode="conversion_chaos",
+        fleet=dataclasses.replace(fleet),
+        demand=demand,
+        conversion=dataclasses.replace(conversion),
+        throttle=ThrottleBoostPolicy(),
+        dvfs=DVFSModel(),
+        failures=ServerFailureSchedule(),
+        conversion_faults=ConversionFaultModel(),
+        breaker=BreakerModel(),
+        capping_policy=CappingPolicy(),
+        seed=0,
+    )
+    unset = ScenarioSpec(
+        mode="conversion_chaos", fleet=fleet, demand=demand, conversion=conversion
+    )
+    assert engine.run(equal).result.scenario.budget_watts == fleet.budget_watts
+    assert engine.run(unset).result.scenario.budget_watts == fleet.budget_watts
 
 
 def test_throttle_boost_rejects_negative_funded_count():

@@ -12,7 +12,9 @@ from conftest import (
     SMALL,
     chaos_fingerprint,
     reshaping_results,
+    run_fingerprint,
     scenario_fingerprint,
+    throttle_boost_chaos_result,
 )
 from repro.engine import chaos_spec, run_many
 from repro.faults import run_chaos_suite
@@ -34,6 +36,12 @@ def engine_results():
 @pytest.mark.parametrize("mode", RESHAPING_MODES)
 def test_engine_matches_golden(engine_results, golden, mode):
     assert scenario_fingerprint(engine_results[mode]) == golden["reshaping"][mode]
+
+
+def test_throttle_boost_chaos_matches_golden(golden):
+    run = throttle_boost_chaos_result()
+    assert run.recovery.engaged  # the pinned run exercises the fallback
+    assert run_fingerprint(run) == golden["throttle_boost_chaos"]
 
 
 # ----------------------------------------------------------------------

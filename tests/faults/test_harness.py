@@ -2,12 +2,14 @@
 
 import pytest
 
+from repro.analysis import experiments
 from repro.faults import (
     DEFAULT_SUITE,
     format_chaos_table,
     run_chaos_scenario,
     scenario_by_name,
 )
+from repro.infra import NodePowerView, provision_hierarchical
 
 SMALL = dict(n_instances=96, step_minutes=60, weeks=2)
 
@@ -80,6 +82,26 @@ class TestPerfectStorm:
     def test_faults_were_exercised(self, storm_outcome):
         assert storm_outcome.repair.n_flagged > 0
         assert storm_outcome.reshaping.recovery.failure_downtime_server_steps > 0
+
+
+def test_scenario_leaves_the_cached_budgets_alone():
+    """The audit provisions the cached datacenter for its own trip count.
+
+    A later reader of that datacenter (``run_reshaping_study``, whose
+    placement study is cached too) once read the audit's budgets instead.
+    The budgets are first set to what the margin-free placement study
+    provisions, so a budget leaked by an earlier scenario cannot hide a
+    leak here.
+    """
+    dc = experiments.get_datacenter("DC1", **SMALL)
+    experiments.run_placement_study(dc)
+    provision_hierarchical(NodePowerView(dc.topology, dc.baseline, dc.test_traces()))
+    before = {node.name: node.budget_watts for node in dc.topology.nodes()}
+    outcome = run_chaos_scenario(scenario_by_name("clean"), dc_name="DC1", **SMALL)
+    after = {node.name: node.budget_watts for node in dc.topology.nodes()}
+    assert after == before
+    # The reshape still ran on the audit's root budget, not the restored one.
+    assert outcome.reshaping.scenario.budget_watts != before[dc.topology.root.name]
 
 
 class TestReporting:

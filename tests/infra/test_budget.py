@@ -13,6 +13,7 @@ from repro.infra import (
     apply_budgets,
     build_topology,
     compute_budgets,
+    preserved_budgets,
     provision_from_view,
     provision_hierarchical,
     two_level_spec,
@@ -109,6 +110,26 @@ class TestHierarchical:
         _, view = setup
         with pytest.raises(ValueError):
             provision_hierarchical(view, margin=-0.1)
+
+
+class TestPreservedBudgets:
+    def test_restores_budgets_and_unbudgeted_nodes(self, setup):
+        topo, view = setup
+        apply_budgets(topo, {"dc/rpp0": 5.0})
+        before = {node.name: node.budget_watts for node in topo.nodes()}
+        assert before["dc"] is None
+        with preserved_budgets(topo):
+            provision_hierarchical(view, margin=0.5)
+            assert topo.node("dc").budget_watts is not None
+        assert {node.name: node.budget_watts for node in topo.nodes()} == before
+
+    def test_restores_on_exception(self, setup):
+        topo, view = setup
+        with pytest.raises(RuntimeError):
+            with preserved_budgets(topo):
+                provision_hierarchical(view)
+                raise RuntimeError("measurement failed")
+        assert all(node.budget_watts is None for node in topo.nodes())
 
 
 class TestGammaPolicyLiveMembership:

@@ -123,4 +123,6 @@ class TestReactiveRuntime:
         batch_extras = result.n_batch_active - fleet.n_batch
         assert np.all(lc_extras >= -1e-9)
         assert np.all(batch_extras >= -1e-9)
-        assert np.all(lc_extras + batch_extras <= extra + 1e-9)
+        assert np.all(result.parked >= 0)
+        assert result.parked.max() > 0  # idle and in-transit extras
+        np.testing.assert_array_equal(lc_extras + batch_extras + result.parked, extra)
