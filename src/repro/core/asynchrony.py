@@ -22,7 +22,7 @@ import numpy as np
 
 from .. import obs
 from ..traces.series import PowerTrace
-from ..traces.traceset import TraceSet
+from ..traces.traceset import TraceSet, sum_rows
 
 ArrayLike = Union[np.ndarray, Sequence[float]]
 
@@ -268,21 +268,55 @@ def differential_score(instance: PowerTrace, group_average: PowerTrace) -> float
     return pairwise_asynchrony(instance, group_average)
 
 
+def differential_rows(
+    values: np.ndarray,
+    peaks: Union[np.ndarray, float],
+    total: np.ndarray,
+    excluded: Union[np.ndarray, float],
+    count: int,
+) -> np.ndarray:
+    """``AD`` of each row of ``values`` against the rest of a group (Sec. 3.6).
+
+    AD = (peak(x) + peak(rest)) / peak(x + rest), with rest = (total −
+    excluded) / count, row by row.  ``values`` and ``excluded`` are
+    ``(k, T)`` or ``(1, T)`` blocks that broadcast row against row, and
+    ``peaks`` holds the peaks of the rows of ``values``.  Each element goes
+    through the one-row formula's own subtraction, division, addition and
+    division, and a row max is exact in any order, so every score has the
+    bits a row-by-row evaluation gives.  The rest block is reused for the
+    sum in place: a fresh ``(m, T)`` temporary per step costs more in page
+    faults than the arithmetic.
+
+    A combined peak of zero scores 1.0.  An empty rest group (``count <=
+    0``) scores 2.0, the AD's defined limit: an all-zero rest trace never
+    coincides with the instance's peak, so the score takes its best value
+    inside the [1, 2] range instead of an out-of-range sentinel that would
+    make the swap loop prefer emptying a node over a genuine improvement.
+    """
+    shape = np.broadcast_shapes(np.shape(values), np.shape(excluded), np.shape(total))
+    if count <= 0:
+        return np.full(shape[0], 2.0)
+    rest = np.subtract(total, excluded, out=np.empty(shape))
+    rest /= count
+    numerator = peaks + rest.max(axis=1)
+    rest += values
+    combined = rest.max(axis=1)
+    scores = np.ones(shape[0])
+    np.divide(numerator, combined, out=scores, where=combined > 0)
+    return scores
+
+
 def differential_scores_for_node(group: TraceSet) -> dict:
     """Differential asynchrony score of every member of one node's group.
 
     The instance with the *lowest* score is the node's worst citizen — the
-    swap candidate of the Sec. 3.6 adaptation loop.
+    swap candidate of the Sec. 3.6 adaptation loop, which scores its nodes
+    with the same kernel and total.
     """
     if len(group) < 2:
         raise ValueError("differential scores need at least two instances")
-    total = group.matrix.sum(axis=0)
-    scores = {}
-    divisor = len(group) - 1
-    for trace_id in group.ids:
-        rest = (total - group.row(trace_id)) / divisor
-        instance = group.row(trace_id)
-        combined_peak = float((instance + rest).max())
-        numerator = float(instance.max()) + float(rest.max())
-        scores[trace_id] = numerator / combined_peak if combined_peak > 0 else 1.0
-    return scores
+    matrix = group.matrix
+    scores = differential_rows(
+        matrix, group.peaks(), sum_rows(matrix), matrix, len(group) - 1
+    )
+    return dict(zip(group.ids, scores.tolist()))

@@ -78,6 +78,25 @@ def _kmeans_pp_init(
     return centroids
 
 
+def _as_points(points: np.ndarray) -> np.ndarray:
+    """``points`` as a float64 ``(n, d)`` array of finite coordinates.
+
+    A NaN or infinite point would otherwise give non-finite centroids and a
+    NaN inertia at k = 1, and fail inside k-means++ seeding's
+    ``Generator.choice`` at k >= 2; the error names the first bad row.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    if points.ndim != 2:
+        raise ValueError(f"points must be 2-D, got shape {points.shape}")
+    finite = np.isfinite(points).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise ValueError(
+            f"points must be finite: row {row} is {points[row].tolist()}"
+        )
+    return points
+
+
 def kmeans(
     points: np.ndarray,
     k: int,
@@ -88,9 +107,7 @@ def kmeans(
     tol: float = 1e-6,
 ) -> ClusteringResult:
     """Standard Lloyd's k-means with k-means++ seeding and restarts."""
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2:
-        raise ValueError(f"points must be 2-D, got shape {points.shape}")
+    points = _as_points(points)
     n = points.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
@@ -138,9 +155,7 @@ def balanced_kmeans(
     has room.  Centroids are then recomputed and the fill repeated for
     ``balance_rounds`` rounds.
     """
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2:
-        raise ValueError(f"points must be 2-D, got shape {points.shape}")
+    points = _as_points(points)
     n = points.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")

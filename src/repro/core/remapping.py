@@ -19,7 +19,8 @@ from .. import obs
 from ..obs import events as obs_events
 from ..infra.assignment import Assignment, AssignmentError
 from ..infra.topology import PowerTopology
-from ..traces.traceset import TraceSet
+from ..traces.traceset import TraceSet, sum_rows
+from .asynchrony import differential_rows
 
 #: Conventional period for the opt-in verification knob
 #: (``RemapConfig.verify_every``).  Historically this forced a periodic
@@ -113,46 +114,54 @@ class RemapResult:
 
 
 class _NodeGroup:
-    """Mutable per-node state: member ids, the aggregate, and score caches.
+    """One level node's members as rows of the trace matrix, with score caches.
 
-    Swaps are applied *exactly*: :meth:`swap_member` rebuilds ``total``
-    from the new member rows (a recompute scoped to this one group), so
-    there is no incremental-patch drift to correct, and the asynchrony /
-    differential caches are simply invalidated for the two groups a swap
-    touches.  Everything derived is lazy and cached — the swap loop's
-    per-iteration cost depends on the two affected groups, not the fleet.
+    A group keeps its members' ids and matrix row indices in membership
+    order, its aggregate ``total`` (:func:`~repro.traces.sum_rows` of the
+    member rows, the ``total += row`` loop's bits) and each member's row
+    peak.  Scoring gathers the members into one ``(m, T)`` block when it
+    needs them and keeps no copy: with the rows held per group, a fleet's
+    global remap would hold a second copy of the fleet.  Swaps are applied
+    *exactly*: :meth:`swap_member` rebuilds ``total`` from the new member
+    rows, so there is no incremental-patch drift, and the caches of the two
+    groups a swap touches are dropped.  The swap loop's per-iteration cost
+    depends on the two affected groups, not the fleet.
     """
 
     __slots__ = (
         "name",
         "members",
+        "rows",
         "total",
+        "peaks",
         "_asynchrony",
         "_self_diffs",
+        "_ranked",
         "_swaps_since_verify",
     )
 
     def __init__(self, name: str, members: List[str], traces: TraceSet) -> None:
         self.name = name
         self.members = list(members)
+        self.rows = [traces.index_of(instance_id) for instance_id in self.members]
         self._swaps_since_verify = 0
         self.recompute(traces)
 
     def recompute(self, traces: TraceSet) -> None:
-        """Rebuild ``total`` exactly from member rows; drop derived caches."""
-        total = np.zeros(traces.grid.n_samples)
-        for instance_id in self.members:
-            total += traces.row(instance_id)
-        self.total = total
+        """Rebuild ``total`` and the row peaks from member rows; drop caches."""
+        block = traces.matrix[self.rows]
+        self.total = sum_rows(block)
+        self.peaks = block.max(axis=1)
         self._asynchrony: Optional[float] = None
-        self._self_diffs: Optional[Dict[str, float]] = None
+        self._self_diffs: Optional[np.ndarray] = None
+        self._ranked: Optional[List[int]] = None
 
     def verify(self, traces: TraceSet) -> None:
         """Cross-check cached state against an independent recomputation.
 
         The opt-in ``RemapConfig.verify_every`` harness: raises if the
-        exactly-maintained ``total`` or the cached asynchrony diverge from
-        a from-scratch rebuild.
+        exactly-maintained ``total``, the row peaks or the cached
+        asynchrony diverge from a member-by-member rebuild.
         """
         expected = np.zeros(traces.grid.n_samples)
         for instance_id in self.members:
@@ -161,67 +170,84 @@ class _NodeGroup:
             raise RuntimeError(
                 f"group {self.name}: aggregate diverged from member rows"
             )
-        cached_asynchrony = self._asynchrony
-        self._asynchrony = None
-        fresh = self.asynchrony(traces)
-        if cached_asynchrony is not None and cached_asynchrony != fresh:
+        peaks = [float(traces.row(instance_id).max()) for instance_id in self.members]
+        if self.peaks.tolist() != peaks:
+            raise RuntimeError(f"group {self.name}: row peaks diverged")
+        aggregate_peak = float(expected.max())
+        fresh = sum(peaks) / aggregate_peak if aggregate_peak > 0 else 1.0
+        if self._asynchrony is not None and self._asynchrony != fresh:
             raise RuntimeError(
                 f"group {self.name}: cached asynchrony diverged "
-                f"({cached_asynchrony} != {fresh})"
+                f"({self._asynchrony} != {fresh})"
             )
         obs.count("remap.verifications")
 
-    def asynchrony(self, traces: TraceSet) -> float:
+    def asynchrony(self) -> float:
         if self._asynchrony is None:
             if not self.members:
                 self._asynchrony = 1.0
             else:
-                sum_peaks = sum(float(traces.row(i).max()) for i in self.members)
+                # The builtin sum over Python floats in member order: on
+                # Python >= 3.12 it is compensated, so a numpy reduction
+                # would not keep that version's bits.
+                sum_peaks = sum(self.peaks.tolist())
                 aggregate_peak = float(self.total.max())
                 self._asynchrony = (
                     sum_peaks / aggregate_peak if aggregate_peak > 0 else 1.0
                 )
         return self._asynchrony
 
-    def self_differentials(self, traces: TraceSet) -> Dict[str, float]:
-        """AD of every member against its own group, cached until it changes."""
+    def self_differentials(self, traces: TraceSet) -> np.ndarray:
+        """AD of every member against the rest of its own group, in member
+        order; one block evaluation, cached until the group changes."""
         if self._self_diffs is None:
-            self._self_diffs = {
-                instance_id: self.differential(
-                    traces.row(instance_id), exclude=instance_id, traces=traces
-                )
-                for instance_id in self.members
-            }
+            block = traces.matrix[self.rows]
+            self._self_diffs = differential_rows(
+                block, self.peaks, self.total, block, len(self.members) - 1
+            )
         return self._self_diffs
+
+    def ranked(self, traces: TraceSet) -> List[int]:
+        """Member positions by self-differential, lowest first, ties by id.
+
+        The members most synchronous with their own node contribute most to
+        its peak, so moving them out is likeliest to help both sides.
+        """
+        if self._ranked is None:
+            scores = self.self_differentials(traces).tolist()
+            self._ranked = sorted(
+                range(len(self.members)),
+                key=lambda k: (scores[k], self.members[k]),
+            )
+        return self._ranked
 
     def differential(self, instance_values: np.ndarray, *, exclude: Optional[str], traces: TraceSet) -> float:
         """AD of a (possibly external) instance against this node.
 
         ``exclude`` removes one current member from the group first — used
         to evaluate an incoming instance against the group it would join
-        after the outgoing member departs.
+        after the outgoing member departs.  The one-row case of the swap
+        loop's block kernel.
         """
-        rest_total = self.total.copy()
-        count = len(self.members)
-        if exclude is not None:
-            rest_total -= traces.row(exclude)
-            count -= 1
-        if count <= 0:
-            # Empty rest-group: the AD score's defined limit.  An all-zero
-            # rest trace never coincides with the instance's peak, so the
-            # score takes its best value, 2.0 — staying inside the [1, 2]
-            # range instead of an out-of-range sentinel that would make the
-            # swap loop prefer emptying a node over a genuine improvement.
-            return 2.0
-        rest = rest_total / count
-        combined_peak = float((instance_values + rest).max())
-        numerator = float(instance_values.max()) + float(rest.max())
-        return numerator / combined_peak if combined_peak > 0 else 1.0
+        excluded = 0.0 if exclude is None else traces.row(exclude)
+        count = len(self.members) - (exclude is not None)
+        return float(
+            differential_rows(
+                instance_values[None, :],
+                instance_values.max(),
+                self.total,
+                excluded,
+                count,
+            )[0]
+        )
 
     def swap_member(self, outgoing: str, incoming: str, traces: TraceSet) -> None:
         """Apply a swap exactly: new membership, aggregate rebuilt from rows."""
-        self.members.remove(outgoing)
+        position = self.members.index(outgoing)
+        del self.members[position]
+        del self.rows[position]
         self.members.append(incoming)
+        self.rows.append(traces.index_of(incoming))
         self._swaps_since_verify += 1
         self.recompute(traces)
 
@@ -374,62 +400,62 @@ class RemappingEngine:
         # Cached per-group scores: only the two groups the previous swap
         # touched were invalidated, so ranking the fleet costs O(groups),
         # not O(instances).
-        ranked = sorted(groups.values(), key=lambda g: g.asynchrony(traces))
+        ranked = sorted(groups.values(), key=lambda g: g.asynchrony())
         worst = ranked[0]
         if len(worst.members) < 2:
             return None
 
-        # Worst-fitting member of the worst node.
+        # Worst-fitting member of the worst node (the first, on a tie).
         diffs = worst.self_differentials(traces)
-        outgoing = min(diffs.items(), key=lambda item: item[1])[0]
-        outgoing_values = traces.row(outgoing)
-        outgoing_score_here = diffs[outgoing]
+        position = int(np.argmin(diffs))
+        outgoing = worst.members[position]
+        outgoing_values = traces.matrix[worst.rows[position]]
+        outgoing_score_here = diffs[position]
+        threshold = self.config.min_improvement
 
         partners = [g for g in reversed(ranked) if g.name != worst.name]
         for partner in partners[: self.config.candidate_nodes]:
             if len(partner.members) < 2:
                 continue
-            candidates = self._candidate_instances(partner, traces)
-            for incoming in candidates:
-                obs.count("remap.candidates_evaluated")
-                incoming_values = traces.row(incoming)
-                incoming_score_there = partner.self_differentials(traces)[incoming]
-                # Scores after the hypothetical exchange.
-                incoming_at_worst = worst.differential(
-                    incoming_values, exclude=outgoing, traces=traces
+            candidates = partner.ranked(traces)[: self.config.candidate_instances]
+            incoming_values = traces.matrix[[partner.rows[k] for k in candidates]]
+            # Scores after each hypothetical exchange, one row per candidate.
+            incoming_at_worst = differential_rows(
+                incoming_values,
+                partner.peaks[candidates],
+                worst.total,
+                outgoing_values[None, :],
+                len(worst.members) - 1,
+            )
+            outgoing_at_partner = differential_rows(
+                outgoing_values[None, :],
+                worst.peaks[position],
+                partner.total,
+                incoming_values,
+                len(partner.members) - 1,
+            )
+            gain_worst = incoming_at_worst - outgoing_score_here
+            gain_partner = (
+                outgoing_at_partner - partner.self_differentials(traces)[candidates]
+            )
+            passing = np.flatnonzero(
+                (gain_worst > threshold) & (gain_partner > threshold)
+            )
+            # Candidates count up to the first that clears the threshold,
+            # as if they were evaluated one at a time in rank order.
+            evaluated = int(passing[0]) + 1 if len(passing) else len(candidates)
+            obs.count("remap.candidates_evaluated", evaluated)
+            if len(passing):
+                first = int(passing[0])
+                return Swap(
+                    instance_a=outgoing,
+                    node_a=worst.name,
+                    instance_b=partner.members[candidates[first]],
+                    node_b=partner.name,
+                    gain_a=float(gain_worst[first]),
+                    gain_b=float(gain_partner[first]),
                 )
-                outgoing_at_partner = partner.differential(
-                    outgoing_values, exclude=incoming, traces=traces
-                )
-                gain_worst = incoming_at_worst - outgoing_score_here
-                gain_partner = outgoing_at_partner - incoming_score_there
-                if (
-                    gain_worst > self.config.min_improvement
-                    and gain_partner > self.config.min_improvement
-                ):
-                    return Swap(
-                        instance_a=outgoing,
-                        node_a=worst.name,
-                        instance_b=incoming,
-                        node_b=partner.name,
-                        gain_a=gain_worst,
-                        gain_b=gain_partner,
-                    )
         return None
-
-    def _candidate_instances(self, group: _NodeGroup, traces: TraceSet) -> List[str]:
-        """Partner-node members most synchronous with their own node first.
-
-        Those contribute most to the partner's peak, so moving them out is
-        likeliest to help both sides.  Rides the group's cached
-        self-differentials, so an unchanged partner costs nothing to rank.
-        """
-        scored = [
-            (score, instance_id)
-            for instance_id, score in group.self_differentials(traces).items()
-        ]
-        scored.sort()
-        return [instance_id for _, instance_id in scored[: self.config.candidate_instances]]
 
 
 # ----------------------------------------------------------------------

@@ -257,21 +257,18 @@ def detect_precursors(
     trending = below & (slopes > 0) & (projected >= config.ceiling)
     banded = below & (utilization >= config.warning_fraction * config.ceiling)
     firing = trending | banded
-    precursors: List[Precursor] = []
-    previous = False
-    for index, flag in enumerate(firing):
-        if flag and not previous:
-            precursors.append(
-                Precursor(
-                    index=index,
-                    utilization=float(utilization[index]),
-                    slope_per_step=float(slopes[index]),
-                    projected=float(projected[index]),
-                    reason="trend" if trending[index] else "warning_band",
-                )
-            )
-        previous = bool(flag)
-    return precursors
+    previous = np.zeros_like(firing)
+    previous[1:] = firing[:-1]
+    return [
+        Precursor(
+            index=index,
+            utilization=float(utilization[index]),
+            slope_per_step=float(slopes[index]),
+            projected=float(projected[index]),
+            reason="trend" if trending[index] else "warning_band",
+        )
+        for index in np.flatnonzero(firing & ~previous).tolist()
+    ]
 
 
 # ----------------------------------------------------------------------

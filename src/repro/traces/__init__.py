@@ -72,7 +72,7 @@ from .synthesis import (
     test_trace_set,
     training_trace_set,
 )
-from .traceset import TraceSet
+from .traceset import TraceSet, sum_rows
 
 __all__ = [
     "seasonal_naive_forecast",
@@ -98,6 +98,7 @@ __all__ = [
     "PowerTrace",
     "normalize_traces",
     "TraceSet",
+    "sum_rows",
     "ServiceInstance",
     "ServiceKind",
     "InstanceRecord",

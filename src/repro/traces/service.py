@@ -20,7 +20,7 @@ import numpy as np
 from .grid import TimeGrid
 from .instance import InstanceRecord, group_by_service
 from .series import PowerTrace
-from .traceset import TraceSet
+from .traceset import TraceSet, sum_rows
 
 
 class ServiceRows:
@@ -33,8 +33,10 @@ class ServiceRows:
     optional index array ``rows`` (all rows by default) and answers for
     those rows in that order, with the same bits as a loop over the
     matching records: ``np.bincount`` adds the energies in row order, like
-    a running per-service total, and an axis-0 sum adds the rows in order,
-    like ``total += values``.
+    a running per-service total, and :func:`~repro.traces.traceset.sum_rows`
+    adds a service's rows in order, like ``total += values``.  (A plain
+    axis-0 sum does not on a one-sample grid, where numpy adds the
+    contiguous column pairwise.)
     """
 
     __slots__ = ("grid", "matrix", "names", "codes", "energy")
@@ -90,7 +92,7 @@ class ServiceRows:
         matrix = np.empty((len(ranked), self.grid.n_samples))
         for k, code in enumerate(ranked):
             members = rows[codes == code]
-            matrix[k] = self.matrix[members].sum(axis=0) / len(members)
+            matrix[k] = sum_rows(self.matrix[members]) / len(members)
         return TraceSet(self.grid, [self.names[code] for code in ranked], matrix)
 
     def _ranked(self, top_m: int, rows: Optional[np.ndarray]) -> List[int]:

@@ -17,6 +17,27 @@ from .grid import TimeGrid
 from .series import PowerTrace, check_power_values
 
 
+def sum_rows(block: np.ndarray) -> np.ndarray:
+    """Column totals of an ``(m, T)`` block, adding its rows in order.
+
+    The result equals ``total = np.zeros(T); for row in block: total +=
+    row`` bit for bit, for every ``m`` and ``T``, in float64.  A plain
+    ``block.sum(axis=0)`` does not: on a one-sample grid the column is
+    contiguous and numpy adds it pairwise.  For ``T >= 2`` a reduction
+    over axis 0 of a C-ordered block keeps the rows in the outer loop, so
+    it adds them one at a time, here from +0.0.  A one-sample block goes
+    through ``np.cumsum``, which is sequential by definition but starts
+    from the first row: adding +0.0 afterwards gives a column of negative
+    zeros the loop's +0.0.
+    """
+    block = np.ascontiguousarray(block, dtype=np.float64)
+    if block.shape[1] != 1:
+        return np.add.reduce(block, axis=0, initial=0.0)
+    if not len(block):
+        return np.zeros(1)
+    return np.cumsum(block, axis=0)[-1] + 0.0
+
+
 class TraceSet:
     """An immutable matrix of power traces sharing one :class:`TimeGrid`.
 

@@ -20,6 +20,18 @@ def blobs(rng, centers, per_cluster=20, spread=0.1):
     return np.vstack(points)
 
 
+class TestNonFinitePoints:
+    @pytest.mark.parametrize("cluster", [kmeans, balanced_kmeans])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_rejected_naming_the_first_bad_row(self, rng, cluster, bad, k):
+        points = rng.random((8, 2))
+        points[5, 1] = bad
+        points[6, 0] = bad
+        with pytest.raises(ValueError, match="finite: row 5 "):
+            cluster(points, k)
+
+
 class TestKMeans:
     def test_recovers_separated_blobs(self, rng):
         points = blobs(rng, [(0, 0), (10, 10), (0, 10)])

@@ -4,10 +4,11 @@
 :class:`~repro.core.placement.WorkloadAwarePlacer` decides for the three
 paper datacenters (1440 instances, 10-minute steps, spec seed 7): the
 instance → leaf assignment, every node's cluster labels, and the
-assignment after an RPP remap (``max_swaps=30``).  For DC3 it also pins
-the placer under each non-default configuration in :data:`CONFIGURATIONS`,
-a serial suite-scoped re-placement of the oblivious baseline, and a
-suite-sharded RPP remap of that baseline (:data:`SHARDED_REMAP`, checked
+assignment after an RPP remap (``max_swaps=30``) together with that remap's
+accepted swaps.  For DC3 it also pins the placer under each non-default
+configuration in :data:`CONFIGURATIONS`, a serial suite-scoped
+re-placement of the oblivious baseline, and a suite-sharded RPP remap of
+that baseline (:data:`SHARDED_REMAP`, its assignment and swaps, checked
 serially and on two workers).  Performance work on clustering, placement,
 remapping or the topology must leave every digest unchanged.
 
@@ -22,13 +23,13 @@ from __future__ import annotations
 import hashlib
 import json
 import pathlib
-from typing import Dict, Mapping
+from typing import Dict, Mapping, Sequence
 
 import pytest
 
 from repro.core.pipeline import SmoothOperator, SmoothOperatorConfig
 from repro.core.placement import PlacementConfig, WorkloadAwarePlacer, scoped_placement
-from repro.core.remapping import RemapConfig, RemappingEngine
+from repro.core.remapping import RemapConfig, RemappingEngine, Swap
 from repro.datasets import facebook
 from repro.infra.assignment import Assignment
 from repro.infra.topology import Level
@@ -71,13 +72,26 @@ def labels_digest(labels: Mapping[str, Mapping[str, int]]) -> str:
     return h.hexdigest()
 
 
+def swaps_digest(swaps: Sequence[Swap]) -> str:
+    """sha256 of accepted swaps in acceptance order: both ids, both nodes,
+    and both gains as ``float.hex``, so a gain that moves by one ulp shows."""
+    h = hashlib.sha256()
+    for swap in swaps:
+        h.update(
+            f"{swap.instance_a}\t{swap.node_a}\t{swap.instance_b}\t{swap.node_b}\t"
+            f"{float(swap.gain_a).hex()}\t{float(swap.gain_b).hex()}\n".encode()
+        )
+    return h.hexdigest()
+
+
 def build(name: str) -> facebook.Datacenter:
     spec = SPECS[name](n_instances=SCALE["n_instances"], seed=SCALE["seed"])
     return facebook.build_datacenter(spec, weeks=3, step_minutes=SCALE["step_minutes"])
 
 
 def fingerprint(name: str) -> Dict[str, str]:
-    """Digests of one datacenter's placement, labels and remapped placement."""
+    """Digests of one datacenter's placement, labels, remapped placement and
+    the remap's swaps."""
     dc = build(name)
     operator = SmoothOperator(
         SmoothOperatorConfig(
@@ -90,6 +104,7 @@ def fingerprint(name: str) -> Dict[str, str]:
         "placement": mapping_digest(outcome.placement.assignment.as_mapping()),
         "cluster_labels": labels_digest(outcome.placement.cluster_labels),
         "remap": mapping_digest(outcome.remap.assignment.as_mapping()),
+        "remap_swaps": swaps_digest(outcome.remap.swaps),
     }
 
 
@@ -102,7 +117,10 @@ def configuration_fingerprint(
         result = RemappingEngine(SHARDED_REMAP_CONFIG).run(
             dc.baseline, training_trace_set(dc.records), workers=workers
         )
-        return {"remap": mapping_digest(result.assignment.as_mapping())}
+        return {
+            "remap": mapping_digest(result.assignment.as_mapping()),
+            "remap_swaps": swaps_digest(result.swaps),
+        }
     if label == SCOPED:
         scoped = scoped_placement(dc.records, dc.baseline, Level.SUITE, PlacementConfig())
         return {"placement": mapping_digest(scoped.as_mapping())}

@@ -2,14 +2,44 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs import events, telemetry
 from repro.obs.telemetry import (
     FlightRecorder,
+    Precursor,
     PrecursorConfig,
     RingBuffer,
+    _rolling_slope,
     detect_precursors,
 )
+
+
+def oracle_precursors(utilization, config):
+    """The per-sample rising-edge scan ``detect_precursors`` replaced."""
+    utilization = np.asarray(utilization, dtype=np.float64)
+    slopes = _rolling_slope(utilization, config.window)
+    projected = utilization + slopes * config.horizon
+    below = utilization < config.ceiling
+    trending = below & (slopes > 0) & (projected >= config.ceiling)
+    banded = below & (utilization >= config.warning_fraction * config.ceiling)
+    firing = trending | banded
+    precursors = []
+    previous = False
+    for index, flag in enumerate(firing):
+        if flag and not previous:
+            precursors.append(
+                Precursor(
+                    index=index,
+                    utilization=float(utilization[index]),
+                    slope_per_step=float(slopes[index]),
+                    projected=float(projected[index]),
+                    reason="trend" if trending[index] else "warning_band",
+                )
+            )
+        previous = bool(flag)
+    return precursors
 
 
 class TestRingBuffer:
@@ -133,6 +163,35 @@ class TestPrecursorDetection:
         found = detect_precursors(utilization, PrecursorConfig(window=12, horizon=1))
         band = [p for p in found if p.reason == "warning_band"]
         assert [p.index for p in band] == [10, 30]
+
+    @given(
+        n=st.integers(0, 80),
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["walk", "band", "steps"]),
+        window=st.integers(2, 14),
+        horizon=st.integers(1, 14),
+        warning_fraction=st.sampled_from([0.5, 0.9, 0.95, 1.0]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_rising_edges_match_the_sample_loop(
+        self, n, seed, kind, window, horizon, warning_fraction
+    ):
+        """The same precursors in the same order as the per-sample scan, on
+        random walks, series hovering at the band edge and step series that
+        fire in long runs, including the first and the last sample."""
+        rng = np.random.default_rng(seed)
+        if kind == "walk":
+            utilization = 0.8 + np.cumsum(rng.normal(0, 0.05, n))
+        elif kind == "band":
+            utilization = rng.choice([0.5, 0.95, 0.97, 1.0, 1.2], n)
+        else:
+            utilization = np.repeat(rng.uniform(0.3, 1.1, n), rng.integers(1, 5, n))[:n]
+        config = PrecursorConfig(
+            window=window, horizon=horizon, warning_fraction=warning_fraction
+        )
+        assert detect_precursors(utilization, config) == oracle_precursors(
+            utilization, config
+        )
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -2,11 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.traces import PowerTrace, TimeGrid, TraceSet
+from repro.traces import PowerTrace, TimeGrid, TraceSet, sum_rows
 
 GRID24 = TimeGrid(0, 60, 24)
 WEEK_GRID = TimeGrid.for_weeks(2, step_minutes=6 * 60)
@@ -127,3 +127,39 @@ class TestTraceSetProperties:
         shuffled = ts.subset([f"t{i}" for i in order])
         # Allclose, not equality: float addition is not associative.
         assert np.allclose(shuffled.total().values, ts.total().values)
+
+
+class TestSumRows:
+    @given(
+        n_samples=st.sampled_from([1, 2, 3, 24, 130]),
+        n_rows=st.integers(0, 130),
+        kind=st.sampled_from(["uniform", "scaled", "pool", "signed_zeros"]),
+        dtype=st.sampled_from([np.float64, np.float32]),
+        order=st.sampled_from(["C", "F"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_row_loop(self, n_samples, n_rows, kind, dtype, order, seed):
+        """Bit for bit the ``total += row`` loop from +0.0: on one-sample
+        columns (which numpy's axis-0 sum adds pairwise), on two samples and
+        more, for either memory order and a float32 block, and with signed
+        zeros, whose sum keeps the loop's sign."""
+        rng = np.random.default_rng(seed)
+        if kind == "uniform":
+            block = rng.uniform(0, 1e4, (n_rows, n_samples))
+        elif kind == "scaled":
+            block = rng.uniform(0, 1, (n_rows, n_samples)) * 10.0 ** rng.integers(
+                -6, 7, (n_rows, 1)
+            )
+        elif kind == "pool":
+            block = rng.choice([0.0, -0.0, 0.5, 1.0, 3.25, 1e-3], (n_rows, n_samples))
+        else:
+            # Half the columns all -0.0, the others mixed with +0.0.
+            mixed = (rng.random((n_rows, n_samples)) < 0.5) & (rng.random(n_samples) < 0.5)
+            block = np.where(mixed, 0.0, -0.0)
+        block = np.asarray(block, dtype=dtype, order=order)
+        total = np.zeros(n_samples)
+        for row in block:
+            total += row
+        assert sum_rows(block).dtype == np.float64
+        assert sum_rows(block).tobytes() == total.tobytes()

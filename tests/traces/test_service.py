@@ -88,6 +88,24 @@ class TestBasis:
         assert basis.ids == ["db", "web"]  # db has more total energy? 50 vs 30
         assert basis["web"].mean() == pytest.approx(10.0)
 
+    def test_one_sample_basis_adds_rows_in_order(self):
+        """On a one-sample grid numpy adds an axis-0 column pairwise; the
+        S-trace is still the mean of the ``total += values`` loop."""
+        grid = TimeGrid(0, 30, 1)
+        levels = [
+            318.48084366072715, 134.89335688193515, 20.486761968097344,
+            8.263817764264548, 406.6351196001362, 456.37778863886086,
+            303.31788788358995, 364.7482804919992,
+        ]
+        records = [
+            InstanceRecord(ServiceInstance(f"web-{k}", "web"), PowerTrace(grid, [level]))
+            for k, level in enumerate(levels)
+        ]
+        total = 0.0
+        for level in levels:
+            total += level
+        assert extract_basis_traces(records, 1).matrix[0, 0] == total / len(levels)
+
     def test_basis_is_traceset_on_same_grid(self, week, synthesizer):
         records = synthesizer.service_instances(
             __import__("repro.traces", fromlist=["web_profile"]).web_profile(), 3
