@@ -22,7 +22,7 @@ import numpy as np
 
 from .. import obs
 from ..traces.series import PowerTrace
-from ..traces.traceset import TraceSet, sum_rows
+from ..traces.traceset import TraceSet, add_rows, sum_rows
 
 ArrayLike = Union[np.ndarray, Sequence[float]]
 
@@ -255,7 +255,7 @@ def averaged_group_trace(
         raise ValueError(f"instance {exclude_id} is not in the group")
     if len(group) < 2:
         raise ValueError("differential score needs at least two instances at the node")
-    total = group.matrix.sum(axis=0) - group.row(exclude_id)
+    total = add_rows(group.matrix) - group.row(exclude_id)
     return PowerTrace(group.grid, total / (len(group) - 1))
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from .. import obs
 from ..infra.aggregation import NodePowerView
 from ..infra.assignment import Assignment
-from ..traces.traceset import TraceSet
+from ..traces.traceset import TraceSet, add_rows
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ def node_asynchrony_scores(
             aggregate_peak = view.node_peak(node.name)
             obs.count("metrics.node_aggregate_reused")
         else:
-            aggregate_peak = float(traces.matrix[indices].sum(axis=0).max())
+            aggregate_peak = float(add_rows(traces.matrix[indices]).max())
             obs.count("metrics.node_aggregate_recomputed")
         scores[node.name] = sum_peaks / aggregate_peak if aggregate_peak > 0 else 1.0
     return scores
@@ -112,12 +112,10 @@ class AsynchronyIndex:
     # ------------------------------------------------------------------
     def _score_node(self, node_name: str) -> Optional[float]:
         """Score one node — ``None`` when it is empty (skipped, like the full pass)."""
-        members = self.view.members_under(node_name)
-        if not members:
+        rows = self.view.rows_under(node_name)
+        if not rows:
             return None
-        traces = self.view.traces
-        indices = [traces.index_of(instance_id) for instance_id in members]
-        sum_peaks = float(self._member_peaks[indices].sum())
+        sum_peaks = float(self._member_peaks[rows].sum())
         aggregate_peak = self.view.node_peak(node_name)
         obs.count("metrics.node_aggregate_reused")
         return sum_peaks / aggregate_peak if aggregate_peak > 0 else 1.0

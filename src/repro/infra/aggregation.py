@@ -9,13 +9,13 @@ power/energy slack (metric 2) — read off this view.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .. import obs
 from ..traces.series import PowerTrace
-from ..traces.traceset import TraceSet
+from ..traces.traceset import TraceSet, add_rows
 from .assignment import Assignment
 from .topology import PowerNode, PowerTopology
 
@@ -29,6 +29,15 @@ class NodePowerView:
     subtree — each dirty node with the *identical* expression the full
     build uses, so the incrementally maintained aggregates (and the cached
     per-node peaks) stay bit-identical to a from-scratch rebuild.
+
+    Members are held as row indices into ``traces.matrix``.  Every node's
+    aggregate is a row of one ``(nodes, T)`` array in the matrix's dtype,
+    in breadth-first order, so each internal node's children are adjacent
+    rows: that ``(children, T)`` slice is the node's block, and the node
+    re-sums it into its own row in place.  So a delta maps no member ids
+    to rows and allocates no array per recomputed node.  The arrays
+    behind :meth:`node_trace` are overwritten by the next delta; hold a
+    copy, never the array.
     """
 
     def __init__(
@@ -49,57 +58,78 @@ class NodePowerView:
         self.topology = topology
         self.assignment = assignment
         self.traces = traces
-        self._node_values: Dict[str, np.ndarray] = {}
-        # Live membership for the incremental path.  After deltas these
-        # lists are authoritative; ``self.assignment`` keeps the as-built
-        # placement (materialize the current one via
-        # :meth:`materialized_assignment`).
-        self._leaf_members: Dict[str, List[str]] = {
-            leaf.name: list(assignment.instances_on_leaf(leaf.name))
+        # Live membership for the incremental path, as rows of
+        # ``traces.matrix`` in arrival order.  After deltas these lists are
+        # authoritative; ``self.assignment`` keeps the as-built placement
+        # (materialize the current one via :meth:`materialized_assignment`).
+        self._leaf_rows: Dict[str, List[int]] = {
+            leaf.name: [
+                traces.index_of(i) for i in assignment.instances_on_leaf(leaf.name)
+            ]
             for leaf in topology.leaves()
         }
+        ids = traces.ids
         self._leaf_of: Dict[str, str] = {
-            instance_id: leaf_name
-            for leaf_name, members in self._leaf_members.items()
-            for instance_id in members
+            ids[row]: leaf_name
+            for leaf_name, rows in self._leaf_rows.items()
+            for row in rows
         }
+        #: node name → its aggregate, a row of one ``(nodes, T)`` array.
+        self._node_values: Dict[str, np.ndarray] = {}
+        #: internal node name → its children's rows of that array.
+        self._blocks: Dict[str, np.ndarray] = {}
+        #: leaf name → node names on its root path, root first.
+        self._paths: Dict[str, Tuple[str, ...]] = {}
         self._depth: Dict[str, int] = {}
         self._peaks: Dict[str, float] = {}
         self._version = 0
         self._last_dirty: Tuple[str, ...] = ()
-        self._index_depths(topology.root, 0)
+        self._layout()
         self._aggregate(topology.root)
 
-    def _index_depths(self, node: PowerNode, depth: int) -> None:
-        self._depth[node.name] = depth
-        for child in node.children:
-            self._index_depths(child, depth + 1)
+    def _layout(self) -> None:
+        """Give every node a row of one array, in breadth-first order.
 
-    def _aggregate(self, node: PowerNode) -> np.ndarray:
+        Breadth-first order puts each node's children in adjacent rows,
+        so those rows are the node's block; the root's row is in no
+        block.
+        """
+        root = self.topology.root
+        order = [root]
+        paths = {root.name: (root.name,)}
+        first_child: Dict[str, int] = {}
+        for node in order:  # grows while it is walked
+            first_child[node.name] = len(order)
+            order.extend(node.children)
+            for child in node.children:
+                paths[child.name] = paths[node.name] + (child.name,)
+        values = np.empty(
+            (len(order), self.traces.grid.n_samples), dtype=self.traces.matrix.dtype
+        )
+        for row, node in enumerate(order):
+            self._node_values[node.name] = values[row]
+            self._depth[node.name] = len(paths[node.name]) - 1
+            if node.is_leaf:
+                self._paths[node.name] = paths[node.name]
+            else:
+                start = first_child[node.name]
+                self._blocks[node.name] = values[start : start + len(node.children)]
+
+    def _aggregate(self, node: PowerNode) -> None:
         for child in node.children:
             self._aggregate(child)
-        total = self._compute_node(node)
-        self._node_values[node.name] = total
-        return total
+        self._compute_node(node.name)
 
-    def _compute_node(self, node: PowerNode) -> np.ndarray:
-        """One node's aggregate from current members / child aggregates.
+    def _compute_node(self, name: str) -> None:
+        """Re-sum one node's aggregate in place, from its rows or its block.
 
         The single source of truth for both the full build and the
         incremental path — sharing the expression is what makes the two
         bit-identical.
         """
-        if node.is_leaf:
-            members = self._leaf_members[node.name]
-            if members:
-                # Fancy-index the TraceSet matrix and reduce once — far
-                # fewer Python-level passes than adding row by row.
-                rows = [self.traces.index_of(i) for i in members]
-                return self.traces.matrix[rows].sum(axis=0)
-            return np.zeros(self.traces.grid.n_samples)
-        return np.sum(
-            [self._node_values[child.name] for child in node.children], axis=0
-        )
+        rows = self._leaf_rows.get(name)
+        source = self.traces.matrix[rows] if rows is not None else self._blocks[name]
+        add_rows(source, out=self._node_values[name])
 
     # ------------------------------------------------------------------
     # incremental maintenance
@@ -117,54 +147,90 @@ class NodePowerView:
     def apply_delta(self, delta) -> List[str]:
         """Apply a :class:`~repro.engine.delta.FleetDelta` to the view.
 
-        Updates the live membership, then recomputes exactly the dirty
-        subtree — touched leaves from member rows, their ancestors from
-        child aggregates, deepest first — and invalidates the cached peaks
-        of those nodes.  Returns the dirty node names (root-first per
-        touched leaf, first-touch order).
+        Validates every move first, so a rejected delta leaves the view
+        untouched; then updates the live membership move by move and
+        recomputes exactly the dirty subtree — touched leaves from member
+        rows, their ancestors from child aggregates, deepest first — and
+        invalidates the cached peaks of those nodes.  Returns the dirty
+        node names (root-first per touched leaf, first-touch order).
         """
+        touched = self._check_delta(delta)
+        index_of = self.traces.index_of
         for move in delta.moves:
             instance_id = move.instance_id
             if move.src_leaf is not None:
-                if self._leaf_of.get(instance_id) != move.src_leaf:
-                    raise ValueError(
-                        f"{instance_id!r} is not on leaf {move.src_leaf!r}"
-                    )
-                self._leaf_members[move.src_leaf].remove(instance_id)
+                self._leaf_rows[move.src_leaf].remove(index_of(instance_id))
                 del self._leaf_of[instance_id]
             if move.dst_leaf is not None:
-                if move.dst_leaf not in self._leaf_members:
-                    raise KeyError(f"{move.dst_leaf!r} is not a leaf")
-                if instance_id in self._leaf_of:
-                    raise ValueError(f"{instance_id!r} is already placed")
-                if instance_id not in self.traces:
-                    raise ValueError(f"{instance_id!r} has no trace")
-                self._leaf_members[move.dst_leaf].append(instance_id)
+                self._leaf_rows[move.dst_leaf].append(index_of(instance_id))
                 self._leaf_of[instance_id] = move.dst_leaf
-        touched = delta.touched_leaves(self._leaf_of)
 
         dirty: List[str] = []
         seen = set()
         for leaf_name in touched:
-            for node in self.topology.node(leaf_name).path_from_root():
-                if node.name not in seen:
-                    seen.add(node.name)
-                    dirty.append(node.name)
+            for name in self._paths[leaf_name]:
+                if name not in seen:
+                    seen.add(name)
+                    dirty.append(name)
         # Children before parents: recompute deepest nodes first.
         for name in sorted(dirty, key=self._depth.__getitem__, reverse=True):
-            node = self.topology.node(name)
-            self._node_values[name] = self._compute_node(node)
+            self._compute_node(name)
             self._peaks.pop(name, None)
         self._version += 1
         self._last_dirty = tuple(dirty)
         obs.count("delta.view_nodes_recomputed", len(dirty))
         return dirty
 
+    def _check_delta(self, delta) -> List[str]:
+        """Reject a delta the view cannot apply; return its touched leaves.
+
+        An arrival is judged against the membership the delta's own
+        departures leave (each instance appears in at most one move), so
+        a swap is legal, as in
+        :meth:`~repro.engine.delta.PlacementState.apply`.
+        """
+        final: Dict[str, Optional[str]] = {}
+        for move in delta.moves:
+            instance_id = move.instance_id
+            if (
+                move.src_leaf is not None
+                and self._leaf_of.get(instance_id) != move.src_leaf
+            ):
+                raise ValueError(f"{instance_id!r} is not on leaf {move.src_leaf!r}")
+            if move.dst_leaf is not None:
+                if move.dst_leaf not in self._leaf_rows:
+                    raise KeyError(f"{move.dst_leaf!r} is not a leaf")
+                if move.src_leaf is None and instance_id in self._leaf_of:
+                    raise ValueError(f"{instance_id!r} is already placed")
+                if instance_id not in self.traces:
+                    raise ValueError(f"{instance_id!r} has no trace")
+            final[instance_id] = move.dst_leaf
+
+        def leaf_after(instance_id: str) -> str:
+            leaf = final.get(instance_id, self._leaf_of.get(instance_id))
+            if leaf is None:
+                raise KeyError(f"{instance_id!r} is not placed")
+            return leaf
+
+        return delta.touched_leaves(leaf_after)
+
     def member_ids(self, leaf_name: str) -> List[str]:
         """Current members of a leaf, in arrival order (a copy)."""
-        if leaf_name not in self._leaf_members:
+        if leaf_name not in self._leaf_rows:
             raise KeyError(f"{leaf_name!r} is not a leaf")
-        return list(self._leaf_members[leaf_name])
+        ids = self.traces.ids
+        return [ids[row] for row in self._leaf_rows[leaf_name]]
+
+    def rows_under(self, node_name: str) -> List[int]:
+        """Rows of ``traces.matrix`` under ``node_name`` (a copy).
+
+        Leaves in topology order, members in arrival order — the order of
+        :meth:`members_under`.
+        """
+        rows: List[int] = []
+        for leaf in self.topology.leaves_under(node_name):
+            rows.extend(self._leaf_rows[leaf.name])
+        return rows
 
     def members_under(self, node_name: str) -> List[str]:
         """Current members of the subtree rooted at ``node_name`` (a copy).
@@ -173,10 +239,8 @@ class NodePowerView:
         :meth:`Assignment.instances_under` gives on the materialized
         assignment.
         """
-        members: List[str] = []
-        for leaf in self.topology.leaves_under(node_name):
-            members.extend(self._leaf_members[leaf.name])
-        return members
+        ids = self.traces.ids
+        return [ids[row] for row in self.rows_under(node_name)]
 
     def materialized_assignment(self) -> Assignment:
         """The current (post-delta) placement as an immutable Assignment.
@@ -184,10 +248,11 @@ class NodePowerView:
         Leaves in topology order, members in arrival order — rebuilding a
         view from the result reproduces this view's state bit-for-bit.
         """
+        ids = self.traces.ids
         mapping = {
-            instance_id: leaf_name
-            for leaf_name, members in self._leaf_members.items()
-            for instance_id in members
+            ids[row]: leaf_name
+            for leaf_name, rows in self._leaf_rows.items()
+            for row in rows
         }
         return Assignment(self.topology, mapping)
 

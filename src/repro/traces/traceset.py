@@ -9,7 +9,7 @@ placement framework needs (row peaks, group aggregates, sub-setting).
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Sequence
+from typing import Dict, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -17,25 +17,32 @@ from .grid import TimeGrid
 from .series import PowerTrace, check_power_values
 
 
-def sum_rows(block: np.ndarray) -> np.ndarray:
-    """Column totals of an ``(m, T)`` block, adding its rows in order.
+def add_rows(block: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Column totals of an ``(m, T)`` block in its dtype, adding rows in order.
 
-    The result equals ``total = np.zeros(T); for row in block: total +=
-    row`` bit for bit, for every ``m`` and ``T``, in float64.  A plain
+    The result equals ``total = np.zeros(T, block.dtype); for row in block:
+    total += row`` bit for bit, for every ``m`` and ``T``.  A plain
     ``block.sum(axis=0)`` does not: on a one-sample grid the column is
     contiguous and numpy adds it pairwise.  For ``T >= 2`` a reduction
     over axis 0 of a C-ordered block keeps the rows in the outer loop, so
     it adds them one at a time, here from +0.0.  A one-sample block goes
     through ``np.cumsum``, which is sequential by definition but starts
     from the first row: adding +0.0 afterwards gives a column of negative
-    zeros the loop's +0.0.
+    zeros the loop's +0.0.  ``out``, if given, receives the totals.
     """
-    block = np.ascontiguousarray(block, dtype=np.float64)
+    block = np.ascontiguousarray(block)
     if block.shape[1] != 1:
-        return np.add.reduce(block, axis=0, initial=0.0)
+        return np.add.reduce(block, axis=0, out=out, initial=0)
     if not len(block):
-        return np.zeros(1)
-    return np.cumsum(block, axis=0)[-1] + 0.0
+        total = np.zeros(1, dtype=block.dtype)
+    else:
+        total = np.cumsum(block, axis=0)[-1]
+    return np.add(total, 0, out=out)
+
+
+def sum_rows(block: np.ndarray) -> np.ndarray:
+    """:func:`add_rows` in float64, whatever the block's dtype."""
+    return add_rows(np.asarray(block, dtype=np.float64))
 
 
 class TraceSet:
@@ -123,7 +130,7 @@ class TraceSet:
 
     def total(self) -> PowerTrace:
         """The aggregate trace of every member (column sums)."""
-        return PowerTrace(self.grid, self.matrix.sum(axis=0))
+        return PowerTrace(self.grid, add_rows(self.matrix))
 
     def sum_of_peaks(self) -> float:
         """Σ_j peak(P_j) — the numerator of the asynchrony score (Eq. 6)."""
@@ -131,14 +138,14 @@ class TraceSet:
 
     def aggregate_peak(self) -> float:
         """peak(Σ_j P_j) — the denominator of the asynchrony score (Eq. 6)."""
-        return float(self.matrix.sum(axis=0).max())
+        return float(add_rows(self.matrix).max())
 
     def aggregate_of(self, trace_ids: Sequence[str]) -> PowerTrace:
         """Aggregate trace of the named subset."""
         if len(trace_ids) == 0:
             raise ValueError("cannot aggregate an empty subset")
         rows = [self._index[tid] for tid in trace_ids]
-        return PowerTrace(self.grid, self.matrix[rows].sum(axis=0))
+        return PowerTrace(self.grid, add_rows(self.matrix[rows]))
 
     def subset(self, trace_ids: Sequence[str]) -> "TraceSet":
         """A new TraceSet restricted to ``trace_ids`` (order preserved)."""

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro import obs
 from repro.core.metrics import AsynchronyIndex, node_asynchrony_scores
 from repro.engine.delta import FleetDelta, Move, PlacementState, dirty_nodes
 from repro.infra import (
@@ -192,6 +191,87 @@ class TestPlacementState:
         state.swap(a, b)
         assert [tag for tag, _ in calls] == ["first", "second"]
         assert calls[0][1] is calls[1][1]
+
+
+class TestViewRejectsWholeDelta:
+    """A delta the view rejects changes nothing, whichever move is bad."""
+
+    @staticmethod
+    def _view_with_spare():
+        topo, assignment, traces = small_fleet()
+        rng = np.random.default_rng(1)
+        spare = TraceSet(GRID, ["spare"], rng.uniform(5, 50, size=(1, GRID.n_samples)))
+        view = NodePowerView(topo, assignment, traces.merged_with(spare))
+        a = view.member_ids("dc/rpp0")[0]
+        b = view.member_ids("dc/rpp1")[0]
+        view.apply_delta(FleetDelta.swap(a, "dc/rpp0", b, "dc/rpp1"))
+        return topo, view
+
+    @staticmethod
+    def _snapshot(topo, view):
+        return (
+            {leaf: view.member_ids(leaf) for leaf in topo.leaf_names()},
+            view.version,
+            view.last_dirty,
+            {node.name: view.node_trace(node.name).values for node in topo.nodes()},
+        )
+
+    @pytest.mark.parametrize(
+        "second, error",
+        [
+            (Move("spare", "dc/rpp2", "dc/rpp3"), ValueError),  # not placed
+            (Move("spare", None, "dc/nowhere"), KeyError),  # not a leaf
+            (Move("i2", None, "dc/rpp3"), ValueError),  # already placed
+            (Move("ghost", None, "dc/rpp3"), ValueError),  # no trace
+        ],
+    )
+    def test_rejected_second_move_changes_nothing(self, second, error):
+        topo, view = self._view_with_spare()
+        before = self._snapshot(topo, view)
+        first = Move(view.member_ids("dc/rpp0")[0], "dc/rpp0", "dc/rpp3")
+        with pytest.raises(error):
+            view.apply_delta(FleetDelta(moves=(first, second)))
+        after = self._snapshot(topo, view)
+        assert after[:3] == before[:3]
+        for name, values in before[3].items():
+            assert np.array_equal(after[3][name], values), name
+        fresh = NodePowerView(topo, view.materialized_assignment(), view.traces)
+        for node in topo.nodes():
+            assert np.array_equal(
+                view._node_values[node.name], fresh._node_values[node.name]
+            )
+
+    def test_refresh_of_an_instance_the_delta_removes_changes_nothing(self):
+        topo, view = self._view_with_spare()
+        before = self._snapshot(topo, view)
+        leaving = view.member_ids("dc/rpp2")[0]
+        with pytest.raises(KeyError):
+            view.apply_delta(
+                FleetDelta(
+                    moves=(Move(leaving, "dc/rpp2", None),),
+                    trace_updates=(leaving,),
+                )
+            )
+        assert self._snapshot(topo, view)[:3] == before[:3]
+
+    def test_arrivals_are_judged_after_departures(self):
+        """A swap and a departure-then-arrival pass the up-front check."""
+        topo, view = self._view_with_spare()
+        a = view.member_ids("dc/rpp2")[0]
+        b = view.member_ids("dc/rpp3")[0]
+        view.apply_delta(
+            FleetDelta(
+                moves=(
+                    Move(a, "dc/rpp2", "dc/rpp3"),
+                    Move(b, "dc/rpp3", "dc/rpp2"),
+                    Move("spare", None, "dc/rpp0"),
+                )
+            )
+        )
+        assert view.member_ids("dc/rpp3")[-1] == a
+        assert view.member_ids("dc/rpp2")[-1] == b
+        assert view.member_ids("dc/rpp0")[-1] == "spare"
+        assert view.version == 2
 
 
 class TestSharedViewGuard:

@@ -8,6 +8,10 @@ must come back empty.
 
 import glob
 import os
+import pathlib
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -23,6 +27,11 @@ from repro.engine.sharedmem import (
     owned_segment_names,
     shard_ranges,
 )
+
+
+_HERE = pathlib.Path(__file__).resolve().parent
+#: The import root a child interpreter needs on PYTHONPATH (src layout).
+_SRC_DIR = _HERE.parents[1] / "src"
 
 
 def leaked_segments():
@@ -176,6 +185,84 @@ def test_sharded_job_survives_worker_death_and_unlinks(tmp_path):
         assert pool.generation >= 2
     assert owned_segment_names() == ()
     assert leaked_segments() == []
+
+
+def _stays_present(name, seconds):
+    """Whether segment ``name`` exists at every check over ``seconds``."""
+    deadline = time.monotonic() + seconds
+    while time.monotonic() < deadline:
+        if not os.path.exists(f"/dev/shm/{name}"):
+            return False
+        time.sleep(0.05)
+    return True
+
+
+class DieAfterAttachThenSum:
+    """Attaches its shard, then kills its worker once (flag file); sums after."""
+
+    def __init__(self, flag_path):
+        self.flag_path = str(flag_path)
+
+    def __call__(self, handle, start, stop):
+        rows = attach_rows(handle, start, stop)
+        if not os.path.exists(self.flag_path):
+            with open(self.flag_path, "w") as f:
+                f.write("died")
+            os._exit(17)
+        return float(rows.sum())
+
+
+def kill_after_attach_stages(flag_dir):
+    """Two stages over one segment, the first losing a worker after attach.
+
+    A worker that dies holding an attachment must not unlink the
+    coordinator's segment: the rebuilt pool finishes the stage, a second
+    stage reads the same segment, and nothing is left behind.  The workers
+    fork before the segment exists.
+    """
+    matrix = np.arange(40, dtype=np.float64).reshape(10, 4)
+    expected = [float(matrix[s:e].sum()) for s, e in shard_ranges(10, 2)]
+    task = DieAfterAttachThenSum(os.path.join(flag_dir, "died.flag"))
+    with WorkerPool(2) as pool:
+        pool.warm()
+        with SharedMatrix.create(matrix) as shared:
+            tasks = [
+                (shared.handle, start, stop)
+                for start, stop in shard_ranges(10, 2)
+            ]
+            assert pool.map_shards(task, tasks) == expected
+            assert pool.generation >= 2
+            assert pool.map_shards(read_shard_sum, tasks) == expected
+            # The second stage can read mappings its workers cached, so
+            # look at the segment itself.  A dead worker's private tracker
+            # would unlink it within a few tens of milliseconds.
+            assert _stays_present(shared.handle.name, seconds=0.5)
+    detach_all()
+    assert owned_segment_names() == ()
+    assert leaked_segments() == []
+
+
+def test_worker_killed_after_attach_leaves_the_segment(tmp_path):
+    """The stages run in a fresh interpreter, so no resource tracker is
+    running when the pool forks: the order in which a worker would start a
+    private tracker unless the pool starts the coordinator's first."""
+    script = (
+        f"import sys; sys.path.insert(0, {str(_HERE)!r}); "
+        f"import test_sharedmem; "
+        f"test_sharedmem.kill_after_attach_stages({str(tmp_path)!r})"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(_SRC_DIR), env.get("PYTHONPATH", "")])
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
 
 
 def test_interrupted_sharded_job_unlinks(tmp_path):

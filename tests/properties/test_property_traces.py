@@ -163,3 +163,87 @@ class TestSumRows:
             total += row
         assert sum_rows(block).dtype == np.float64
         assert sum_rows(block).tobytes() == total.tobytes()
+
+
+def _row_loop(block, dtype):
+    """The oracle: ``total += row`` from +0.0, in ``dtype``."""
+    total = np.zeros(block.shape[1], dtype=dtype)
+    for row in block:
+        total += row
+    return total
+
+
+class TestOneSampleTotals:
+    """On a one-sample grid every total adds its rows in order.
+
+    numpy's axis-0 sum adds a one-sample column pairwise in blocks of 8,
+    so these tests draw up to 48 members.  Each site keeps its matrix's
+    dtype.
+    """
+
+    @given(
+        n_rows=st.integers(2, 48),
+        n_leaves=st.integers(1, 12),
+        dtype=st.sampled_from([np.float64, np.float32]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_totals_equal_the_row_loop(self, n_rows, n_leaves, dtype, seed):
+        from repro.core.asynchrony import averaged_group_trace
+        from repro.core.metrics import node_asynchrony_scores
+        from repro.infra import (
+            Assignment,
+            Level,
+            NodePowerView,
+            build_topology,
+            two_level_spec,
+        )
+        from repro.traces import add_rows
+
+        rng = np.random.default_rng(seed)
+        block = (
+            rng.uniform(0, 1, (n_rows, 1)) * 10.0 ** rng.integers(-3, 4, (n_rows, 1))
+        ).astype(dtype)
+        grid = TimeGrid(0, 60, 1)
+        ids = [f"i{k}" for k in range(n_rows)]
+        traces = TraceSet(grid, ids, block, dtype=dtype)
+        expected = _row_loop(block, dtype)
+
+        assert add_rows(block).dtype == dtype
+        assert add_rows(block).tobytes() == expected.tobytes()
+        assert traces.total().values.tobytes() == expected.astype(np.float64).tobytes()
+        assert traces.aggregate_peak() == float(expected.max())
+        order = [int(k) for k in rng.permutation(n_rows)]
+        assert traces.aggregate_of([ids[k] for k in order]).values.tobytes() == (
+            _row_loop(block[order], dtype).astype(np.float64).tobytes()
+        )
+        excluded = ids[order[0]]
+        averaged = (expected - block[order[0]]) / (n_rows - 1)
+        assert averaged_group_trace(traces, excluded).values.tobytes() == (
+            averaged.astype(np.float64).tobytes()
+        )
+
+        topo = build_topology(two_level_spec("dc", leaves=n_leaves, leaf_capacity=None))
+        leaves = topo.leaf_names()
+        mapping = {ids[k]: leaves[int(rng.integers(n_leaves))] for k in order}
+        assignment = Assignment(topo, mapping)
+        view = NodePowerView(topo, assignment, traces)
+        leaf_totals = []
+        for leaf in leaves:
+            rows = [traces.index_of(i) for i in assignment.instances_on_leaf(leaf)]
+            total = _row_loop(block[rows], dtype)
+            leaf_totals.append(total)
+            assert view._node_values[leaf].tobytes() == total.tobytes()
+        root = _row_loop(np.stack(leaf_totals), dtype)
+        assert view._node_values["dc"].tobytes() == root.tobytes()
+
+        peaks = traces.peaks()
+        expected_scores = {}
+        for leaf, total in zip(leaves, leaf_totals):
+            rows = [traces.index_of(i) for i in assignment.instances_under(leaf)]
+            if rows:
+                aggregate_peak = float(total.max())
+                expected_scores[leaf] = (
+                    float(peaks[rows].sum()) / aggregate_peak if aggregate_peak > 0 else 1.0
+                )
+        assert node_asynchrony_scores(assignment, traces, Level.RPP) == expected_scores
