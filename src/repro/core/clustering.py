@@ -11,12 +11,21 @@ across power nodes).  Two requirements shape this implementation:
   number of instances", which makes the round-robin distribution exact.
   :func:`balanced_kmeans` enforces that with a capacity-constrained
   assignment step on top of Lloyd iterations.
+
+Each restart keeps one ``(k, n_points)`` matrix of squared distances.
+k-means++ seeding fills it with the rows it computes for its D² weights,
+and after every centroid update only the rows of centroids that changed
+are computed again; the chosen restart's matrix carries into the balance
+rounds.  A row depends only on its points and its centroid, so every
+label, centroid and inertia has the bits a full recomputation would give.
+The ``cluster.distance_pairs`` counter counts the point–centroid distances
+computed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -57,25 +66,75 @@ class ClusteringResult:
 
 def _kmeans_pp_init(
     points: np.ndarray, k: int, rng: np.random.Generator
-) -> np.ndarray:
-    """k-means++ seeding: spread initial centroids by squared distance."""
+) -> Tuple[np.ndarray, np.ndarray]:
+    """k-means++ seeding: spread initial centroids by squared distance.
+
+    Returns the centroids and their ``(k, n_points)`` squared distance
+    matrix.  Each row is ``((points - c) ** 2).sum(axis=1)``, which has the
+    bits of :func:`_pairwise_sq_distances`.
+    """
     n = points.shape[0]
     centroids = np.empty((k, points.shape[1]))
+    distances = np.empty((k, n))
     first = int(rng.integers(n))
     centroids[0] = points[first]
-    closest_sq = ((points - centroids[0]) ** 2).sum(axis=1)
+    distances[0] = ((points - centroids[0]) ** 2).sum(axis=1)
+    closest_sq = distances[0].copy()
     for i in range(1, k):
         total = closest_sq.sum()
         if total <= 0:
             # All remaining points coincide with chosen centroids.
             centroids[i] = points[int(rng.integers(n))]
+            distances[i] = ((points - centroids[i]) ** 2).sum(axis=1)
             continue
-        probabilities = closest_sq / total
-        choice = int(rng.choice(n, p=probabilities))
-        centroids[i] = points[choice]
-        distance_sq = ((points - centroids[i]) ** 2).sum(axis=1)
-        closest_sq = np.minimum(closest_sq, distance_sq)
-    return centroids
+        centroids[i] = points[_d2_draw(closest_sq, total, rng)]
+        distances[i] = ((points - centroids[i]) ** 2).sum(axis=1)
+        np.minimum(closest_sq, distances[i], out=closest_sq)
+    obs.count("cluster.distance_pairs", k * n)
+    return centroids, distances
+
+
+#: Totals for which :func:`_d2_draw` draws inline: normal, finite floats.
+_NORMAL_RANGE = (np.finfo(np.float64).tiny, np.finfo(np.float64).max)
+
+
+def _d2_draw(weights: np.ndarray, total: float, rng: np.random.Generator) -> int:
+    """``rng.choice(len(weights), p=weights / total)``, drawn inline.
+
+    ``Generator.choice`` validates ``p``, then takes ``cdf = p.cumsum()``,
+    divides it by its last value and returns the first index whose cdf
+    exceeds one ``rng.random()``.  With a normal finite ``total`` the
+    weights are finite and non-negative and ``p`` sums to 1 within far less
+    than ``choice``'s tolerance, so ``choice`` cannot raise and the same
+    steps give the same index and consume the same draw.  Any other total
+    (NaN, overflowed, subnormal) goes through ``choice``, which raises what
+    it raises.
+    """
+    probabilities = weights / total
+    if not _NORMAL_RANGE[0] <= total <= _NORMAL_RANGE[1]:
+        return int(rng.choice(len(weights), p=probabilities))
+    cdf = probabilities.cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
+def _refresh_rows(
+    points: np.ndarray,
+    distances: np.ndarray,
+    previous: np.ndarray,
+    centroids: np.ndarray,
+) -> None:
+    """Recompute the rows of ``distances`` whose centroid changed.
+
+    A centroid is unchanged when every coordinate compares equal: ``-0.0``
+    against ``0.0`` counts as unchanged, and both square to the same value.
+    (A squared shift of 0 would not do: a coordinate difference below about
+    1e-162 squares to 0.)
+    """
+    changed = np.flatnonzero((previous != centroids).any(axis=1))
+    if len(changed):
+        obs.count("cluster.distance_pairs", len(changed) * points.shape[0])
+        distances[changed] = _pairwise_sq_distances(points, centroids[changed]).T
 
 
 def _as_points(points: np.ndarray) -> np.ndarray:
@@ -97,6 +156,11 @@ def _as_points(points: np.ndarray) -> np.ndarray:
     return points
 
 
+def _check_k(n: int, k: int) -> None:
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be in [1, {n}], got {k}")
+
+
 def kmeans(
     points: np.ndarray,
     k: int,
@@ -108,31 +172,36 @@ def kmeans(
 ) -> ClusteringResult:
     """Standard Lloyd's k-means with k-means++ seeding and restarts."""
     points = _as_points(points)
+    _check_k(points.shape[0], k)
+    return _kmeans(points, k, seed=seed, n_init=n_init, max_iter=max_iter, tol=tol)[0]
+
+
+def _kmeans(
+    points: np.ndarray, k: int, *, seed: int, n_init: int, max_iter: int, tol: float
+) -> Tuple[ClusteringResult, np.ndarray]:
+    """:func:`kmeans` on validated points; also returns the best restart's
+    ``(k, n_points)`` distance matrix."""
     n = points.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in [1, {n}], got {k}")
     rng = np.random.default_rng(seed)
 
-    best: Optional[ClusteringResult] = None
+    best: Optional[Tuple[ClusteringResult, np.ndarray]] = None
     for _ in range(max(1, n_init)):
         obs.count("cluster.restarts")
-        centroids = _kmeans_pp_init(points, k, rng)
-        labels = np.zeros(n, dtype=np.int64)
+        centroids, distances = _kmeans_pp_init(points, k, rng)
         for _ in range(max_iter):
             obs.count("cluster.lloyd_iterations")
-            distances = _pairwise_sq_distances(points, centroids)
-            labels = distances.argmin(axis=1)
+            labels = distances.argmin(axis=0)
             new_centroids = _recompute_centroids(points, labels, centroids, rng)
             shift = float(((new_centroids - centroids) ** 2).sum())
+            _refresh_rows(points, distances, centroids, new_centroids)
             centroids = new_centroids
             if shift <= tol:
                 break
-        distances = _pairwise_sq_distances(points, centroids)
-        labels = distances.argmin(axis=1)
-        inertia = float(distances[np.arange(n), labels].sum())
+        labels = distances.argmin(axis=0)
+        inertia = float(distances[labels, np.arange(n)].sum())
         candidate = ClusteringResult(labels=labels, centroids=centroids, inertia=inertia)
-        if best is None or candidate.inertia < best.inertia:
-            best = candidate
+        if best is None or candidate.inertia < best[0].inertia:
+            best = (candidate, distances)
     assert best is not None
     return best
 
@@ -157,30 +226,31 @@ def balanced_kmeans(
     """
     points = _as_points(points)
     n = points.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in [1, {n}], got {k}")
+    _check_k(n, k)
 
     with obs.span("cluster", points=n, k=k):
-        unbalanced = kmeans(points, k, seed=seed, n_init=n_init, max_iter=max_iter)
+        unbalanced, distances = _kmeans(
+            points, k, seed=seed, n_init=n_init, max_iter=max_iter, tol=1e-6
+        )
         centroids = unbalanced.centroids
-        labels = unbalanced.labels
         for _ in range(max(1, balance_rounds)):
             obs.count("cluster.balance_rounds")
-            labels = _capacity_assign(points, centroids, k)
+            labels = _capacity_assign(distances.T)
             rng = np.random.default_rng(seed)
-            centroids = _recompute_centroids(points, labels, centroids, rng)
-        distances = _pairwise_sq_distances(points, centroids)
-        inertia = float(distances[np.arange(n), labels].sum())
+            new_centroids = _recompute_centroids(points, labels, centroids, rng)
+            _refresh_rows(points, distances, centroids, new_centroids)
+            centroids = new_centroids
+        inertia = float(distances[labels, np.arange(n)].sum())
         return ClusteringResult(labels=labels, centroids=centroids, inertia=inertia)
 
 
-def _capacity_assign(points: np.ndarray, centroids: np.ndarray, k: int) -> np.ndarray:
-    """Greedy balanced assignment of points to capacity-limited clusters."""
-    n = points.shape[0]
+def _capacity_assign(distances: np.ndarray) -> np.ndarray:
+    """Greedy balanced assignment of points to capacity-limited clusters,
+    from their ``(n_points, k)`` squared distances."""
+    n, k = distances.shape
     base, remainder = divmod(n, k)
     remaining = [base + 1] * remainder + [base] * (k - remainder)
 
-    distances = _pairwise_sq_distances(points, centroids)
     # Process points hardest-to-place first: those with the largest gap
     # between their best and worst option have the most to lose.
     spread = distances.max(axis=1) - distances.min(axis=1)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import balanced_kmeans, kmeans
+from repro.obs import metrics
 
 
 def blobs(rng, centers, per_cluster=20, spread=0.1):
@@ -146,3 +147,20 @@ class TestBalancedKMeans:
             balanced_kmeans(rng.random((4, 2)), 5)
         with pytest.raises(ValueError):
             balanced_kmeans(np.zeros(4), 1)
+
+
+class TestDistanceWork:
+    def test_counters_pinned_on_a_seeded_problem(self):
+        """``cluster.distance_pairs`` counts each point–centroid distance
+        computed: the k-means++ rows, then only rows of moved centroids.
+        Recomputing every row on every step would count 14400 here."""
+        points = np.random.default_rng(11).random((60, 4))
+        with metrics.capturing() as registry:
+            balanced_kmeans(points, 8, seed=3)
+        names = ("restarts", "lloyd_iterations", "balance_rounds", "distance_pairs")
+        assert {name: registry.counter(f"cluster.{name}") for name in names} == {
+            "restarts": 4,
+            "lloyd_iterations": 17,
+            "balance_rounds": 4,
+            "distance_pairs": 7200,
+        }

@@ -9,8 +9,11 @@ accepted swaps.  For DC3 it also pins the placer under each non-default
 configuration in :data:`CONFIGURATIONS`, a serial suite-scoped
 re-placement of the oblivious baseline, and a suite-sharded RPP remap of
 that baseline (:data:`SHARDED_REMAP`, its assignment and swaps, checked
-serially and on two workers).  Performance work on clustering, placement,
-remapping or the topology must leave every digest unchanged.
+serially and on two workers).  At fleet scale (:data:`FLEET_SCALE`) it pins
+the default placer's assignment and cluster labels for DC3, whose RPP →
+rack problems cluster 208 points into k = 56 groups; the 1440-instance
+fleets reach k ≤ 16.  Performance work on clustering, placement, remapping
+or the topology must leave every digest unchanged.
 
 Regenerate only for a change meant to alter placement decisions, and say
 so in the commit message::
@@ -38,6 +41,9 @@ from repro.traces import training_trace_set
 GOLDEN_PATH = pathlib.Path(__file__).resolve().parent / "placement_golden.json"
 SCALE = {"n_instances": 1440, "step_minutes": 10, "seed": 7}
 SPECS = {"DC1": facebook.dc1_spec, "DC2": facebook.dc2_spec, "DC3": facebook.dc3_spec}
+#: The fleet of ``bench/``'s ``fleet-dc3`` workload: DC3 at 10,000 instances,
+#: 30-minute steps, spec seed 303.
+FLEET_SCALE = {"n_instances": 10000, "step_minutes": 30, "seed": 303}
 
 #: Non-default placer configurations, pinned on DC3.  Each takes a branch
 #: the default does not: one basis for every node, a smaller basis, and
@@ -84,9 +90,9 @@ def swaps_digest(swaps: Sequence[Swap]) -> str:
     return h.hexdigest()
 
 
-def build(name: str) -> facebook.Datacenter:
-    spec = SPECS[name](n_instances=SCALE["n_instances"], seed=SCALE["seed"])
-    return facebook.build_datacenter(spec, weeks=3, step_minutes=SCALE["step_minutes"])
+def build(name: str, scale: Mapping[str, int] = SCALE) -> facebook.Datacenter:
+    spec = SPECS[name](n_instances=scale["n_instances"], seed=scale["seed"])
+    return facebook.build_datacenter(spec, weeks=3, step_minutes=scale["step_minutes"])
 
 
 def fingerprint(name: str) -> Dict[str, str]:
@@ -124,11 +130,21 @@ def configuration_fingerprint(
     if label == SCOPED:
         scoped = scoped_placement(dc.records, dc.baseline, Level.SUITE, PlacementConfig())
         return {"placement": mapping_digest(scoped.as_mapping())}
-    result = WorkloadAwarePlacer(CONFIGURATIONS[label]).place(dc.records, dc.topology)
+    return placer_fingerprint(dc, CONFIGURATIONS[label])
+
+
+def placer_fingerprint(dc: facebook.Datacenter, config: PlacementConfig) -> Dict[str, str]:
+    """Digests of one placement and its per-node cluster labels."""
+    result = WorkloadAwarePlacer(config).place(dc.records, dc.topology)
     return {
         "placement": mapping_digest(result.assignment.as_mapping()),
         "cluster_labels": labels_digest(result.cluster_labels),
     }
+
+
+def fleet_fingerprint() -> Dict[str, str]:
+    """Digests of the default placer on DC3 at :data:`FLEET_SCALE`."""
+    return placer_fingerprint(build("DC3", FLEET_SCALE), PlacementConfig())
 
 
 @pytest.fixture(scope="module")
@@ -152,6 +168,11 @@ def test_placement_matches_golden(golden, name):
 def test_configuration_matches_golden(golden, dc3, label):
     expected = golden["configurations"]["DC3"][label]
     assert configuration_fingerprint(dc3, label) == expected
+
+
+def test_fleet_placement_matches_golden(golden):
+    assert golden["fleet"]["scale"] == FLEET_SCALE, "fleet golden at another scale"
+    assert fleet_fingerprint() == golden["fleet"]["DC3"]
 
 
 def test_pooled_sharded_remap_matches_golden(golden, dc3):
@@ -192,6 +213,7 @@ if __name__ == "__main__":
                 for label in [*CONFIGURATIONS, SCOPED, SHARDED_REMAP]
             }
         },
+        "fleet": {"scale": FLEET_SCALE, "DC3": fleet_fingerprint()},
     }
     GOLDEN_PATH.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN_PATH}")

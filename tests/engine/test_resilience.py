@@ -10,7 +10,7 @@ import os
 
 import pytest
 
-from conftest import make_demand, make_fleet, make_runtime_parts
+from conftest import make_demand, make_runtime_parts
 from repro.engine import RunArtifacts, RunFailure, ScenarioSpec, run_many
 from repro.engine.parallel import WorkerPool, _worker_barrier
 
