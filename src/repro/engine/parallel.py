@@ -65,13 +65,14 @@ import multiprocessing
 import os
 import random
 import time
+from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from functools import partial
 from multiprocessing import resource_tracker
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set
 
-from . import chaos_infra
+from . import chaos_infra, sharedmem
 from . import deadline as deadline_mod
 from .deadline import TaskDeadline, TaskTimeoutError
 from .spec import ChaosSpec, ScenarioSpec
@@ -217,16 +218,22 @@ def _run_task(
     task's events for the life of the worker.
     """
     call = partial(chaos_infra.call_with_faults, fn, index, attempt) if faults else fn
-    if capture:
-        from ..obs import remote as obs_remote
+    try:
+        if capture:
+            from ..obs import remote as obs_remote
 
-        return obs_remote.run_captured(call, index, label, attempt, args)
-    from ..obs import events as obs_events
+            return obs_remote.run_captured(call, index, label, attempt, args)
+        from ..obs import events as obs_events
 
-    if obs_events.get_event_log() is None:
-        return call(*args)
-    with obs_events.recording():
-        return call(*args)
+        if obs_events.get_event_log() is None:
+            return call(*args)
+        with obs_events.recording():
+            return call(*args)
+    finally:
+        # Each stage publishes a fresh segment and unlinks it when done, so
+        # a worker that kept its attachments would keep every stage's
+        # memory mapped for its lifetime.
+        sharedmem.detach_all()
 
 
 def _decorrelated_backoff(
@@ -496,7 +503,9 @@ class _StageDriver:
     :class:`~repro.engine.deadline.TaskDeadline` is in force — the hard
     deadline watchdog: the wait loop polls every
     :data:`~repro.engine.deadline.POLL_INTERVAL_S`, and a task older than
-    ``hard_timeout_s`` gets the whole pool SIGKILLed (a hung worker never
+    ``hard_timeout_s`` (counted from its submission; no more tasks are in
+    flight than the pool has workers, so none of that is spent queueing)
+    gets the whole pool SIGKILLed (a hung worker never
     honours a graceful shutdown), fails with :class:`TaskTimeoutError`,
     and retries on a rebuilt executor.  Tasks that were merely in flight
     on the killed pool fail too and burn an attempt, as any executor break
@@ -640,6 +649,14 @@ class _StageDriver:
     def _run_group(self, group: List[int], round_index: int) -> bool:
         """Dispatch one group of pooled tasks and settle every one of them.
 
+        At most ``pool.workers`` tasks are in flight: the next one is
+        submitted as one settles.  So a task's age, which the watchdog
+        holds against ``hard_timeout_s`` and the capture reports as its
+        roundtrip, starts when a worker is free to take it rather than
+        while it queues behind other shards.  A task still waiting here
+        when the executor breaks has lost nothing: it is submitted to the
+        rebuilt executor with its attempts intact.
+
         Returns whether the executor broke (worker death or watchdog kill)
         while the group ran, so the next round can isolate.
         """
@@ -650,32 +667,34 @@ class _StageDriver:
                 obs_metrics.count("pool.worker_deaths")
                 obs_metrics.count("pool.rebuilds")
 
+        waiting = deque(group)
         index_of: Dict[Any, int] = {}
         dispatched_at: Dict[int, float] = {}
-        for index in group:
-            self.attempts[index] += 1
-            future = self.pool.submit_resilient(
-                _run_task,
-                self.fn,
-                self.tasks[index],
-                index,
-                self.attempts[index],
-                self.task_label,
-                self.do_capture,
-                self.faults,
-                on_rebuild=on_submit_rebuild,
-            )
-            index_of[future] = index
-            dispatched_at[index] = time.perf_counter()
-        if self.do_capture:
-            obs_metrics.count("pool.tasks_dispatched", len(group))
-            if round_index > 0:
-                obs_metrics.count("pool.tasks_retried", len(group))
-
+        outstanding: Set[Any] = set()
         poll_s = deadline_mod.POLL_INTERVAL_S if self.deadline is not None else None
         broken = False
-        outstanding = set(index_of)
-        while outstanding:
+        while waiting or outstanding:
+            while waiting and len(outstanding) < self.pool.workers:
+                index = waiting.popleft()
+                self.attempts[index] += 1
+                future = self.pool.submit_resilient(
+                    _run_task,
+                    self.fn,
+                    self.tasks[index],
+                    index,
+                    self.attempts[index],
+                    self.task_label,
+                    self.do_capture,
+                    self.faults,
+                    on_rebuild=on_submit_rebuild,
+                )
+                index_of[future] = index
+                dispatched_at[index] = time.perf_counter()
+                outstanding.add(future)
+                if self.do_capture:
+                    obs_metrics.count("pool.tasks_dispatched")
+                    if round_index > 0:
+                        obs_metrics.count("pool.tasks_retried")
             done, outstanding = wait(
                 outstanding, timeout=poll_s, return_when=FIRST_COMPLETED
             )
@@ -698,12 +717,11 @@ class _StageDriver:
                     # The pool is dead and every outstanding task has been
                     # failed; nothing left can ever be collected.
                     broken = True
-                    break
+                    outstanding = set()
             # No early exit on ``broken``: a dead executor resolves every
-            # future it still holds (with BrokenProcessPool), and futures
-            # resubmitted on a fresh executor mid-round finish normally —
-            # condemning them here would burn attempts on tasks that are
-            # still running fine.
+            # future it still holds (with BrokenProcessPool), and the next
+            # submit rebuilds it, so the tasks still waiting run on a fresh
+            # executor rather than burning attempts they never used.
         if broken and self.pool.rebuild_if_broken() and self.do_capture:
             obs_metrics.count("pool.worker_deaths")
             obs_metrics.count("pool.rebuilds")

@@ -45,6 +45,7 @@ import os
 import secrets
 import signal
 import threading
+import weakref
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 from typing import Dict, Optional, Tuple
@@ -336,17 +337,24 @@ class SharedMatrix:
 
 
 def attach_matrix(handle: MatrixHandle) -> SharedMatrix:
-    """Attach to a published matrix by handle (worker side, read-only)."""
+    """Attach to a published matrix by handle (worker side, read-only).
+
+    Besides :meth:`SharedMatrix.close`, the mapping goes when the last
+    array viewing it does: numpy holds no buffer export on the segment, so
+    unmapping it under a live view would leave that view dangling, and
+    every view keeps :attr:`SharedMatrix.array` alive.
+    """
     shm = _attach_segment(handle.name)
-    return SharedMatrix(shm, handle.shape, np.dtype(handle.dtype), owner=False)
+    shared = SharedMatrix(shm, handle.shape, np.dtype(handle.dtype), owner=False)
+    weakref.finalize(shared.array, shm.close)
+    return shared
 
 
 # ----------------------------------------------------------------------
 # worker-side attachment cache
 # ----------------------------------------------------------------------
-#: Segments this worker has attached, by name.  Attaching is a syscall +
-#: mmap; shards of the same job reuse the mapping instead of re-attaching
-#: per task.
+#: Segments attached in this process since the last :func:`detach_all`,
+#: by name, so that one task attaches each segment it reads once.
 _ATTACHED: Dict[str, SharedMatrix] = {}
 
 
@@ -360,9 +368,14 @@ def attached_view(handle: MatrixHandle) -> np.ndarray:
 
 
 def detach_all() -> None:
-    """Drop every cached worker-side attachment (test isolation hook)."""
-    for name in list(_ATTACHED):
-        _ATTACHED.pop(name).close()
+    """Forget every cached attachment.
+
+    Each segment is unmapped when no array views it any more: at once, or
+    when the last view (say, a task's result) is dropped.  The pool calls
+    this after every task, so a worker maps a segment only while a task
+    that reads it runs, although each stage publishes a fresh one.
+    """
+    _ATTACHED.clear()
 
 
 @atexit.register

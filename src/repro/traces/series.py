@@ -10,7 +10,7 @@ Sec. 2.2 (Eq. 1–2).
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence, Union
+from typing import Iterable, List, Sequence, Union
 
 import numpy as np
 
@@ -69,6 +69,32 @@ class PowerTrace:
     @classmethod
     def zeros(cls, grid: TimeGrid) -> "PowerTrace":
         return cls(grid, np.zeros(grid.n_samples))
+
+    @classmethod
+    def rows(cls, grid: TimeGrid, block: np.ndarray) -> List["PowerTrace"]:
+        """One trace per row of a 2-D ``block``, the block checked once.
+
+        Each trace equals ``PowerTrace(grid, row)`` and, like it, holds its
+        row as a view rather than a copy.  The block must have
+        ``grid.n_samples`` columns, and :func:`check_power_values` runs
+        over the whole block instead of once per row.
+        """
+        array = np.asarray(block, dtype=np.float64)
+        if array.ndim != 2:
+            raise ValueError(f"trace block must be 2-D, got shape {array.shape}")
+        if array.shape[1] != grid.n_samples:
+            raise ValueError(
+                f"trace block has {array.shape[1]} samples per row but grid "
+                f"expects {grid.n_samples}"
+            )
+        check_power_values(array)
+        traces = []
+        for row in array:
+            trace = cls.__new__(cls)
+            trace.grid = grid
+            trace.values = row
+            traces.append(trace)
+        return traces
 
     @classmethod
     def aggregate(cls, traces: Sequence["PowerTrace"]) -> "PowerTrace":

@@ -17,7 +17,8 @@ instance per row.  Each instance consumes ``3 + weeks + m`` standard
 normals in a fixed order (three personality draws, one scale per week,
 ``m`` white-noise samples), so one ``(rows, 3 + weeks + m)`` draw per block
 is the same stream as drawing instance by instance, and ``loc + scale * z``
-is ``rng.normal(loc, scale)`` to the bit.
+is ``rng.normal(loc, scale)`` to the bit (the white noise skips the
+``0.0 +``, which no output can see; see :meth:`TraceSynthesizer._raw_block`).
 """
 
 from __future__ import annotations
@@ -115,7 +116,7 @@ class TraceSynthesizer:
         self._rng = np.random.default_rng(seed)
         self._day_hours = self.grid.hours_of_day()[: self.grid.samples_per_day]
         self._weekend = (self.grid.days_of_week() >= 5).astype(np.float64)
-        self._kernel = _ar1_kernel(self.grid.n_samples)
+        self._reversed_kernel = _ar1_kernel(self.grid.n_samples)[::-1].copy()
 
     # ------------------------------------------------------------------
     def instance_trace(
@@ -146,7 +147,9 @@ class TraceSynthesizer:
         per-instance draws would take them.
         """
         weeks, per_week = self.weeks, self.grid.samples_per_week
-        noise_len = (self.grid.n_samples + len(self._kernel) - 1) if profile.noise_std else 0
+        noise_len = (
+            (self.grid.n_samples + len(self._reversed_kernel) - 1) if profile.noise_std else 0
+        )
         if personality is None:
             z = rng.standard_normal((rows, _PERSONALITY_DRAWS + weeks + noise_len))
             phase, amplitude, baseline = _personality_columns(profile, z)
@@ -176,13 +179,20 @@ class TraceSynthesizer:
         by_week *= week_scale[:, :, None]
 
         # AR(1)-correlated multiplicative noise (sensor + load jitter).  One
-        # np.convolve per row: its valid mode sums each output with BLAS
-        # ddot, and any batched form (matmul, sliding sums) rounds the sums
-        # differently.
+        # correlation per row with the reversed kernel, which is what
+        # np.convolve runs: its valid mode sums each output with BLAS ddot,
+        # and any batched form (matmul, sliding sums) rounds the sums
+        # differently.  The ``0.0 +`` of ``rng.normal(0.0, std)`` is left
+        # out of the white noise: it only turns a -0.0 into 0.0, a zero
+        # term of either sign adds nothing to a sum, and the ``1.0 +``
+        # below maps a zero sum of either sign to 1.0.
         if noise_len:
-            white = 0.0 + profile.noise_std * z[:, weeks:]
-            for row, noise in zip(utilisation, white):
-                row *= 1.0 + np.convolve(noise, self._kernel, mode="valid")
+            white = np.multiply(z[:, weeks:], profile.noise_std, out=z[:, weeks:])
+            noise = np.empty_like(utilisation)
+            for row, samples in zip(noise, white):
+                row[:] = np.correlate(samples, self._reversed_kernel, mode="valid")
+            noise += 1.0
+            utilisation *= noise
         np.clip(utilisation, 0.0, 1.5, out=utilisation)
 
         idle = profile.idle_watts * baseline
@@ -204,7 +214,9 @@ class TraceSynthesizer:
         Each record holds the Eq.-4 averaged training trace (first
         ``weeks - test_weeks`` weeks) and the held-out test week, each a
         row of its block's training or test matrix (so no record keeps the
-        raw multi-week traces alive).
+        raw multi-week traces alive).  Each of those matrices is checked
+        once, by :meth:`PowerTrace.rows`, with the checks and messages a
+        ``PowerTrace`` per row would raise.
         """
         if count <= 0:
             raise ValueError("count must be positive")
@@ -227,23 +239,18 @@ class TraceSynthesizer:
                 total = by_week[:, 0]
                 for week in range(1, n_train):
                     total = total + by_week[:, week]
-                training = total / n_train
-                test = by_week[:, -1].copy() if test_weeks else None
+                training = PowerTrace.rows(train_grid, total / n_train)
+                test = (
+                    PowerTrace.rows(test_grid, by_week[:, -1].copy())
+                    if test_weeks
+                    else [None] * rows
+                )
+                # Positional arguments: keywords cost a fifth of a record.
                 for row in range(rows):
                     instance = ServiceInstance(
-                        instance_id=f"{prefix}-{start + row:05d}",
-                        service=profile.name,
-                        kind=profile.kind,
+                        f"{prefix}-{start + row:05d}", profile.name, profile.kind
                     )
-                    records.append(
-                        InstanceRecord(
-                            instance=instance,
-                            training_trace=PowerTrace(train_grid, training[row]),
-                            test_trace=(
-                                PowerTrace(test_grid, test[row]) if test is not None else None
-                            ),
-                        )
-                    )
+                    records.append(InstanceRecord(instance, training[row], test[row]))
             return records
 
     def fleet(

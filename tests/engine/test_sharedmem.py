@@ -9,6 +9,7 @@ must come back empty.
 import glob
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -154,6 +155,42 @@ def read_shard_sum(handle, start, stop):
     return float(attach_rows(handle, start, stop).sum())
 
 
+def mapped_segments():
+    """Names of this package's segments mapped into this process."""
+    with open("/proc/self/maps") as maps:
+        return sorted(set(re.findall(rf"{SEGMENT_PREFIX}[0-9a-f]+", maps.read())))
+
+
+def shard_sum_and_mappings(handle, start, stop):
+    """Worker-side task: a shard's sum, and the segments mapped meanwhile."""
+    return read_shard_sum(handle, start, stop), mapped_segments()
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/maps"), reason="reads the process's mappings"
+)
+def test_workers_map_only_the_segment_of_the_running_stage():
+    """Every stage publishes a fresh segment and unlinks it when it ends.
+
+    A worker that kept its attachments would keep every finished stage's
+    segment mapped (and its memory allocated) for the pool's lifetime.
+    """
+    with WorkerPool(2) as pool:
+        pool.warm()  # fork before any segment exists
+        for stage in range(6):
+            matrix = np.arange(32, dtype=np.float64).reshape(8, 4) + stage
+            ranges = shard_ranges(8, 4)
+            with SharedMatrix.create(matrix) as shared:
+                tasks = [(shared.handle, start, stop) for start, stop in ranges]
+                results = pool.map_shards(shard_sum_and_mappings, tasks)
+            assert [total for total, _ in results] == [
+                float(matrix[start:stop].sum()) for start, stop in ranges
+            ]
+            assert [names for _, names in results] == [[shared.name]] * len(ranges)
+        # Between tasks, no worker maps any segment.
+        assert pool.map_shards(mapped_segments, [()] * 4) == [[]] * 4
+
+
 class DieOnceThenSum:
     """Kills its worker on first run (flag file), sums the shard after."""
 
@@ -233,9 +270,9 @@ def kill_after_attach_stages(flag_dir):
             assert pool.map_shards(task, tasks) == expected
             assert pool.generation >= 2
             assert pool.map_shards(read_shard_sum, tasks) == expected
-            # The second stage can read mappings its workers cached, so
-            # look at the segment itself.  A dead worker's private tracker
-            # would unlink it within a few tens of milliseconds.
+            # The second stage attached the segment afresh, but a dead
+            # worker's private tracker could unlink it a few tens of
+            # milliseconds later, so look at the segment itself.
             assert _stays_present(shared.handle.name, seconds=0.5)
     detach_all()
     assert owned_segment_names() == ()

@@ -154,6 +154,66 @@ def test_innocent_inflight_tasks_are_retried_not_condemned(monkeypatch):
     assert len(log.by_kind(obs_events.TASK_TIMEOUT)) == 1
 
 
+def sleep_then_return(value, seconds):
+    time.sleep(seconds)
+    return value
+
+
+class SleepThenReturn:
+    def __init__(self, value, seconds):
+        self.value = value
+        self.seconds = seconds
+
+    def __call__(self):
+        return sleep_then_return(self.value, self.seconds)
+
+
+def test_queueing_does_not_count_toward_the_deadline():
+    """A task's deadline clock starts when a worker is free to run it.
+
+    Four 0.4 s tasks on two workers run in two waves.  Were the second
+    wave's clocks started with the first's, those tasks would be 0.8 s old
+    when they finished and time out against 0.7 s, though none runs
+    longer than 0.4 s.
+    """
+    with WorkerPool(2) as pool:
+        pool.warm()
+        results = pool.map_shards(
+            sleep_then_return,
+            [(index, 0.4) for index in range(4)],
+            deadline=TaskDeadline(hard_timeout_s=0.7),
+        )
+        assert pool.generation == 1  # never killed and rebuilt
+    assert results == [0, 1, 2, 3]
+    assert obs.counter_value("pool.task_timeouts") == 0.0
+    assert obs.counter_value("pool.tasks_dispatched") == 4.0
+
+
+def test_tasks_not_yet_submitted_keep_their_attempts(monkeypatch):
+    """An executor break costs an attempt only to the tasks in flight on it.
+
+    Shard 0 kills its worker while shard 1 runs beside it.  Shards 2 and 3
+    are still waiting in the coordinator, so with one attempt each they
+    run on the rebuilt executor instead of failing with the dead one.
+    """
+    monkeypatch.setenv(FAULTS_ENV, json.dumps({"kind": "kill", "shards": [0], "times": 1}))
+    with WorkerPool(2) as pool:
+        results = run_many(
+            [SleepThenReturn(index, 0.3) for index in range(4)],
+            workers=2,
+            pool=pool,
+            max_attempts=1,
+            retry_backoff_s=0.0,
+        )
+    assert [isinstance(entry, RunFailure) for entry in results] == [
+        True,
+        True,
+        False,
+        False,
+    ]
+    assert [entry.result for entry in results[2:]] == [2, 3]
+
+
 def test_no_deadline_means_no_watchdog_overhead():
     """Without a deadline the dispatch loop blocks exactly as before."""
     with WorkerPool(2) as pool:

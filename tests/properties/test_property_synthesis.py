@@ -191,3 +191,31 @@ class TestBlockSynthesisIsExact:
         oracle_rng = np.random.default_rng(seed)
         assert draw_personality(profile, rng) == oracle_personality(profile, oracle_rng)
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+class TestNoiseKernel:
+    """The block kernel's noise arithmetic against ``np.convolve``'s."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        zeros=st.one_of(st.just("all"), st.lists(st.integers(0, 199), max_size=40)),
+        std=st.floats(0.001, 0.3),
+        step=st.sampled_from((30, 60, 120)),
+    )
+    def test_signed_zeros_never_reach_the_noise_factor(self, seed, zeros, std, step):
+        """Scaling without ``0.0 +`` and correlating with the reversed
+        kernel gives the factor ``1.0 + np.convolve(0.0 + std * z, kernel)``
+        to the bit, -0.0 draws included."""
+        synth = TraceSynthesizer(weeks=1, step_minutes=step, seed=0)
+        reversed_kernel = synth._reversed_kernel
+        z = np.random.default_rng(seed).standard_normal(
+            synth.grid.n_samples + len(reversed_kernel) - 1
+        )
+        if zeros == "all":
+            z[:] = -0.0
+        else:
+            z[[index for index in zeros if index < len(z)]] = -0.0
+        factor = 1.0 + np.correlate(std * z, reversed_kernel, mode="valid")
+        oracle = 1.0 + np.convolve(0.0 + std * z, reversed_kernel[::-1], mode="valid")
+        assert np.array_equal(factor, oracle)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.traces import PowerTrace, TimeGrid, normalize_traces
+from repro.traces.series import check_power_values
 
 
 @pytest.fixture
@@ -68,6 +69,57 @@ class TestConstruction:
 
     def test_zeros(self, small_grid):
         assert PowerTrace.zeros(small_grid).peak() == 0.0
+
+
+class TestRows:
+    """``PowerTrace.rows``: one trace per row, the block checked once."""
+
+    def test_rows_equal_per_row_construction(self, small_grid):
+        block = np.arange(3 * 24, dtype=np.float64).reshape(3, 24)
+        traces = PowerTrace.rows(small_grid, block)
+        assert traces == [PowerTrace(small_grid, row) for row in block]
+        for trace, row in zip(traces, block):
+            assert trace.grid is small_grid
+            # A view of its row, as PowerTrace(grid, row) holds.
+            assert np.shares_memory(trace.values, block)
+            assert np.array_equal(trace.values, row)
+
+    def test_accepts_array_likes(self, small_grid):
+        traces = PowerTrace.rows(small_grid, [list(range(24))])
+        assert traces == [PowerTrace(small_grid, np.arange(24.0))]
+
+    def test_empty_block(self, small_grid):
+        assert PowerTrace.rows(small_grid, np.empty((0, 24))) == []
+
+    @pytest.mark.parametrize("shape", [(), (24,), (2, 3, 24)])
+    def test_rejects_a_block_that_is_not_2d(self, small_grid, shape):
+        with pytest.raises(ValueError, match="must be 2-D"):
+            PowerTrace.rows(small_grid, np.ones(shape))
+
+    @pytest.mark.parametrize("width", [23, 25])
+    def test_rejects_a_wrong_width(self, small_grid, width):
+        with pytest.raises(ValueError, match=f"{width} samples per row but grid expects 24"):
+            PowerTrace.rows(small_grid, np.ones((2, width)))
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({(0, 0): np.nan}, "must be finite"),
+            ({(1, 5): np.inf}, "must be finite"),
+            ({(2, 23): -np.inf}, "must be finite"),
+            ({(0, 3): -1.0, (2, 7): np.nan}, "must be finite"),
+            ({(1, 3): -1.0}, "cannot be negative"),
+        ],
+    )
+    def test_raises_what_check_power_values_raises(self, small_grid, bad, message):
+        block = np.ones((3, 24))
+        for position, value in bad.items():
+            block[position] = value
+        with pytest.raises(ValueError, match=message) as bulk:
+            PowerTrace.rows(small_grid, block)
+        with pytest.raises(ValueError) as direct:
+            check_power_values(block)
+        assert str(bulk.value) == str(direct.value)
 
 
 class TestArithmetic:

@@ -2,6 +2,7 @@
 
 import gc
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -133,6 +134,13 @@ class TestFleetGeneration:
     def test_count_must_be_positive(self, synth):
         with pytest.raises(ValueError):
             synth.service_instances(web_profile(), 0)
+
+    @pytest.mark.parametrize("test_weeks", [0, 1])
+    def test_non_finite_traces_rejected(self, synth, test_weeks):
+        """Each block is checked once, and rejects what a check per record did."""
+        profile = replace(web_profile(), peak_watts=float("inf"))
+        with pytest.raises(ValueError, match="^trace values must be finite$"):
+            synth.service_instances(profile, 3, test_weeks=test_weeks)
 
     def test_fleet_concatenates(self, synth):
         records = synth.fleet([(web_profile(), 3), (db_profile(), 2)])
