@@ -202,9 +202,8 @@ def _cmd_place(args: argparse.Namespace) -> None:
     dc = experiments.get_datacenter("DC1", n_instances=args.instances)
     operator = SmoothOperator(
         SmoothOperatorConfig(
-            placement=PlacementConfig(seed=0, score_workers=args.workers),
+            placement=PlacementConfig(seed=0),
             robust=RobustPlacementConfig(gamma=args.gamma),
-            workers=args.workers,
         )
     )
     outcome = operator.optimize(dc.records, dc.topology)
@@ -509,7 +508,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--workers",
         type=int,
         default=1,
-        help="worker processes for parallel stages (chaos, place, report commands)",
+        help="worker processes that run the chaos suite (chaos, report commands)",
     )
     parser.add_argument(
         "--task-timeout",

@@ -33,12 +33,6 @@ ArrayLike = Union[np.ndarray, Sequence[float]]
 #: it derives a smaller chunk that keeps the plane under 128 MiB.
 DEFAULT_SCORE_MAX_BYTES = 128 * 1024 * 1024
 
-#: Below this many instance rows a :func:`score_matrix` call ignores
-#: ``workers``: publishing shared segments and round-tripping the pool
-#: costs more than scoring a small fleet in place.  The placer's per-node
-#: recursion stays serial; only fleet-scale calls fan out.
-PARALLEL_MIN_ROWS = 4096
-
 
 def asynchrony_score(traces: Union[TraceSet, Sequence[PowerTrace]]) -> float:
     """The asynchrony score ``A_M`` of a set of power traces (Eq. 6).
@@ -85,8 +79,6 @@ def score_matrix(
     chunk_size: int = 256,
     max_bytes: Optional[int] = DEFAULT_SCORE_MAX_BYTES,
     dtype: Optional[object] = None,
-    workers: int = 1,
-    parallel_min_rows: int = PARALLEL_MIN_ROWS,
     rows: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """I-to-S score vectors for a whole fleet, shape ``(n_instances, n_basis)``.
@@ -100,21 +92,14 @@ def score_matrix(
     locality change.
 
     ``rows`` scores only those rows of ``instances``, in that order: row
-    ``i`` of the result is the score of ``instances.matrix[rows[i]]``.  The
-    serial path gathers them one chunk at a time as it scores; the pooled
-    path gathers them once, to publish them.
+    ``i`` of the result is the score of ``instances.matrix[rows[i]]``.  They
+    are gathered one chunk at a time as they are scored.
 
     ``dtype`` is the exactness toggle: ``None`` (default) scores in
     float64 — bit-identical to every historical result — while
     ``np.float32`` is the fleet-scale fast path, halving the plane's
     memory traffic at the cost of float32 rounding in the peaks (scores
     still come back float64).
-
-    ``workers > 1`` shards the rows across the persistent worker pool
-    (:mod:`repro.engine.parallel`) over shared-memory views of the two
-    matrices — tasks carry only row ranges, never trace data.  Row scores
-    are independent, so the result is identical for any worker count;
-    batches smaller than ``parallel_min_rows`` run serially regardless.
     """
     instances.grid.require_same(basis.grid)
     if chunk_size <= 0:
@@ -126,19 +111,8 @@ def score_matrix(
         bytes_per_row = instances.grid.n_samples * work_dtype.itemsize
         chunk_size = max(1, min(chunk_size, max_bytes // max(bytes_per_row, 1)))
     n = len(instances) if rows is None else len(rows)
-    with obs.span(
-        "score",
-        instances=n,
-        basis=len(basis),
-        chunk_size=chunk_size,
-        workers=workers,
-    ):
+    with obs.span("score", instances=n, basis=len(basis), chunk_size=chunk_size):
         obs.count("score.pairs", n * len(basis))
-        if workers > 1 and n >= max(parallel_min_rows, 2 * workers):
-            matrix = instances.matrix if rows is None else instances.matrix[rows]
-            return _score_matrix_sharded(
-                matrix, basis.matrix, work_dtype, chunk_size, workers
-            )
         basis_block = np.asarray(basis.matrix, dtype=work_dtype)
         scores = np.empty((n, len(basis)))
         for start in range(0, n, chunk_size):
@@ -153,69 +127,6 @@ def score_matrix(
                 np.asarray(block, dtype=work_dtype), basis_block
             )
         return scores
-
-
-def _score_matrix_sharded(
-    matrix: np.ndarray,
-    basis_matrix: np.ndarray,
-    work_dtype: np.dtype,
-    chunk_size: int,
-    workers: int,
-) -> np.ndarray:
-    """Fan row shards out to the persistent pool over shared memory.
-
-    The instance and basis matrices are published once; each task is a
-    ``(handle, handle, start, stop, chunk_size, dtype)`` descriptor a few
-    hundred bytes long.  Segments are unlinked in the ``finally`` whatever
-    happens — normal return, a worker death surfacing as
-    ``BrokenProcessPool`` after retries, or a ``KeyboardInterrupt``.
-    """
-    # Lazy imports: repro.engine imports repro.core via the chaos harness,
-    # so the reverse edge must not exist at module scope.
-    from ..engine.parallel import get_pool
-    from ..engine.sharedmem import SharedMatrix, shard_ranges
-
-    n = matrix.shape[0]
-    pool = get_pool(workers)
-    with SharedMatrix.create(matrix, dtype=work_dtype) as shared_rows:
-        with SharedMatrix.create(basis_matrix, dtype=work_dtype) as shared_basis:
-            tasks = [
-                (
-                    shared_rows.handle,
-                    shared_basis.handle,
-                    start,
-                    stop,
-                    chunk_size,
-                )
-                for start, stop in shard_ranges(n, workers)
-            ]
-            obs.count("score.shards", len(tasks))
-            blocks = pool.map_shards(_score_shard, tasks, label="score.shard")
-    scores = np.empty((n, basis_matrix.shape[0]))
-    row = 0
-    for block in blocks:
-        scores[row : row + block.shape[0]] = block
-        row += block.shape[0]
-    return scores
-
-
-def _score_shard(
-    rows_handle: object,
-    basis_handle: object,
-    start: int,
-    stop: int,
-    chunk_size: int,
-) -> np.ndarray:
-    """One worker's row range of the score matrix (runs in the pool)."""
-    from ..engine.sharedmem import attach_rows, attached_view
-
-    rows = attach_rows(rows_handle, start, stop)
-    basis_block = attached_view(basis_handle)
-    scores = np.empty((stop - start, basis_block.shape[0]))
-    for offset in range(0, rows.shape[0], chunk_size):
-        block = rows[offset : offset + chunk_size]
-        scores[offset : offset + block.shape[0]] = _score_rows(block, basis_block)
-    return scores
 
 
 def _score_rows(rows: np.ndarray, basis_matrix: np.ndarray) -> np.ndarray:

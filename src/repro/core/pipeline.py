@@ -34,20 +34,14 @@ class SmoothOperatorConfig:
     workload-aware placer — at ``gamma = 0`` the two coincide, so the
     default pipeline output is unchanged.
 
-    ``workers`` fans the parallelizable stages out across the persistent
-    worker pool: a sharded remap pass (when ``remap.shard_level`` is set)
-    runs per-shard, and the placement scoring stage follows
-    ``placement.score_workers``.  Every stage is deterministic for any
-    worker count; 1 (the default) keeps everything in-process.  Pooled
-    stages run under whatever hard deadline is in force around the call
-    (:func:`repro.engine.deadline.deadline_scope` or
-    ``REPRO_TASK_TIMEOUT``).
+    Every stage runs in the calling process.  A suite-sharded remap on the
+    worker pool is :meth:`RemappingEngine.run(..., workers=N)
+    <repro.core.remapping.RemappingEngine.run>`, called directly.
     """
 
     placement: PlacementConfig = field(default_factory=PlacementConfig)
     remap: Optional[RemapConfig] = None
     robust: Optional["RobustPlacementConfig"] = None
-    workers: int = 1
 
 
 @dataclass
@@ -121,9 +115,7 @@ class SmoothOperator:
             remap: Optional[RemapResult] = None
             if self.config.remap is not None:
                 engine = RemappingEngine(self.config.remap)
-                remap = engine.run(
-                    base, training_trace_set(records), workers=self.config.workers
-                )
+                remap = engine.run(base, training_trace_set(records))
             return OptimizationOutcome(
                 placement=placement, remap=remap, robust=robust
             )

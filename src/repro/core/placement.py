@@ -56,14 +56,10 @@ class PlacementConfig:
         Re-extract S-traces from the local instance subset at every
         recursion step (matches Sec. 3.5's description).  When False the
         datacenter-level basis is reused throughout, which is faster.
-    score_workers:
-        Worker processes for the I-to-S scoring stage.  Above 1, fleet-
-        scale :func:`~repro.core.asynchrony.score_matrix` calls shard their
-        rows across the persistent pool over shared memory; small per-node
-        batches stay serial, and results are identical either way (row
-        scores are independent).  Scoring otherwise runs at
-        :func:`~repro.core.asynchrony.score_matrix`'s defaults: float64,
-        bit-exact, in bounded chunks.
+
+    Scoring runs in the calling process at
+    :func:`~repro.core.asynchrony.score_matrix`'s defaults: float64,
+    bit-exact, in bounded chunks.
     """
 
     top_m_services: int = 10
@@ -72,15 +68,12 @@ class PlacementConfig:
     kmeans_n_init: int = 3
     kmeans_max_iter: int = 50
     rebuild_basis_per_node: bool = True
-    score_workers: int = 1
 
     def __post_init__(self) -> None:
         if self.top_m_services <= 0:
             raise ValueError("top_m_services must be positive")
         if self.clusters_per_child <= 0:
             raise ValueError("clusters_per_child must be positive")
-        if self.score_workers < 1:
-            raise ValueError("score_workers must be at least 1")
 
 
 @dataclass
@@ -266,9 +259,7 @@ class WorkloadAwarePlacer:
         basis: TraceSet,
     ) -> Tuple[List[np.ndarray], np.ndarray]:
         """Cluster the node's rows in asynchrony-score space."""
-        scores = score_matrix(
-            fleet.traces, basis, workers=self.config.score_workers, rows=rows
-        )
+        scores = score_matrix(fleet.traces, basis, rows=rows)
         q = len(node.children)
         h = min(len(rows), q * self.config.clusters_per_child)
         h = max(h, 1)

@@ -1,26 +1,24 @@
-"""Parallel execution: a persistent worker pool + shared-memory data plane.
+"""Parallel execution: a persistent worker pool.
 
-:func:`run_many` drives :class:`~repro.engine.spec.ScenarioSpec` /
-:class:`~repro.engine.spec.ChaosSpec` lists through worker processes.  The
-original implementation built a fresh ``ProcessPoolExecutor`` per call (and
-per retry round), which made parallelism a net loss at bench scale — pool
-spawn plus per-task pickling of whole fleets cost more than the simulation
-itself (the chaos suite ran at 0.74x the serial speed).  Three changes
-fix that:
+The pool has two callers.  :func:`run_many` drives
+:class:`~repro.engine.spec.ScenarioSpec` / :class:`~repro.engine.spec.ChaosSpec`
+lists (the chaos suite, the CLI's ``chaos`` and ``report --run``), and
+:meth:`WorkerPool.map_shards` runs the shards of a suite-sharded remap
+(:meth:`repro.core.remapping.RemappingEngine.run` with ``workers > 1``).
+Everything else runs in the calling process.
 
 * **persistent pools** — :func:`get_pool` keeps one :class:`WorkerPool`
   alive per worker count for the life of the process, so workers are
-  spawned once and reused by every subsequent ``run_many`` / sharded-stage
-  call (``fork`` start method where available: workers inherit warm dataset
-  caches instead of re-synthesizing them);
+  spawned once and reused by every later batch (``fork`` start method
+  where available: workers inherit warm dataset caches instead of
+  re-synthesizing them);
 * **pinned worker threads** — each worker's initializer pins the BLAS /
   OpenMP thread-pool environment (``OMP_NUM_THREADS`` etc.) to
-  :data:`DEFAULT_WORKER_THREADS`, so N workers do not oversubscribe the
-  host with N × M library threads;
-* **shared-memory shards** — bulk matrix jobs go through
-  :meth:`WorkerPool.map_shards`: the matrix is published once via
-  :mod:`repro.engine.sharedmem` and tasks carry only row ranges and
-  parameters, never the data.
+  :data:`WORKER_THREADS`, so N workers do not oversubscribe the host with
+  N × M library threads;
+* **shared-memory shards** — :meth:`WorkerPool.map_shards` tasks carry a
+  :mod:`repro.engine.sharedmem` handle of a matrix the coordinator
+  published once, plus row indices and parameters, never the data.
 
 Worker death does not sink a suite.  A killed worker breaks the whole
 executor (every outstanding future raises ``BrokenProcessPool``), so the
@@ -40,7 +38,7 @@ Worker *hangs* do not sink a suite either.  When a
 watchdog: it polls instead of blocking, SIGKILLs the pool when a task
 exceeds its hard deadline (a hung worker never honours a graceful
 shutdown) and retries on a rebuilt executor.  With no deadline configured
-the dispatch loop blocks exactly as before.  Pooled work never runs in
+the dispatch loop blocks on its futures.  Pooled work never runs in
 the coordinator: a task that hangs, exits its process, or raises on every
 attempt raises from ``map_shards`` or becomes a :class:`RunFailure` in
 ``run_many``, and cannot take the coordinator down with it.
@@ -87,12 +85,10 @@ DEFAULT_RETRY_BACKOFF_S = 0.25
 #: Ceiling on a single decorrelated-jitter backoff sleep.
 MAX_RETRY_BACKOFF_S = 30.0
 
-#: Thread-pool size pinned into every worker (override with the
-#: ``REPRO_WORKER_THREADS`` environment variable).  One thread per worker
-#: is the right default: the pool already owns the cores, and letting each
-#: worker's BLAS spin up ``os.cpu_count()`` threads of its own
-#: oversubscribes the host N×M.
-DEFAULT_WORKER_THREADS = 1
+#: Thread-pool size pinned into every worker.  The pool already owns the
+#: cores, and letting each worker's BLAS spin up ``os.cpu_count()`` threads
+#: of its own oversubscribes the host N×M.
+WORKER_THREADS = 1
 
 #: Environment knobs the worker initializer pins.  Covers OpenMP, the
 #: common BLAS builds numpy links against, and numexpr — the libraries
@@ -104,6 +100,13 @@ WORKER_THREAD_ENV_VARS = (
     "NUMEXPR_NUM_THREADS",
     "VECLIB_MAXIMUM_THREADS",
 )
+
+#: Workers are forked where the platform allows it, so they inherit the
+#: coordinator's warm dataset caches instead of re-synthesizing them.
+try:
+    _START_CONTEXT = multiprocessing.get_context("fork")
+except ValueError:  # pragma: no cover - fork unavailable (non-POSIX)
+    _START_CONTEXT = multiprocessing.get_context()
 
 
 @dataclass
@@ -161,23 +164,20 @@ def execute(spec: Any) -> RunArtifacts:
 # ----------------------------------------------------------------------
 # worker-side plumbing
 # ----------------------------------------------------------------------
-def worker_thread_count() -> int:
-    """The thread-pool size workers pin (env override, floor 1)."""
-    try:
-        return max(1, int(os.environ.get("REPRO_WORKER_THREADS", "")))
-    except ValueError:
-        return DEFAULT_WORKER_THREADS
-
-
-def _init_worker(n_threads: int) -> None:
+def _init_worker() -> None:
     """Pool initializer: pin library thread pools inside the worker.
 
     Runs once per worker process, before any task.  Sets the standard
     thread-count environment variables so any library initialised after
-    this point sizes itself to ``n_threads``, and asks already-loaded
-    pools to shrink via ``threadpoolctl`` when that package is available
-    (forked workers inherit the parent's BLAS state, which env vars alone
-    cannot retroactively change).
+    this point sizes itself to :data:`WORKER_THREADS`, and asks
+    already-loaded pools to shrink via ``threadpoolctl`` when that package
+    is available (forked workers inherit the parent's BLAS state, which env
+    vars alone cannot retroactively change).
+
+    A worker forked while the coordinator holds a shared segment (a cold
+    pool's first stage, or a rebuild after a worker death) inherits its
+    mapping; the worker closes it here, so it maps only what its tasks
+    attach.
 
     Also arms the infrastructure fault injectors when the
     ``REPRO_INFRA_FAULTS`` environment variable is set — faults fire only
@@ -185,13 +185,14 @@ def _init_worker(n_threads: int) -> None:
     fault-free.
     """
     for name in WORKER_THREAD_ENV_VARS:
-        os.environ[name] = str(n_threads)
+        os.environ[name] = str(WORKER_THREADS)
+    sharedmem.close_inherited()
     if os.environ.get(chaos_infra.FAULTS_ENV):
         chaos_infra.activate()
     try:  # best-effort: not a baked-in dependency
         import threadpoolctl
 
-        threadpoolctl.threadpool_limits(n_threads)
+        threadpoolctl.threadpool_limits(WORKER_THREADS)
     except Exception:
         pass
 
@@ -269,25 +270,10 @@ class WorkerPool:
     observe that back-to-back batches reused one set of workers.
     """
 
-    def __init__(
-        self,
-        workers: int,
-        *,
-        mp_context: Optional[multiprocessing.context.BaseContext] = None,
-        worker_threads: Optional[int] = None,
-    ) -> None:
+    def __init__(self, workers: int) -> None:
         if workers < 1:
             raise ValueError("a pool needs at least one worker")
         self.workers = workers
-        if mp_context is None:
-            try:
-                mp_context = multiprocessing.get_context("fork")
-            except ValueError:  # pragma: no cover - fork unavailable (non-POSIX)
-                mp_context = multiprocessing.get_context()
-        self._mp_context = mp_context
-        self._worker_threads = (
-            worker_threads if worker_threads is not None else worker_thread_count()
-        )
         self._executor: Optional[ProcessPoolExecutor] = None
         #: Number of executors built over this pool's lifetime.
         self.generation = 0
@@ -307,9 +293,8 @@ class WorkerPool:
             resource_tracker.ensure_running()
             self._executor = ProcessPoolExecutor(
                 max_workers=self.workers,
-                mp_context=self._mp_context,
+                mp_context=_START_CONTEXT,
                 initializer=_init_worker,
-                initargs=(self._worker_threads,),
             )
             self.generation += 1
         return self._executor

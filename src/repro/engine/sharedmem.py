@@ -1,14 +1,13 @@
 """Shared-memory data plane for the persistent worker pool.
 
-The fleet matrices the hot paths operate on (a :class:`~repro.traces.traceset.TraceSet`
-is one ``(n_traces, n_samples)`` block) are far too large to pickle into
-worker processes per task — at 1M instances a single copy is gigabytes.
-Instead the parent publishes each matrix once into a POSIX shared-memory
-segment (:class:`SharedMatrix`), and tasks carry only a :class:`MatrixHandle`
-— segment name, shape, dtype — plus the row range they own (see
-:func:`shard_ranges`).  Workers attach by name and build zero-copy numpy
-views, so fanning a 100k-instance scoring job across 4 workers moves a few
-hundred bytes of descriptors, not hundreds of megabytes of traces.
+A pooled stage does not pickle trace data into its tasks.  The coordinator
+publishes a matrix once into a POSIX shared-memory segment
+(:class:`SharedMatrix`), and each task carries only a :class:`MatrixHandle`
+— segment name, shape, dtype — plus its row indices and parameters.
+Workers attach by name and build zero-copy numpy views.  The suite-sharded
+remap (:meth:`repro.core.remapping.RemappingEngine.run` with ``workers >
+1``) publishes the fleet's trace matrix this way, so each of its shard
+tasks moves a few hundred bytes of descriptors, not the traces.
 
 Lifecycle is explicit and leak-proof:
 
@@ -18,6 +17,10 @@ Lifecycle is explicit and leak-proof:
 * :class:`SharedMatrix` is a context manager — ``with`` blocks unlink on
   normal exit, on worker death (``BrokenProcessPool`` propagates through),
   and on ``KeyboardInterrupt`` alike;
+* a mapping, the owner's or an attachment's, is closed when the last array
+  viewing it goes: numpy holds no buffer export on a segment, so unmapping
+  it under a live view would leave that view dangling.  Unlinking drops
+  the name at once; the memory goes with the last mapping;
 * workers attach read-only and *never* unlink; on Python 3.13+ attachments
   opt out of resource tracking (``track=False``).  On older interpreters a
   worker's attach registers the segment with its resource tracker, which
@@ -32,7 +35,8 @@ Lifecycle is explicit and leak-proof:
   default kill) proceeds.  The registry records the creator's pid, and
   both sweeps skip entries registered by another process — a forked worker
   that inherits the parent's handler (and registry) must never unlink the
-  parent's live segments.
+  parent's live segments.  A pool worker closes the mappings it inherited
+  that way when it starts (:func:`close_inherited`).
 
 Segment names carry the :data:`SEGMENT_PREFIX` so tests (and operators) can
 audit ``/dev/shm`` for leaks attributable to this package.
@@ -108,7 +112,9 @@ def _sweep_owned() -> None:
     Shared by the atexit hook and the termination-signal handlers.  The
     pid guard matters for the signal path: a ``fork`` child inherits both
     the handlers and a copy of the registry, and a SIGTERM delivered to
-    the child must not unlink segments its parent is still serving.
+    the child must not unlink segments its parent is still serving.  The
+    mappings stay until their arrays go (a SIGINT the application turns
+    into ``KeyboardInterrupt`` lets the process go on reading them).
     """
     pid = os.getpid()
     for name in list(_OWNED):
@@ -117,9 +123,29 @@ def _sweep_owned() -> None:
         shm = _OWNED.pop(name)
         _OWNED_PIDS.pop(name, None)
         try:
-            shm.close()
             shm.unlink()
         except (FileNotFoundError, OSError):  # already gone: fine
+            pass
+
+
+def close_inherited() -> None:
+    """Close and forget the segments this process inherited at ``fork``.
+
+    A process forked while its parent owns a segment inherits the parent's
+    mapping and descriptor of it with its copy of the registry, and would
+    keep both for life.  This closes them and drops the entries, and never
+    unlinks: the segment is the parent's.  The pool's worker initializer
+    calls it, before any task runs.
+    """
+    pid = os.getpid()
+    for name in list(_OWNED):
+        if _OWNED_PIDS.get(name) == pid:
+            continue
+        shm = _OWNED.pop(name)
+        _OWNED_PIDS.pop(name, None)
+        try:
+            shm.close()
+        except OSError:  # pragma: no cover - already closed
             pass
 
 
@@ -273,6 +299,8 @@ class SharedMatrix:
         self.shape = tuple(int(s) for s in shape)
         self.dtype = np.dtype(dtype)
         self.array = np.ndarray(self.shape, dtype=self.dtype, buffer=shm.buf)
+        # Every view keeps ``array`` alive, so the mapping outlives them all.
+        weakref.finalize(self.array, shm.close)
         if not owner:
             self.array.setflags(write=False)
 
@@ -305,16 +333,19 @@ class SharedMatrix:
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Drop this process's mapping (the segment itself survives)."""
-        # The numpy view keeps the mmap alive; release it first.
+        """Drop :attr:`array`; the mapping goes once no array views it.
+
+        The segment itself survives.  A view taken before the close keeps
+        reading the mapping until it is dropped.
+        """
         self.array = None  # type: ignore[assignment]
-        try:
-            self._shm.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
 
     def unlink(self) -> None:
-        """Destroy the segment (owner only).  Safe to call twice."""
+        """Destroy the segment (owner only).  Safe to call twice.
+
+        The name and the registry entry go at once; the memory goes with
+        the last mapping (see :meth:`close`).
+        """
         if not self._owner:
             raise RuntimeError("only the creating process may unlink a segment")
         self.close()
@@ -339,15 +370,11 @@ class SharedMatrix:
 def attach_matrix(handle: MatrixHandle) -> SharedMatrix:
     """Attach to a published matrix by handle (worker side, read-only).
 
-    Besides :meth:`SharedMatrix.close`, the mapping goes when the last
-    array viewing it does: numpy holds no buffer export on the segment, so
-    unmapping it under a live view would leave that view dangling, and
-    every view keeps :attr:`SharedMatrix.array` alive.
+    The mapping goes when the last array viewing it does, as the owner's
+    does (see :meth:`SharedMatrix.close`).
     """
     shm = _attach_segment(handle.name)
-    shared = SharedMatrix(shm, handle.shape, np.dtype(handle.dtype), owner=False)
-    weakref.finalize(shared.array, shm.close)
-    return shared
+    return SharedMatrix(shm, handle.shape, np.dtype(handle.dtype), owner=False)
 
 
 # ----------------------------------------------------------------------
@@ -399,6 +426,7 @@ __all__ = [
     "attach_matrix",
     "attach_rows",
     "attached_view",
+    "close_inherited",
     "detach_all",
     "owned_segment_names",
     "shard_ranges",

@@ -129,7 +129,7 @@ class capture:
 
     ::
 
-        with capture(shard_id=3, label="score.shard") as cap:
+        with capture(shard_id=3, label="remap.shard") as cap:
             do_the_work()
         ship(cap.bundle)
 

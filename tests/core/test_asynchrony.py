@@ -180,42 +180,6 @@ class TestScoreVectors:
             score_matrix(instances, basis, dtype=np.float64),
         )
 
-    def test_worker_count_never_changes_scores(self, grid, rng):
-        """Row scores are independent: the sharded pool path must be
-        bit-identical to the serial path for any worker count."""
-        from repro.engine.parallel import shutdown_pools
-
-        basis = TraceSet.from_traces(
-            {f"s{k}": PowerTrace(grid, rng.random(24)) for k in range(3)}
-        )
-        instances = TraceSet.from_traces(
-            {f"i{k}": PowerTrace(grid, rng.random(24)) for k in range(64)}
-        )
-        serial = score_matrix(instances, basis)
-        try:
-            # parallel_min_rows lowered so this small fleet actually shards.
-            sharded = score_matrix(
-                instances, basis, workers=2, parallel_min_rows=8
-            )
-        finally:
-            shutdown_pools()
-        assert np.array_equal(serial, sharded)
-
-    def test_small_batches_stay_serial_despite_workers(self, grid, rng, monkeypatch):
-        """Below parallel_min_rows the workers knob must not touch a pool."""
-        import repro.core.asynchrony as asynchrony
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("small batch reached the sharded path")
-
-        monkeypatch.setattr(asynchrony, "_score_matrix_sharded", forbidden)
-        basis = TraceSet.from_traces({"s1": up(grid)})
-        instances = TraceSet.from_traces(
-            {f"i{k}": PowerTrace(grid, rng.random(24)) for k in range(4)}
-        )
-        result = score_matrix(instances, basis, workers=8)
-        assert result.shape == (4, 1)
-
 
 class TestDifferentialScores:
     def test_averaged_group_trace(self, grid):

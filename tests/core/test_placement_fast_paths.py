@@ -1,10 +1,8 @@
-"""The placer's fast paths, checked against its exact serial path.
+"""The placer's fast path, checked against its exact path.
 
-``score_workers > 1`` shards fleet-scale scoring across the worker pool
-and must not change a decision.  Scoring in float32 (the scorer's
-``dtype=np.float32``, which the placer does not expose) may change
-decisions, but must keep the paper's metrics: the RPP-level peak
-reduction and the extra-server fraction of Fig. 10.
+Scoring in float32 (the scorer's ``dtype=np.float32``, which the placer
+does not expose) may change decisions, but must keep the paper's metrics:
+the RPP-level peak reduction and the extra-server fraction of Fig. 10.
 """
 
 import functools
@@ -12,36 +10,14 @@ import functools
 import numpy as np
 import pytest
 
-from repro import obs
 from repro.core import asynchrony, placement
-from repro.core.asynchrony import PARALLEL_MIN_ROWS
 from repro.core.pipeline import SmoothOperator, SmoothOperatorConfig
-from repro.core.placement import PlacementConfig, WorkloadAwarePlacer
+from repro.core.placement import PlacementConfig
 from repro.datasets import facebook
 from repro.infra import Level
 
 #: How far float32 scoring may move a Fig. 10 metric at paper scale.
 FLOAT32_TOLERANCE = 1e-3
-
-
-def test_pooled_scoring_keeps_every_decision():
-    spec = facebook.dc3_spec(n_instances=4200, seed=7)
-    dc = facebook.build_datacenter(spec, weeks=3, step_minutes=60)
-    assert len(dc.records) > PARALLEL_MIN_ROWS  # the root scores on the pool
-    serial = WorkloadAwarePlacer(PlacementConfig()).place(dc.records, dc.topology)
-
-    from repro.engine.parallel import shutdown_pools
-
-    before = obs.snapshot_metrics()["counters"].get("score.shards", 0.0)
-    try:
-        pooled = WorkloadAwarePlacer(PlacementConfig(score_workers=2)).place(
-            dc.records, dc.topology
-        )
-    finally:
-        shutdown_pools()
-    assert obs.snapshot_metrics()["counters"].get("score.shards", 0.0) > before
-    assert pooled.assignment.as_mapping() == serial.assignment.as_mapping()
-    assert pooled.cluster_labels == serial.cluster_labels
 
 
 def fig10_metrics(dc):

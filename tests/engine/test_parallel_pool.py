@@ -17,8 +17,8 @@ import pytest
 
 from repro.engine import parallel
 from repro.engine.parallel import (
-    DEFAULT_WORKER_THREADS,
     WORKER_THREAD_ENV_VARS,
+    WORKER_THREADS,
     RunFailure,
     WorkerPool,
     get_pool,
@@ -106,15 +106,8 @@ def test_pool_validates_worker_count():
 def test_workers_pin_blas_thread_pools():
     with WorkerPool(2) as pool:
         env = pool.submit(read_thread_env).result()
-    expected = str(DEFAULT_WORKER_THREADS)
+    expected = str(WORKER_THREADS)
     assert env == {name: expected for name in WORKER_THREAD_ENV_VARS}
-
-
-def test_worker_thread_count_env_override(monkeypatch):
-    monkeypatch.setenv("REPRO_WORKER_THREADS", "3")
-    assert parallel.worker_thread_count() == 3
-    monkeypatch.delenv("REPRO_WORKER_THREADS")
-    assert parallel.worker_thread_count() == DEFAULT_WORKER_THREADS
 
 
 # ----------------------------------------------------------------------

@@ -155,9 +155,9 @@ def read_shard_sum(handle, start, stop):
     return float(attach_rows(handle, start, stop).sum())
 
 
-def mapped_segments():
-    """Names of this package's segments mapped into this process."""
-    with open("/proc/self/maps") as maps:
+def mapped_segments(pid="self"):
+    """Names of this package's segments mapped into process ``pid``."""
+    with open(f"/proc/{pid}/maps") as maps:
         return sorted(set(re.findall(rf"{SEGMENT_PREFIX}[0-9a-f]+", maps.read())))
 
 
@@ -189,6 +189,71 @@ def test_workers_map_only_the_segment_of_the_running_stage():
             assert [names for _, names in results] == [[shared.name]] * len(ranges)
         # Between tasks, no worker maps any segment.
         assert pool.map_shards(mapped_segments, [()] * 4) == [[]] * 4
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/maps"), reason="reads the processes' mappings"
+)
+def test_workers_forked_inside_a_stage_close_its_segment():
+    """A cold pool forks at the stage's first submit, after the segment was
+    mapped here, and each worker inherits that mapping.  The workers must
+    drop it, so once the stage has unlinked its segment none maps it."""
+    matrix = np.arange(32, dtype=np.float64).reshape(8, 4)
+    ranges = shard_ranges(8, 4)
+    with WorkerPool(2) as pool:
+        with SharedMatrix.create(matrix) as shared:
+            tasks = [(shared.handle, start, stop) for start, stop in ranges]
+            assert pool.map_shards(read_shard_sum, tasks) == [
+                float(matrix[start:stop].sum()) for start, stop in ranges
+            ]
+        pids = [process.pid for process in pool._executor._processes.values()]
+        assert len(pids) == 2
+        assert [mapped_segments(pid) for pid in pids] == [[], []]
+
+
+#: Keeps a slice of the owner's array past the ``with`` block that unlinks
+#: the segment, reads it, then drops it.
+_VIEW_OUTLIVES_OWNER = """
+import os
+import numpy as np
+from repro.engine.sharedmem import SharedMatrix, owned_segment_names
+from test_sharedmem import mapped_segments
+
+matrix = np.arange(12, dtype=np.float64).reshape(3, 4)
+with SharedMatrix.create(matrix) as shared:
+    view = shared.array[1:]
+name = shared.name
+assert owned_segment_names() == ()
+assert not os.path.exists("/dev/shm/" + name)
+assert np.array_equal(view, matrix[1:])
+assert mapped_segments() == [name]
+del view
+assert mapped_segments() == []
+"""
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/maps"), reason="reads the process's mappings"
+)
+def test_a_view_outlives_the_owners_unlink():
+    """The owner's mapping goes with the last view of it, as an attachment's
+    does, while the unlink drops the name and the registry entry at once.
+
+    Unmapping under the view would make reading it crash the interpreter,
+    so the reads run in a child process, which must exit 0.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(_SRC_DIR), str(_HERE), env.get("PYTHONPATH", "")])
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", _VIEW_OUTLIVES_OWNER],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert completed.returncode == 0, completed.stderr
 
 
 class DieOnceThenSum:
