@@ -101,17 +101,17 @@ def score_matrix(
     memory traffic at the cost of float32 rounding in the peaks (scores
     still come back float64).
     """
-    instances.grid.require_same(basis.grid)
-    if chunk_size <= 0:
-        raise ValueError("chunk_size must be positive")
-    work_dtype = np.dtype(dtype) if dtype is not None else np.dtype(np.float64)
-    if max_bytes is not None:
-        if max_bytes <= 0:
-            raise ValueError("max_bytes must be positive")
-        bytes_per_row = instances.grid.n_samples * work_dtype.itemsize
-        chunk_size = max(1, min(chunk_size, max_bytes // max(bytes_per_row, 1)))
     n = len(instances) if rows is None else len(rows)
-    with obs.span("score", instances=n, basis=len(basis), chunk_size=chunk_size):
+    with obs.span("score", instances=n, basis=len(basis)):
+        instances.grid.require_same(basis.grid)
+        if chunk_size <= 0:
+            raise ValueError("chunk_size must be positive")
+        work_dtype = np.dtype(dtype) if dtype is not None else np.dtype(np.float64)
+        if max_bytes is not None:
+            if max_bytes <= 0:
+                raise ValueError("max_bytes must be positive")
+            bytes_per_row = instances.grid.n_samples * work_dtype.itemsize
+            chunk_size = max(1, min(chunk_size, max_bytes // max(bytes_per_row, 1)))
         obs.count("score.pairs", n * len(basis))
         basis_block = np.asarray(basis.matrix, dtype=work_dtype)
         scores = np.empty((n, len(basis)))

@@ -10,13 +10,23 @@ The placer walks the power tree top-down.  At each internal node it
 4. deals each cluster's members round-robin across the children so every
    child receives ``|c_j| / q`` instances of every cluster,
 
-then recurses until instances reach leaf power nodes.  Synchronous instances
-(same cluster) end up spread evenly; each node's aggregate peak drops.
+then does the same at each child until instances reach leaf power nodes.
+Synchronous instances (same cluster) end up spread evenly; each node's
+aggregate peak drops.
 
 The records are stacked into one fleet matrix once per placement, and a
 node works on the index array of its rows in that matrix: every basis,
 score and deal order above is read from the matrix by row index, with no
 per-node copy of the traces.
+
+The walk is breadth-first.  One round takes every node that received rows
+in the round before; the k-means problems of its nodes that share a shape
+run as one stack (:func:`~repro.core.clustering.balanced_kmeans` gives each
+the bits it would get alone), while bases, scores and deals stay per node.
+The mapping and the per-node cluster labels are written in the tree's
+pre-order at the end, so every decision, its dict order and the error
+raised for a tree that cannot hold its rows are what a depth-first walk
+gives.
 """
 
 from __future__ import annotations
@@ -35,7 +45,7 @@ from ..traces.service import ServiceRows
 from ..traces.service import extract_basis_traces  # noqa: F401  (wrapped by bench/layers.py)
 from ..traces.traceset import TraceSet
 from .asynchrony import score_matrix
-from .clustering import balanced_kmeans
+from .clustering import ClusteringResult, balanced_kmeans, stack_size
 
 
 @dataclass(frozen=True)
@@ -180,17 +190,24 @@ class WorkloadAwarePlacer:
         with obs.span("place", instances=len(records)):
             fleet = _FleetRows(records)
             global_basis = fleet.services.basis(self.config.top_m_services)
+            leaves, labels, errors = self._walk(topology, fleet, global_basis)
+            # Written in the tree's pre-order (``topology.nodes()``), as a
+            # depth-first walk would meet the nodes: the error raised is the
+            # one it would raise, and both dicts iterate as it would fill them.
             mapping: Dict[str, str] = {}
             diagnostics: Dict[str, Dict[str, int]] = {}
-            self._place_under(
-                topology,
-                topology.root,
-                fleet,
-                np.arange(len(records)),
-                global_basis,
-                mapping,
-                diagnostics,
-            )
+            for node in topology.nodes():
+                if node.name in errors:
+                    raise errors[node.name]
+                if node.name in labels:
+                    rows, node_labels = labels[node.name]
+                    diagnostics[node.name] = {
+                        fleet.ids[row]: label
+                        for row, label in zip(rows.tolist(), node_labels.tolist())
+                    }
+                if node.name in leaves:
+                    for row in leaves[node.name].tolist():
+                        mapping[fleet.ids[row]] = node.name
             assignment = Assignment(topology, mapping)
             obs.count("place.instances_placed", len(mapping))
             return PlacementResult(
@@ -200,82 +217,111 @@ class WorkloadAwarePlacer:
             )
 
     # ------------------------------------------------------------------
-    def _place_under(
-        self,
-        topology: PowerTopology,
-        node: PowerNode,
-        fleet: _FleetRows,
-        rows: np.ndarray,
-        basis: Optional[TraceSet],
-        mapping: Dict[str, str],
-        diagnostics: Dict[str, Dict[str, int]],
-    ) -> None:
-        """Place the fleet's ``rows`` under ``node``.
+    def _walk(
+        self, topology: PowerTopology, fleet: _FleetRows, basis: TraceSet
+    ) -> Tuple[
+        Dict[str, np.ndarray],
+        Dict[str, Tuple[np.ndarray, np.ndarray]],
+        Dict[str, AssignmentError],
+    ]:
+        """Place the fleet's rows down the tree breadth-first.
 
-        ``basis`` is what this node's rows are scored against, or ``None``
-        for a node that extracts its own from its rows.  The root's rows are
-        the whole fleet, so it is handed the datacenter-level basis; with
-        ``rebuild_basis_per_node`` every clustered node below it gets
-        ``None``.  A single-child node hands its rows and basis down as-is.
+        Each round clusters the nodes that received rows in the round
+        before (see :meth:`_cluster_round`) and deals their rows to their
+        children.  A single-child node hands its rows and basis down as-is,
+        and a node with no rows places nothing.  ``basis`` is what the
+        root's rows are scored against; with ``rebuild_basis_per_node``
+        every clustered node below it extracts its own from its rows.
+
+        Returns, by node name: each leaf's rows, each clustered node's rows
+        and their cluster labels, and each node whose rows could not be
+        placed, with the error (its subtree is not walked).
         """
-        if len(rows) == 0:
-            return
-        if node.is_leaf:
-            if node.capacity is not None and len(rows) > node.capacity:
-                raise AssignmentError(
-                    f"leaf {node.name} receives {len(rows)} instances, "
-                    f"capacity {node.capacity}"
+        leaves: Dict[str, np.ndarray] = {}
+        labels: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
+        errors: Dict[str, AssignmentError] = {}
+        frontier = [(topology.root, np.arange(len(fleet.ids)), basis)]
+        while frontier:
+            clustered = []
+            for node, rows, node_basis in frontier:
+                while len(node.children) == 1:
+                    node = node.children[0]
+                if len(rows) == 0:
+                    continue
+                if not node.is_leaf:
+                    clustered.append((node, rows, node_basis))
+                elif node.capacity is not None and len(rows) > node.capacity:
+                    errors[node.name] = AssignmentError(
+                        f"leaf {node.name} receives {len(rows)} instances, "
+                        f"capacity {node.capacity}"
+                    )
+                else:
+                    leaves[node.name] = rows
+            frontier = []
+            results = self._cluster_round(fleet, clustered)
+            for (node, rows, node_basis), result in zip(clustered, results):
+                labels[node.name] = (rows, result.labels)
+                # Deterministic intra-cluster order: deal the power-hungriest
+                # instances first so the heaviest members spread widest.
+                clusters = [
+                    fleet.deal_order(rows[result.labels == label])
+                    for label in range(result.k)
+                ]
+                try:
+                    shares = self._child_shares(topology, node, len(rows))
+                    buckets = self._deal_round_robin(node, fleet, clusters, shares)
+                except AssignmentError as error:
+                    errors[node.name] = error
+                    continue
+                child_basis = None if self.config.rebuild_basis_per_node else node_basis
+                frontier.extend(
+                    (child, bucket, child_basis)
+                    for child, bucket in zip(node.children, buckets)
                 )
-            for row in rows.tolist():
-                mapping[fleet.ids[row]] = node.name
-            return
-        if len(node.children) == 1:
-            self._place_under(
-                topology, node.children[0], fleet, rows, basis, mapping, diagnostics
-            )
-            return
+        return leaves, labels, errors
 
-        obs.count("place.nodes_clustered")
-        if basis is None:
-            basis = fleet.services.basis(self.config.top_m_services, rows)
-        clusters, labels = self._cluster(node, fleet, rows, basis)
-        diagnostics[node.name] = {
-            fleet.ids[row]: label for row, label in zip(rows.tolist(), labels.tolist())
-        }
-        shares = self._child_shares(topology, node, len(rows))
-        buckets = self._deal_round_robin(node, fleet, clusters, shares)
-        child_basis = None if self.config.rebuild_basis_per_node else basis
-        for child, bucket in zip(node.children, buckets):
-            self._place_under(
-                topology, child, fleet, bucket, child_basis, mapping, diagnostics
-            )
-
-    # ------------------------------------------------------------------
-    def _cluster(
+    def _cluster_round(
         self,
-        node: PowerNode,
         fleet: _FleetRows,
-        rows: np.ndarray,
-        basis: TraceSet,
-    ) -> Tuple[List[np.ndarray], np.ndarray]:
-        """Cluster the node's rows in asynchrony-score space."""
-        scores = score_matrix(fleet.traces, basis, rows=rows)
-        q = len(node.children)
-        h = min(len(rows), q * self.config.clusters_per_child)
-        h = max(h, 1)
-        result = balanced_kmeans(
-            scores,
-            h,
-            seed=self._node_seed(node),
-            n_init=self.config.kmeans_n_init,
-            max_iter=self.config.kmeans_max_iter,
-        )
-        # Deterministic intra-cluster order: deal the power-hungriest
-        # instances first so the heaviest members spread widest.
-        clusters = [
-            fleet.deal_order(rows[result.labels == label]) for label in range(result.k)
-        ]
-        return clusters, result.labels
+        nodes: List[Tuple[PowerNode, np.ndarray, Optional[TraceSet]]],
+    ) -> List[ClusteringResult]:
+        """Cluster each node's rows in asynchrony-score space.
+
+        Each node is scored against its basis (extracted from its rows when
+        ``None``) into ``h = q × clusters_per_child`` clusters (at most its
+        row count).  Nodes whose problems share a shape (rows, basis size,
+        ``h``) go to :func:`balanced_kmeans` as one stack, each with its own
+        seed, which gives every node the clustering it would get alone.  A
+        stack is clustered as soon as it holds :func:`stack_size` problems,
+        so a round keeps the scores of at most one stack per shape.
+        """
+        scores: Dict[int, np.ndarray] = {}
+        pending: Dict[Tuple[int, int, int], List[int]] = {}
+        results: Dict[int, ClusteringResult] = {}
+
+        def cluster(shape: Tuple[int, int, int], members: List[int]) -> None:
+            stacked = balanced_kmeans(
+                np.stack([scores.pop(index) for index in members]),
+                shape[2],
+                seed=[self._node_seed(nodes[index][0]) for index in members],
+                n_init=self.config.kmeans_n_init,
+                max_iter=self.config.kmeans_max_iter,
+            )
+            results.update(zip(members, stacked))
+
+        for index, (node, rows, basis) in enumerate(nodes):
+            obs.count("place.nodes_clustered")
+            if basis is None:
+                basis = fleet.services.basis(self.config.top_m_services, rows)
+            scores[index] = score_matrix(fleet.traces, basis, rows=rows)
+            h = max(min(len(rows), len(node.children) * self.config.clusters_per_child), 1)
+            shape = (len(rows), len(basis), h)
+            pending.setdefault(shape, []).append(index)
+            if len(pending[shape]) == stack_size(*shape):
+                cluster(shape, pending.pop(shape))
+        for shape, members in pending.items():
+            cluster(shape, members)
+        return [results[index] for index in range(len(nodes))]
 
     def _node_seed(self, node: PowerNode) -> int:
         return (self.config.seed * 2654435761 + zlib.crc32(node.name.encode())) % (2**32)

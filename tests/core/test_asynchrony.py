@@ -154,6 +154,16 @@ class TestScoreVectors:
         with pytest.raises(Exception):
             score_vector(other, basis)
 
+    def test_checks_run_inside_the_score_span(self, grid):
+        """The span covers the whole call: a mismatched grid raises with a
+        ``score`` span already recorded, so a caller timing the call and
+        the span measure the same work."""
+        basis = TraceSet.from_traces({"s1": up(grid)})
+        other = TraceSet.from_traces({"i1": PowerTrace.constant(TimeGrid(0, 30, 48), 1)})
+        with obs.tracing() as tracer, pytest.raises(Exception):
+            score_matrix(other, basis)
+        assert [span.name for span in tracer.walk()] == ["score"]
+
     def test_float32_fast_path_tracks_exact_scores(self, grid, rng):
         basis = TraceSet.from_traces(
             {f"s{k}": PowerTrace(grid, rng.random(24)) for k in range(4)}
