@@ -441,8 +441,8 @@ def _cmd_report(args: argparse.Namespace) -> None:
         return
     if "pool" not in document:
         raise SystemExit(
-            f"{path} records no pooled stage — produce one with worker "
-            f"capture on: 'smoothoperator report --run --report {path}'"
+            f"{path} records no pooled stage — produce one under "
+            f"tracing: 'smoothoperator report --run --report {path}'"
         )
     print(obs.render_report(document["pool"]))
 

@@ -45,10 +45,6 @@ from .spec import (  # noqa: F401
     ScenarioSpec,
     chaos_spec,
 )
-from .chaos_infra import (  # noqa: F401
-    InfraFault,
-    InjectedFault,
-)
 from .deadline import (  # noqa: F401
     TaskDeadline,
     TaskTimeoutError,
@@ -85,8 +81,6 @@ __all__ = [
     "FailureEvent",
     "FleetDelta",
     "FleetDescription",
-    "InfraFault",
-    "InjectedFault",
     "LC_POOL",
     "MODES",
     "MatrixHandle",

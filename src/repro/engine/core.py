@@ -154,9 +154,7 @@ class Engine:
             recovery.failure_downtime_server_steps = (
                 self.failures.downtime_server_steps(n)
             )
-        return RunArtifacts(
-            spec=spec, result=result, events=obs_events.get_event_log()
-        )
+        return RunArtifacts(spec=spec, result=result)
 
     def _throttle_boost(self, spec: ScenarioSpec) -> ScenarioResult:
         """Conversion plus proactive batch DVFS (Sec. 4.3).

@@ -42,18 +42,18 @@ the dispatch loop blocks on its futures.  Pooled work never runs in
 the coordinator: a task that hangs, exits its process, or raises on every
 attempt raises from ``map_shards`` or becomes a :class:`RunFailure` in
 ``run_many``, and cannot take the coordinator down with it.
-Deterministic infrastructure faults for exercising all of it live in
-:mod:`repro.engine.chaos_infra`.
 
-The pool is not an observability boundary: unless ``REPRO_OBS_CAPTURE=0``
-disables it, every pooled task runs under worker-side telemetry capture
-(:mod:`repro.obs.remote`) and ships its spans, metric deltas, and events
-back with its result; the coordinator merges them into its live tracer,
-registry, and event log, and records pool health metrics
-(dispatch/completion counters, roundtrip/execution/queue latency
-histograms, worker deaths and rebuilds, timeouts).  Under a live tracer
-each stage opens one ``pool.stage`` span that the merged task spans hang
-under; the run report (:mod:`repro.obs.report`) is read off those spans.
+The pool is not an observability boundary: every pooled task runs under
+worker-side telemetry capture (:mod:`repro.obs.remote`) and ships its
+metric deltas and its execution time back with its result, plus its spans
+when the dispatching thread has a tracer and its events when an event log
+is live; a worker observes nothing the coordinator does not.  The
+coordinator merges what ships into its live tracer, registry, and event
+log, and records pool health metrics (dispatch/completion counters,
+roundtrip/execution/queue latency histograms, worker deaths and rebuilds,
+timeouts).  Under a live tracer each stage opens one ``pool.stage`` span
+that the merged task spans hang under; the run report
+(:mod:`repro.obs.report`) is read off those spans.
 """
 
 from __future__ import annotations
@@ -66,11 +66,10 @@ import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
-from functools import partial
 from multiprocessing import resource_tracker
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set
 
-from . import chaos_infra, sharedmem
+from . import sharedmem
 from . import deadline as deadline_mod
 from .deadline import TaskDeadline, TaskTimeoutError
 from .spec import ChaosSpec, ScenarioSpec
@@ -145,14 +144,9 @@ def execute(spec: Any) -> RunArtifacts:
     if isinstance(spec, ChaosSpec):
         # Lazy: the chaos harness imports the engine, not vice versa.
         from ..faults.harness import run_chaos_scenario
-        from ..obs import events as obs_events
 
         outcome = run_chaos_scenario(spec.resolved_scenario(), **spec.run_kwargs())
-        return RunArtifacts(
-            spec=spec,
-            result=outcome,
-            events=obs_events.get_event_log(),
-        )
+        return RunArtifacts(spec=spec, result=outcome)
     if callable(spec):
         outcome = spec()
         if isinstance(outcome, RunArtifacts):
@@ -178,17 +172,10 @@ def _init_worker() -> None:
     pool's first stage, or a rebuild after a worker death) inherits its
     mapping; the worker closes it here, so it maps only what its tasks
     attach.
-
-    Also arms the infrastructure fault injectors when the
-    ``REPRO_INFRA_FAULTS`` environment variable is set — faults fire only
-    in processes that ran this initializer, so the coordinator stays
-    fault-free.
     """
     for name in WORKER_THREAD_ENV_VARS:
         os.environ[name] = str(WORKER_THREADS)
     sharedmem.close_inherited()
-    if os.environ.get(chaos_infra.FAULTS_ENV):
-        chaos_infra.activate()
     try:  # best-effort: not a baked-in dependency
         import threadpoolctl
 
@@ -203,33 +190,24 @@ def _run_task(
     index: int,
     attempt: int,
     label: str,
-    capture: bool,
-    faults: bool,
+    trace: bool,
+    record: bool,
 ) -> Any:
-    """The worker side of every pooled task: ``fn(*args)``.
+    """The worker side of every pooled task: ``fn(*args)`` under capture.
 
-    Armed infra faults fire first when ``faults`` is set, *inside* the
-    capture, so injected events (e.g. an ``oversized_bundle`` payload) land
-    in the shipped bundle and an injected exception ships its telemetry
-    like any real failure.  With ``capture`` the worker returns
-    ``(result, bundle)`` (see :func:`repro.obs.remote.run_captured`), the
-    bundle's root span named ``label``.  Without it, a task still runs under
-    a fresh event log when recording is active: persistent workers outlive
-    many tasks, so a log inherited at fork time must not accumulate every
-    task's events for the life of the worker.
+    Returns ``(result, bundle)`` (see :func:`repro.obs.remote.run_captured`),
+    the bundle's root span named ``label``.  ``trace`` and ``record`` say
+    whether the coordinator has a tracer and an event log; the task opens
+    a fresh one of each only where it does, and runs with none installed
+    otherwise, so a tracer or log the worker inherited at fork (a pool
+    warmed under ``obs.tracing()``) records nothing.
     """
-    call = partial(chaos_infra.call_with_faults, fn, index, attempt) if faults else fn
+    from ..obs import remote as obs_remote
+
     try:
-        if capture:
-            from ..obs import remote as obs_remote
-
-            return obs_remote.run_captured(call, index, label, attempt, args)
-        from ..obs import events as obs_events
-
-        if obs_events.get_event_log() is None:
-            return call(*args)
-        with obs_events.recording():
-            return call(*args)
+        return obs_remote.run_captured(
+            fn, index, label, attempt, args, trace=trace, record=record
+        )
     finally:
         # Each stage publishes a fresh segment and unlinks it when done, so
         # a worker that kept its attachments would keep every stage's
@@ -422,11 +400,11 @@ class WorkerPool:
         with no default either the loop blocks unbounded exactly as
         before.
 
-        Unless the ``REPRO_OBS_CAPTURE`` kill switch disables it, every
-        task runs under worker-side telemetry capture
-        (:mod:`repro.obs.remote`): its spans, metric deltas, and events
-        ship back with the result and are merged into this process's live
-        tracer/registry/log — sorted by shard id, so the merged state is
+        Every task runs under worker-side telemetry capture
+        (:mod:`repro.obs.remote`): its metric deltas ship back with the
+        result, with its spans when this thread has a tracer and its events
+        when an event log is live, and are merged into this process's live
+        registry/tracer/log — sorted by shard id, so the merged state is
         independent of completion order.  ``label`` names the per-task root
         span (tagged with shard id, worker pid and attempt) and the stage's
         ``pool.stage`` span, which the run report (:mod:`repro.obs.report`)
@@ -461,11 +439,10 @@ class WorkerPool:
         for bundle in bundles:
             if bundle.failed:
                 continue
-            roundtrip_s = bundle.spans[0]["meta"]["roundtrip_s"]
-            obs_metrics.observe("pool.task_roundtrip_s", roundtrip_s)
+            obs_metrics.observe("pool.task_roundtrip_s", bundle.roundtrip_s)
             obs_metrics.observe("pool.task_exec_s", bundle.wall_s)
             obs_metrics.observe(
-                "pool.task_queue_s", max(0.0, roundtrip_s - bundle.wall_s)
+                "pool.task_queue_s", max(0.0, bundle.roundtrip_s - bundle.wall_s)
             )
         obs_remote.merge_bundles(bundles)
         obs_metrics.set_gauge("pool.workers", self.workers)
@@ -499,7 +476,9 @@ class _StageDriver:
     The two callers differ only in what an exhausted task does:
     ``map_shards`` re-raises its error, ``run_many`` passes ``on_failure``
     to record a :class:`RunFailure` in the task's slot.  Pooled tasks only
-    ever run in pool workers, never in this process.  With ``pool=None``
+    ever run in pool workers, never in this process; the driver notes
+    whether the dispatching thread has a tracer and whether an event log
+    is live, and each task observes exactly that much.  With ``pool=None``
     every task runs inline in this process — no pool is built, no
     telemetry is captured, no pool metric or ``pool.stage`` span is
     recorded, no watchdog runs — with the same retry rounds and backoff.
@@ -520,7 +499,8 @@ class _StageDriver:
         task_label: Optional[str] = None,
         on_failure: Optional[Callable[[int, BaseException, int], Any]] = None,
     ) -> None:
-        from ..obs import remote as obs_remote
+        from ..obs import events as obs_events
+        from ..obs import spans as obs_spans
 
         if max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
@@ -535,10 +515,9 @@ class _StageDriver:
         self.max_attempts = max_attempts
         self.retry_backoff_s = retry_backoff_s
         self.on_failure = on_failure
-        pooled = pool is not None
-        self.do_capture = pooled and obs_remote.capture_enabled()
-        self.faults = pooled and chaos_infra.configured()
-        if pooled and deadline is None:
+        self.trace = obs_spans.get_tracer() is not None
+        self.record = obs_events.get_event_log() is not None
+        if pool is not None and deadline is None:
             deadline = deadline_mod.get_default_deadline()
         self.deadline = deadline
 
@@ -552,12 +531,13 @@ class _StageDriver:
 
     # ------------------------------------------------------------------
     def run(self) -> List[Any]:
-        """Settle every task; under capture, inside one ``pool.stage`` span.
+        """Settle every task; pooled, inside one ``pool.stage`` span.
 
         The span covers dispatch and the final merge, so the task spans
         graft under it and the stage's ``pool.*`` counters attribute to it.
+        It is a no-op without a tracer.
         """
-        if not self.do_capture:
+        if self.pool is None:
             return self._run_rounds()
         from ..obs import report as obs_report
         from ..obs import spans as obs_spans
@@ -614,7 +594,7 @@ class _StageDriver:
         return self.results
 
     def finish(self) -> None:
-        if self.do_capture:
+        if self.pool is not None:
             self.pool._finish_stage(self.bundles)
 
     # ------------------------------------------------------------------
@@ -648,9 +628,8 @@ class _StageDriver:
         from ..obs import metrics as obs_metrics
 
         def on_submit_rebuild() -> None:
-            if self.do_capture:
-                obs_metrics.count("pool.worker_deaths")
-                obs_metrics.count("pool.rebuilds")
+            obs_metrics.count("pool.worker_deaths")
+            obs_metrics.count("pool.rebuilds")
 
         waiting = deque(group)
         index_of: Dict[Any, int] = {}
@@ -669,17 +648,16 @@ class _StageDriver:
                     index,
                     self.attempts[index],
                     self.task_label,
-                    self.do_capture,
-                    self.faults,
+                    self.trace,
+                    self.record,
                     on_rebuild=on_submit_rebuild,
                 )
                 index_of[future] = index
                 dispatched_at[index] = time.perf_counter()
                 outstanding.add(future)
-                if self.do_capture:
-                    obs_metrics.count("pool.tasks_dispatched")
-                    if round_index > 0:
-                        obs_metrics.count("pool.tasks_retried")
+                obs_metrics.count("pool.tasks_dispatched")
+                if round_index > 0:
+                    obs_metrics.count("pool.tasks_retried")
             done, outstanding = wait(
                 outstanding, timeout=poll_s, return_when=FIRST_COMPLETED
             )
@@ -690,8 +668,8 @@ class _StageDriver:
                 except BaseException as error:  # noqa: BLE001
                     # BrokenProcessPool lands here for *every* future that
                     # shared the dead executor; record the attempt and let
-                    # the retry rounds sort survivors out.  A captured
-                    # failure still ships its telemetry, attached to the
+                    # the retry rounds sort survivors out.  A task that
+                    # raised still ships its telemetry, attached to the
                     # exception itself.
                     broken = broken or _pool_is_broken(error)
                     self._record_failure(index, error, dispatched_at[index])
@@ -707,7 +685,7 @@ class _StageDriver:
             # future it still holds (with BrokenProcessPool), and the next
             # submit rebuilds it, so the tasks still waiting run on a fresh
             # executor rather than burning attempts they never used.
-        if broken and self.pool.rebuild_if_broken() and self.do_capture:
+        if broken and self.pool.rebuild_if_broken():
             obs_metrics.count("pool.worker_deaths")
             obs_metrics.count("pool.rebuilds")
         return broken
@@ -718,13 +696,10 @@ class _StageDriver:
     ) -> None:
         from ..obs import metrics as obs_metrics
 
-        if self.do_capture:
-            result, bundle = outcome
-            self.results[index] = result
-            self._keep_bundle(bundle, dispatched_time)
-            obs_metrics.count("pool.tasks_completed")
-        else:
-            self.results[index] = outcome
+        result, bundle = outcome
+        self.results[index] = result
+        self._keep_bundle(bundle, dispatched_time)
+        obs_metrics.count("pool.tasks_completed")
 
     def _record_failure(
         self, index: int, error: BaseException, dispatched_time: float
@@ -738,17 +713,18 @@ class _StageDriver:
             self.results[index] = self.on_failure(
                 index, error, self.attempts[index]
             )
-        if self.do_capture:
-            obs_metrics.count("pool.tasks_failed")
-            bundle = obs_remote.bundle_from_error(error)
-            if bundle is not None:
-                self._keep_bundle(bundle, dispatched_time)
+        obs_metrics.count("pool.tasks_failed")
+        bundle = obs_remote.bundle_from_error(error)
+        if bundle is not None:
+            self._keep_bundle(bundle, dispatched_time)
 
     def _keep_bundle(self, bundle: Any, dispatched_time: float) -> None:
-        """Stamp the task's coordinator-side roundtrip on its root span and
-        keep the bundle for the stage's final merge."""
-        roundtrip_s = time.perf_counter() - dispatched_time
-        bundle.spans[0]["meta"]["roundtrip_s"] = roundtrip_s
+        """Stamp the task's coordinator-side roundtrip on the bundle (and on
+        its root span, where it shipped one, for the run report) and keep
+        the bundle for the stage's final merge."""
+        bundle.roundtrip_s = time.perf_counter() - dispatched_time
+        if bundle.spans:
+            bundle.spans[0]["meta"]["roundtrip_s"] = bundle.roundtrip_s
         self.bundles.append(bundle)
 
     def _enforce_hard_deadline(
@@ -781,8 +757,7 @@ class _StageDriver:
                 error: BaseException = TaskTimeoutError(
                     self.label, index, self.attempts[index], hard
                 )
-                if self.do_capture:
-                    obs_metrics.count("pool.task_timeouts")
+                obs_metrics.count("pool.task_timeouts")
                 obs_events.emit(
                     obs_events.TASK_TIMEOUT,
                     severity="critical",
@@ -798,9 +773,8 @@ class _StageDriver:
                 )
             self._record_failure(index, error, dispatched_at[index])
         self.pool.kill()
-        if self.do_capture:
-            obs_metrics.count("pool.worker_deaths")
-            obs_metrics.count("pool.rebuilds")
+        obs_metrics.count("pool.worker_deaths")
+        obs_metrics.count("pool.rebuilds")
         return True
 
     # ------------------------------------------------------------------
@@ -896,12 +870,12 @@ def run_many(
     or exits its worker on every attempt ends as a :class:`RunFailure`
     without taking this process with it.
 
-    Pooled batches run under worker-side telemetry capture unless the
-    ``REPRO_OBS_CAPTURE`` kill switch disables it: each spec's span
-    subtree, metric deltas, and capture-level events ship back with its
-    artifacts and merge into this process's live observability surfaces,
-    the pool records its health metrics, and under a live tracer the batch
-    is a ``pool.stage`` span labelled ``run.many``, which the run report
+    Pooled batches run under worker-side telemetry capture: each spec's
+    metric deltas ship back with its artifacts, with its span subtree under
+    a live tracer and its events under a live event log, and merge into
+    this process's live observability surfaces; the pool records its
+    health metrics, and under a live tracer the batch is a ``pool.stage``
+    span labelled ``run.many``, which the run report
     (:mod:`repro.obs.report`) reads.  An inline batch records nothing —
     in-process runs are already fully observable.
     """

@@ -85,19 +85,14 @@ def _forget_owned(name: str) -> None:
 
 
 def _update_shm_gauges(*, created: bool = False) -> None:
-    """Publish the live-segment gauges (skipped when capture is disabled).
+    """Publish the live-segment gauges.
 
     ``shm.segments_live`` / ``shm.bytes_live`` track what this process
     currently owns in ``/dev/shm``; ``shm.segments_created`` counts
-    publications over the process lifetime.  Gated on the same
-    ``REPRO_OBS_CAPTURE`` switch as worker telemetry so disabling capture
-    leaves the metrics registry untouched.
+    publications over the process lifetime.
     """
     from ..obs import metrics as obs_metrics
-    from ..obs.remote import capture_enabled
 
-    if not capture_enabled():
-        return
     if created:
         obs_metrics.count("shm.segments_created")
     obs_metrics.set_gauge("shm.segments_live", len(_OWNED))

@@ -147,13 +147,11 @@ class RunArtifacts:
 
     ``result`` is the scenario outcome (a :class:`ScenarioResult`, a
     :class:`~repro.engine.faults.ChaosRunResult`, or a chaos-harness
-    outcome, depending on the spec).  ``events`` is the structured event
-    log active during the run (``None`` when no recording was installed).
+    outcome, depending on the spec).
     """
 
     spec: Any
     result: Any
-    events: Optional[Any] = None
 
     @property
     def scenario(self) -> Optional[ScenarioResult]:

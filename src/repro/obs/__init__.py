@@ -22,8 +22,9 @@ The substrate every perf-sensitive subsystem reports into:
   record into a private tracer/registry/log inside the worker, ship a
   :class:`~repro.obs.remote.TelemetryBundle` back with their result, and
   the coordinator merges everything into its live surfaces — one coherent
-  span tree, metric set, and event log across process boundaries
-  (``REPRO_OBS_CAPTURE=0`` disables it).
+  span tree, metric set, and event log across process boundaries.  A
+  worker opens a tracer or an event log only where the coordinator has
+  one.
 * :mod:`repro.obs.report` — :func:`json_document`, the one JSON record of
   a run (span forest, stage timings, metrics), and the run report read off
   its merged span tree: each pooled stage's ``pool.stage`` span and its
@@ -45,7 +46,7 @@ from .metrics import (
     set_gauge,
     snapshot_metrics,
 )
-from .remote import TelemetryBundle, capture_enabled, merge_bundles
+from .remote import TelemetryBundle, merge_bundles
 from .report import json_document, render_report
 from .spans import Span, Tracer, current_span, get_tracer, span, stage_timings, tracing
 from .telemetry import FlightRecorder, RingBuffer, record_delta, record_power, record_view
@@ -84,7 +85,6 @@ __all__ = [
     "telemetry",
     # remote (cross-process capture)
     "TelemetryBundle",
-    "capture_enabled",
     "merge_bundles",
     "remote",
     # the run document and its run report

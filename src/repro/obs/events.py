@@ -217,6 +217,16 @@ def get_event_log() -> Optional[EventLog]:
     return _ACTIVE
 
 
+def _install(log: Optional[EventLog]) -> Optional[EventLog]:
+    """Make ``log`` the active event log (``None``: none).
+
+    Returns the log it replaces, for the caller to restore.
+    """
+    global _ACTIVE
+    previous, _ACTIVE = _ACTIVE, log
+    return previous
+
+
 def emit(
     kind: str, *, severity: str = "info", source: str = "", **fields: object
 ) -> Optional[Event]:
@@ -246,12 +256,9 @@ class recording:
         self._previous: Optional[EventLog] = None
 
     def __enter__(self) -> EventLog:
-        global _ACTIVE
-        self._previous = _ACTIVE
-        _ACTIVE = self.log
+        self._previous = _install(self.log)
         return self.log
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        global _ACTIVE
-        _ACTIVE = self._previous
+        _install(self._previous)
         return False

@@ -8,21 +8,25 @@ coordinator's wall time, and every counter a shard incremented vanished
 with the task.  This module closes the gap with a capture → ship → merge
 pipeline:
 
-* **capture** — a pool task runs inside :class:`capture`, which installs a
-  fresh thread-local :class:`~repro.obs.spans.Tracer`, a private
+* **capture** — a pool task runs inside :class:`capture`, which always
+  routes its metrics into a private
   :class:`~repro.obs.metrics.MetricsRegistry`
-  (via :class:`~repro.obs.metrics.capturing`), and a fresh
-  :class:`~repro.obs.events.EventLog` — the instrumented code inside the
-  task needs no changes;
+  (via :class:`~repro.obs.metrics.capturing`) and times it, and installs a
+  fresh thread-local :class:`~repro.obs.spans.Tracer` and a fresh
+  :class:`~repro.obs.events.EventLog` only where the coordinator has one
+  live (``trace`` / ``record``); otherwise it installs none, so a tracer or
+  log the worker inherited at fork records nothing.  The instrumented code
+  inside the task needs no changes;
 * **ship** — on exit the capture serializes everything into a
-  :class:`TelemetryBundle` (span dicts, metric deltas, histogram states
-  with their reservoirs, sequence-numbered events), stamped with the worker
-  pid and the shard id.  Bundles are plain picklable data a few KB long;
+  :class:`TelemetryBundle` (metric deltas, histogram states with their
+  reservoirs, the task's wall and CPU time, plus span dicts and
+  sequence-numbered events where it opened a tracer and a log), stamped
+  with the worker pid and the shard id.  Bundles are plain picklable data;
   :func:`run_captured` is the worker-side driver that pairs a task's result
   with its bundle, and ships the bundle *even when the task raises* (the
   bundle rides back attached to the original exception — see
-  :func:`bundle_from_error` — so error types and messages are reported
-  exactly as they would be without capture);
+  :func:`bundle_from_error` — so error types and messages reach the
+  coordinator unchanged);
 * **merge** — the coordinator calls :func:`merge_bundles`, which sorts
   bundles by ``(shard id, attempt)`` (so completion order can never change
   the outcome), grafts each bundle's spans under the coordinator's open
@@ -31,10 +35,9 @@ pipeline:
   counters/gauges/histograms into the live registry, and re-emits events
   into the active log tagged with ``worker_pid`` and ``shard_id``.
 
-The ``REPRO_OBS_CAPTURE`` environment variable is the kill switch:
-``REPRO_OBS_CAPTURE=0`` disables capture entirely — tasks run bare, no
-bundle is built or serialized, and the coordinator registry receives
-nothing from workers (see :func:`capture_enabled`).
+So a worker observes only what its coordinator observes: a coordinator
+with no tracer and no log receives the workers' metrics and the pool's
+``pool.*`` histograms, and no worker opens a span or records an event.
 """
 
 from __future__ import annotations
@@ -50,29 +53,12 @@ from . import spans as _spans
 
 __all__ = [
     "BUNDLE_ATTR",
-    "CAPTURE_ENV",
     "TelemetryBundle",
     "bundle_from_error",
     "capture",
-    "capture_enabled",
     "merge_bundles",
     "run_captured",
 ]
-
-#: Environment switch: set to ``0``/``false``/``no``/``off`` to disable
-#: worker telemetry capture entirely (no bundle is built or shipped).
-CAPTURE_ENV = "REPRO_OBS_CAPTURE"
-
-_FALSE_VALUES = ("0", "false", "no", "off")
-
-
-def capture_enabled() -> bool:
-    """Is worker telemetry capture on?  (Default yes; env kill switch.)
-
-    Read at call time, so tests and benchmarks can flip the switch around
-    individual calls without rebuilding pools.
-    """
-    return os.environ.get(CAPTURE_ENV, "1").strip().lower() not in _FALSE_VALUES
 
 
 @dataclass
@@ -82,10 +68,12 @@ class TelemetryBundle:
     Plain picklable data only: span trees as ``to_dict`` payloads, metric
     deltas as name→value maps, histograms as full mergeable states
     (:meth:`repro.obs.metrics.Histogram.to_state`), and events as
-    ``to_dict`` payloads in emission order.  ``shard_id`` and ``attempt``
-    make the coordinator's merge order deterministic whatever order tasks
-    completed in; ``worker_pid`` tags every merged span and event with the
-    process that produced it.
+    ``to_dict`` payloads in emission order; ``spans`` and ``events`` stay
+    empty where the coordinator had no tracer or no log.  ``shard_id`` and
+    ``attempt`` make the coordinator's merge order deterministic whatever
+    order tasks completed in; ``worker_pid`` tags every merged span and
+    event with the process that produced it.  ``roundtrip_s`` is stamped
+    by the coordinator when the bundle arrives.
     """
 
     shard_id: int
@@ -100,6 +88,7 @@ class TelemetryBundle:
     histograms: Dict[str, Dict[str, object]] = field(default_factory=dict)
     events: List[Dict[str, object]] = field(default_factory=list)
     error: Optional[Dict[str, str]] = None
+    roundtrip_s: float = field(default=0.0, init=False)
 
     @property
     def failed(self) -> bool:
@@ -118,8 +107,9 @@ BUNDLE_ATTR = "_telemetry_bundle"
 def bundle_from_error(error: BaseException) -> Optional[TelemetryBundle]:
     """The telemetry bundle a failed captured task shipped, if any.
 
-    ``None`` for uncaptured failures (capture disabled, pool breakage,
-    exceptions with a custom ``__reduce__`` that drops instance state)."""
+    ``None`` for failures no task raised (pool breakage, a watchdog kill)
+    and for exceptions with a custom ``__reduce__`` that drops instance
+    state."""
     bundle = getattr(error, BUNDLE_ATTR, None)
     return bundle if isinstance(bundle, TelemetryBundle) else None
 
@@ -129,44 +119,63 @@ class capture:
 
     ::
 
-        with capture(shard_id=3, label="remap.shard") as cap:
+        with capture(shard_id=3, label="remap.shard", trace=True, record=False) as cap:
             do_the_work()
         ship(cap.bundle)
 
-    Installs a fresh tracer, metrics registry, and event log for the
-    duration, and opens one root span named ``label`` carrying the shard id,
-    worker pid and attempt — everything the task records nests under it.
-    On exit (normal or exceptional) the bundle is finalized; an exception
-    is recorded on the root span (``meta["error"]``) and as a
+    Always routes metric writes into a private registry and times the task
+    with one root span named ``label``, carrying the shard id, worker pid
+    and attempt.  ``trace`` and ``record`` say whether the coordinator has
+    a tracer and an event log: with ``trace`` the root span is the
+    installed tracer's, so everything the task traces nests under it and
+    ships; without it the task runs with no tracer installed.  ``record``
+    likewise installs a fresh event log or none.  On exit (normal or
+    exceptional) the bundle is finalized; an exception is recorded in
+    ``bundle.error``, on the root span (``meta["error"]``) and as a
     ``task_error`` event before it propagates, so failed tasks still ship
     their story.
     """
 
     __slots__ = (
         "bundle",
-        "_tracing",
-        "_recording",
+        "_trace",
+        "_tracer",
+        "_log",
+        "_previous",
         "_capturing",
         "_span_context",
         "_root",
     )
 
-    def __init__(self, shard_id: int = 0, label: str = "task", attempt: int = 1) -> None:
+    def __init__(
+        self,
+        shard_id: int = 0,
+        label: str = "task",
+        attempt: int = 1,
+        *,
+        trace: bool,
+        record: bool,
+    ) -> None:
         self.bundle = TelemetryBundle(
             shard_id=shard_id,
             label=label,
             worker_pid=os.getpid(),
             attempt=attempt,
         )
+        self._trace = trace
+        # The root span always times the task; its tracer is installed only
+        # under ``trace``.
+        self._tracer = _spans.Tracer()
+        self._log = _events.EventLog() if record else None
 
     def __enter__(self) -> "capture":
-        self._tracing = _spans.tracing()
-        tracer = self._tracing.__enter__()
-        self._recording = _events.recording()
-        self._recording.__enter__()
+        self._previous = (
+            _spans._install(self._tracer if self._trace else None),
+            _events._install(self._log),
+        )
         self._capturing = _metrics.capturing()
         self._capturing.__enter__()
-        self._span_context = tracer.span(
+        self._span_context = self._tracer.span(
             self.bundle.label,
             shard=self.bundle.shard_id,
             pid=self.bundle.worker_pid,
@@ -192,40 +201,53 @@ class capture:
             }
         self._span_context.__exit__(exc_type, exc, tb)
         self._capturing.__exit__(exc_type, exc, tb)
-        self._recording.__exit__(exc_type, exc, tb)
-        self._tracing.__exit__(exc_type, exc, tb)
+        tracer, log = self._previous
+        _spans._install(tracer)
+        _events._install(log)
         self._finalize()
         return False
 
     # ------------------------------------------------------------------
     def _finalize(self) -> None:
         bundle = self.bundle
-        tracer = self._tracing.tracer
         registry = self._capturing.registry
-        log = self._recording.log
         bundle.wall_s = self._root.wall_s
         bundle.cpu_s = self._root.cpu_s
-        bundle.spans = [root.to_dict() for root in tracer.roots]
+        if self._trace:
+            bundle.spans = [root.to_dict() for root in self._tracer.roots]
         bundle.counters = dict(registry.counters)
         bundle.gauges = dict(registry.gauges)
         bundle.histograms = {
             name: histogram.to_state()
             for name, histogram in registry.histograms.items()
         }
-        bundle.events = [event.to_dict() for event in log]
+        if self._log is not None:
+            bundle.events = [event.to_dict() for event in self._log]
 
 
-def run_captured(fn, shard_id: int, label: str, attempt: int, args: Sequence):
-    """Worker-side driver: run ``fn(*args)`` under capture.
+def run_captured(
+    fn,
+    shard_id: int,
+    label: str,
+    attempt: int,
+    args: Sequence,
+    *,
+    trace: bool,
+    record: bool,
+):
+    """Worker-side driver: run ``fn(*args)`` under :class:`capture`.
 
-    Returns ``(result, bundle)`` on success.  On failure the original
+    ``trace`` and ``record`` pass through to the capture.  Returns
+    ``(result, bundle)`` on success.  On failure the original
     exception propagates unchanged except for the bundle attached under
     :data:`BUNDLE_ATTR` (plus the formatted worker traceback, for
     diagnosis) — the coordinator harvests the telemetry with
     :func:`bundle_from_error` while its retry logic and failure reporting
     keep seeing the true error type and message.
     """
-    cap = capture(shard_id=shard_id, label=label, attempt=attempt)
+    cap = capture(
+        shard_id=shard_id, label=label, attempt=attempt, trace=trace, record=record
+    )
     try:
         with cap:
             result = fn(*args)

@@ -423,6 +423,16 @@ def get_tracer() -> Optional[Tracer]:
     return getattr(_TLS, "tracer", None)
 
 
+def _install(tracer: Optional[Tracer]) -> Optional[Tracer]:
+    """Make ``tracer`` the calling thread's active tracer (``None``: none).
+
+    Returns the tracer it replaces, for the caller to restore.
+    """
+    previous = getattr(_TLS, "tracer", None)
+    _TLS.tracer = tracer
+    return previous
+
+
 def current_span() -> Optional[Span]:
     """The innermost open span of the active tracer, if any."""
     tracer = getattr(_TLS, "tracer", None)
@@ -450,10 +460,9 @@ class tracing:
         self._previous: Optional[Tracer] = None
 
     def __enter__(self) -> Tracer:
-        self._previous = getattr(_TLS, "tracer", None)
-        _TLS.tracer = self.tracer
+        self._previous = _install(self.tracer)
         return self.tracer
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        _TLS.tracer = self._previous
+        _install(self._previous)
         return False

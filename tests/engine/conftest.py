@@ -4,12 +4,18 @@ The golden-parity tests pin the engine's output to fingerprints captured
 from the pre-refactor runtimes (``tests/engine/golden.json``, produced by
 ``tests/engine/_golden_gen.py``).  Equality is exact (``==`` on floats):
 the refactor moved code, it must not change a single bit of the results.
+
+:func:`first_attempt` and :func:`announce` serve the pool's fault tasks
+(``test_chaos_infra.py``, ``test_watchdog.py``).
 """
+
+import os
 
 import numpy as np
 import pytest
 
 from repro.engine import Engine, FleetDescription, ScenarioSpec
+from repro.obs import events as obs_events
 from repro.reshaping import ConversionPolicy, ThrottleBoostPolicy
 from repro.sim import DemandTrace, DVFSModel, ServerPowerModel
 from repro.traces import TimeGrid
@@ -177,3 +183,33 @@ def golden():
     path = pathlib.Path(__file__).parent / "golden.json"
     with open(path) as handle:
         return json.load(handle)
+
+
+# ----------------------------------------------------------------------
+# fault tasks: misbehave on a shard's first attempt only
+# ----------------------------------------------------------------------
+def announce(fault, shard, **fields):
+    """The ``fault_injection`` event a fault task emits before misbehaving."""
+    obs_events.emit(
+        obs_events.FAULT_INJECTION,
+        severity="warning",
+        source="fault_task",
+        fault=fault,
+        shard=shard,
+        **fields,
+    )
+
+
+def first_attempt(counts, shard, fault):
+    """Count an attempt at ``shard``; on its first, announce ``fault``.
+
+    Pool workers share no memory and a killed worker keeps nothing, so the
+    count is one file per shard under ``counts`` (a ``tmp_path``).
+    """
+    path = os.path.join(counts, str(shard))
+    with open(path, "a") as handle:
+        handle.write(".")
+    attempt = os.path.getsize(path)
+    if attempt == 1:
+        announce(fault, shard, attempt=attempt)
+    return attempt == 1

@@ -1,42 +1,43 @@
-"""Deterministic infra fault injection: spec parsing plus the scenario suite.
+"""Infrastructure faults on the worker pool: the scenario suite.
 
 The scenario suite is the acceptance test of the failure-domain layer:
-for every fault kind the injector knows (`kill`, `hang`, `slow`,
-`exception`, `oversized_bundle`, `shm_exhaust`), a pooled stage running
-under a :class:`TaskDeadline` must
+for every way a pool task can misbehave (its worker is killed, it hangs,
+it runs slow, it raises, it hits ``ENOSPC`` on ``/dev/shm``, it ships an
+oversized telemetry bundle), a pooled stage running under a
+:class:`TaskDeadline` must
 
 * complete in bounded wall time,
 * return results bit-identical to a fault-free serial run,
 * leak no ``/dev/shm`` segments, and
 * emit the corresponding ``pool.*`` telemetry.
 
-Faults are configured through ``REPRO_INFRA_FAULTS`` and armed only in
-pool workers; pooled work never runs in the coordinator, so every fault
-must be contained by the retry rounds and the hard-deadline watchdog.
+Each scenario submits a module-level task function that misbehaves on its
+own, on given shards' first attempt (or on every attempt).  Pool workers
+share no memory and a killed worker keeps nothing, so attempts are counted
+in files under the test's ``tmp_path``.  Each fault task emits a
+``fault_injection`` event before it misbehaves.  Pooled work never runs in
+the coordinator, so every fault must be contained by the retry rounds and
+the hard-deadline watchdog.
 
 When ``REPRO_INFRA_EVENTS`` names a file, every scenario appends its
 recorded event log there as JSON Lines — CI uploads that file as the
 chaos-run artifact.
 """
 
+import errno
 import os
 import subprocess
 import sys
 import textwrap
 import time
+from functools import partial
 
 import numpy as np
 import pytest
 
 import repro
+from conftest import announce, first_attempt
 from repro import obs
-from repro.engine import chaos_infra
-from repro.engine.chaos_infra import (
-    FAULTS_ENV,
-    InfraFault,
-    InjectedFault,
-    parse_faults,
-)
 from repro.engine.deadline import TaskDeadline
 from repro.engine.parallel import RunFailure, WorkerPool, run_many
 from repro.engine.sharedmem import SharedMatrix, attach_rows, shard_ranges
@@ -45,14 +46,15 @@ from repro.obs import events as obs_events
 #: Appended to by every scenario when ``REPRO_INFRA_EVENTS`` is set.
 EVENTS_ENV = "REPRO_INFRA_EVENTS"
 
+#: Far beyond any deadline used here.
+HANG_S = 60.0
+
 
 @pytest.fixture(autouse=True)
 def _clean_surfaces():
     obs.reset_metrics()
-    chaos_infra.deactivate()
     yield
     obs.reset_metrics()
-    chaos_infra.deactivate()
 
 
 @pytest.fixture(autouse=True)
@@ -79,113 +81,93 @@ def publish(log):
 
 
 # ----------------------------------------------------------------------
-# module-level callables (must pickle into fork workers)
+# module-level fault tasks (must pickle into fork workers)
 # ----------------------------------------------------------------------
+class InjectedFault(RuntimeError):
+    """What a raising fault task raises."""
+
+
 def shard_sum(handle, start, stop):
     return float(attach_rows(handle, start, stop).sum())
 
 
-class ReturnValue:
-    """A zero-arg run_many spec returning ``value`` (picklable instance)."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def __call__(self):
-        return self.value
+def kill_once(counts, shard, faulty, handle, start, stop):
+    if faulty and first_attempt(counts, shard, "kill"):
+        os._exit(13)
+    return shard_sum(handle, start, stop)
 
 
-# ----------------------------------------------------------------------
-# spec parsing and matching
-# ----------------------------------------------------------------------
-def test_parse_single_object_and_list():
-    (fault,) = parse_faults('{"kind": "kill", "shards": [1], "times": 2}')
-    assert fault == InfraFault(kind="kill", shards=(1,), times=2)
-    faults = parse_faults(
-        '[{"kind": "hang", "duration_s": 9.0}, {"kind": "exception"}]'
-    )
-    assert [fault.kind for fault in faults] == ["hang", "exception"]
-    assert parse_faults("") == ()
-    assert parse_faults("   ") == ()
+def hang_once(counts, shard, faulty, handle, start, stop):
+    if faulty and first_attempt(counts, shard, "hang"):
+        time.sleep(HANG_S)
+    return shard_sum(handle, start, stop)
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        '"kill"',  # bare string, not an object
-        '[{"kind": "nope"}]',  # unknown kind
-        '{"kind": "kill", "times": 0}',
-        '{"kind": "slow", "duration_s": -1}',
-        '{"kind": "kill", "probability": 0}',
-        "[42]",
-    ],
-)
-def test_parse_rejects_bad_specs(text):
-    with pytest.raises(ValueError):
-        parse_faults(text)
+def slow_once(counts, shard, faulty, handle, start, stop):
+    if faulty and first_attempt(counts, shard, "slow"):
+        time.sleep(1.0)
+    return shard_sum(handle, start, stop)
 
 
-def test_configured_raises_on_typoed_spec(monkeypatch):
-    monkeypatch.setenv(FAULTS_ENV, '{"kind": "oops"}')
-    with pytest.raises(ValueError):
-        chaos_infra.configured()
-    monkeypatch.delenv(FAULTS_ENV)
-    assert not chaos_infra.configured()
+def raise_once(counts, shard, faulty, handle, start, stop):
+    if faulty and first_attempt(counts, shard, "exception"):
+        raise InjectedFault(f"injected worker exception (shard {shard})")
+    return shard_sum(handle, start, stop)
 
 
-def test_matches_is_a_pure_function_of_shard_and_attempt():
-    fault = InfraFault(kind="exception", shards=(1, 3), times=2)
-    assert fault.matches(1, 1) and fault.matches(3, 2)
-    assert not fault.matches(2, 1)  # wrong shard
-    assert not fault.matches(1, 3)  # past the times window
-    # repeated evaluation never changes the answer
-    assert all(fault.matches(1, 1) for _ in range(10))
+def shm_exhausted_once(counts, shard, faulty, value):
+    if faulty and first_attempt(counts, shard, "shm_exhaust"):
+        raise OSError(errno.ENOSPC, f"injected /dev/shm exhaustion (shard {shard})")
+    return value
 
 
-def test_probability_draw_is_deterministic():
-    fault = InfraFault(kind="exception", probability=0.5, seed=42, times=1000)
-    draws = [fault.matches(shard, 1) for shard in range(200)]
-    assert draws == [
-        InfraFault(kind="exception", probability=0.5, seed=42, times=1000).matches(
-            shard, 1
-        )
-        for shard in range(200)
+def oversized_bundle_once(counts, shard, faulty, value):
+    if faulty and first_attempt(counts, shard, "oversized_bundle"):
+        for index in range(2000):
+            obs_events.emit(
+                obs_events.FAULT_INJECTION,
+                source="fault_task.payload",
+                shard=shard,
+                index=index,
+            )
+    return value
+
+
+def raise_always(shard, faulty, value):
+    if faulty:
+        announce("exception", shard)
+        raise InjectedFault(f"injected worker exception (shard {shard})")
+    return value
+
+
+def shard_tasks(counts, shared, rows, shards, faulty):
+    """``map_shards`` tasks ``(counts, shard, faulty, handle, start, stop)``."""
+    return [
+        (str(counts), shard, shard in faulty, shared.handle, start, stop)
+        for shard, (start, stop) in enumerate(shard_ranges(rows, shards))
     ]
-    fired = sum(draws)
-    assert 0 < fired < 200  # the coin actually flips both ways
 
 
-def test_activate_and_inject_are_process_local(monkeypatch):
-    monkeypatch.setenv(FAULTS_ENV, '{"kind": "exception", "times": 1}')
-    assert chaos_infra._ACTIVE == ()
-    chaos_infra.inject(0, 1)  # unarmed: no-op
-    chaos_infra.activate()
-    with pytest.raises(InjectedFault):
-        chaos_infra.inject(0, 1)
-    chaos_infra.inject(0, 2)  # past the times window
-    chaos_infra.deactivate()
-    chaos_infra.inject(0, 1)  # disarmed again
+def specs(task, counts, n, faulty):
+    """``run_many`` specs: ``task`` bound to each shard's counts and value."""
+    return [
+        partial(task, str(counts), shard, shard in faulty, shard) for shard in range(n)
+    ]
 
 
 # ----------------------------------------------------------------------
 # the scenario suite
 # ----------------------------------------------------------------------
-def _matrix_and_tasks(shared, rows=64, shards=4):
-    tasks = [(shared.handle, a, b) for a, b in shard_ranges(rows, shards)]
-    return tasks
-
-
-def test_scenario_kill_recovers_by_retry(monkeypatch):
+def test_scenario_kill_recovers_by_retry(tmp_path):
     """A worker killed mid-task costs one attempt, never the results."""
     matrix = np.arange(64.0 * 8).reshape(64, 8)
     expected = [float(matrix[a:b].sum()) for a, b in shard_ranges(64, 4)]
-    monkeypatch.setenv(FAULTS_ENV, '{"kind": "kill", "shards": [1], "times": 1}')
     deadline = TaskDeadline(hard_timeout_s=30.0)
     with obs_events.recording() as log:
         with WorkerPool(2) as pool, SharedMatrix.create(matrix) as shared:
             results = pool.map_shards(
-                shard_sum,
-                _matrix_and_tasks(shared),
+                kill_once,
+                shard_tasks(tmp_path, shared, 64, 4, faulty={1}),
                 max_attempts=3,
                 deadline=deadline,
             )
@@ -195,21 +177,17 @@ def test_scenario_kill_recovers_by_retry(monkeypatch):
     publish(log)
 
 
-def test_scenario_hang_bounded_by_hard_deadline(monkeypatch):
+def test_scenario_hang_bounded_by_hard_deadline(tmp_path):
     """A hung worker is killed at the hard deadline; the retry recovers."""
     matrix = np.ones((32, 4))
     expected = [float(matrix[a:b].sum()) for a, b in shard_ranges(32, 2)]
-    monkeypatch.setenv(
-        FAULTS_ENV,
-        '{"kind": "hang", "shards": [0], "times": 1, "duration_s": 60.0}',
-    )
     deadline = TaskDeadline(hard_timeout_s=1.0)
     with obs_events.recording() as log:
         started = time.perf_counter()
         with WorkerPool(2) as pool, SharedMatrix.create(matrix) as shared:
             results = pool.map_shards(
-                shard_sum,
-                _matrix_and_tasks(shared, rows=32, shards=2),
+                hang_once,
+                shard_tasks(tmp_path, shared, 32, 2, faulty={0}),
                 max_attempts=3,
                 deadline=deadline,
             )
@@ -221,20 +199,16 @@ def test_scenario_hang_bounded_by_hard_deadline(monkeypatch):
     publish(log)
 
 
-def test_scenario_slow_shard_waited_for_under_hard_deadline(monkeypatch):
+def test_scenario_slow_shard_waited_for_under_hard_deadline(tmp_path):
     """A slow shard under its hard deadline is waited for, not killed."""
     matrix = np.arange(48.0 * 5).reshape(48, 5)
     expected = [float(matrix[a:b].sum()) for a, b in shard_ranges(48, 3)]
-    monkeypatch.setenv(
-        FAULTS_ENV,
-        '{"kind": "slow", "shards": [1], "times": 1, "duration_s": 1.0}',
-    )
     with obs_events.recording() as log:
         started = time.perf_counter()
         with WorkerPool(2) as pool, SharedMatrix.create(matrix) as shared:
             results = pool.map_shards(
-                shard_sum,
-                _matrix_and_tasks(shared, rows=48, shards=3),
+                slow_once,
+                shard_tasks(tmp_path, shared, 48, 3, faulty={1}),
                 deadline=TaskDeadline(hard_timeout_s=5.0),
             )
         elapsed = time.perf_counter() - started
@@ -243,38 +217,35 @@ def test_scenario_slow_shard_waited_for_under_hard_deadline(monkeypatch):
     assert obs.counter_value("pool.task_timeouts") == 0.0
     assert obs.counter_value("pool.tasks_retried") == 0.0
     assert not log.by_kind(obs_events.TASK_TIMEOUT)
+    assert len(log.by_kind(obs_events.FAULT_INJECTION)) == 1
     publish(log)
 
 
-def test_scenario_exception_retried_to_success(monkeypatch):
-    """Worker-raised injected exceptions burn attempts, not results."""
+def test_scenario_exception_retried_to_success(tmp_path):
+    """Worker-raised exceptions burn attempts, not results."""
     matrix = np.arange(48.0).reshape(16, 3)
     expected = [float(matrix[a:b].sum()) for a, b in shard_ranges(16, 4)]
-    monkeypatch.setenv(FAULTS_ENV, '{"kind": "exception", "times": 1}')
     with obs_events.recording() as log:
         with WorkerPool(2) as pool, SharedMatrix.create(matrix) as shared:
             results = pool.map_shards(
-                shard_sum,
-                _matrix_and_tasks(shared, rows=16, shards=4),
+                raise_once,
+                shard_tasks(tmp_path, shared, 16, 4, faulty={0, 1, 2, 3}),
                 max_attempts=2,
                 deadline=TaskDeadline(hard_timeout_s=30.0),
             )
     assert results == expected
     assert obs.counter_value("pool.tasks_failed") == 4.0  # one per shard
-    assert log.by_kind(obs_events.FAULT_INJECTION)
+    assert len(log.by_kind(obs_events.FAULT_INJECTION)) == 4
+    assert len(log.by_kind(obs_events.TASK_ERROR)) == 4
     publish(log)
 
 
-def test_scenario_shm_exhaustion_retried_to_success(monkeypatch):
+def test_scenario_shm_exhaustion_retried_to_success(tmp_path):
     """ENOSPC from /dev/shm is an ordinary retryable failure."""
-    monkeypatch.setenv(
-        FAULTS_ENV, '{"kind": "shm_exhaust", "shards": [0, 1], "times": 1}'
-    )
-    specs = [ReturnValue(index) for index in range(3)]
     with obs_events.recording() as log:
         with WorkerPool(2) as pool:
             results = run_many(
-                specs,
+                specs(shm_exhausted_once, tmp_path, 3, faulty={0, 1}),
                 workers=2,
                 pool=pool,
                 max_attempts=2,
@@ -283,21 +254,19 @@ def test_scenario_shm_exhaustion_retried_to_success(monkeypatch):
             )
     assert [artifact.result for artifact in results] == [0, 1, 2]
     assert not any(isinstance(entry, RunFailure) for entry in results)
+    assert [e.fields["error_type"] for e in log.by_kind(obs_events.TASK_ERROR)] == [
+        "OSError",
+        "OSError",
+    ]
     publish(log)
 
 
-def test_scenario_oversized_bundle_survives_the_merge(monkeypatch):
+def test_scenario_oversized_bundle_survives_the_merge(tmp_path):
     """A pathologically large telemetry bundle still ships and merges."""
-    monkeypatch.setenv(
-        FAULTS_ENV,
-        '{"kind": "oversized_bundle", "shards": [0], "times": 1,'
-        ' "payload_events": 2000}',
-    )
-    specs = [ReturnValue(index) for index in range(2)]
     with obs_events.recording() as log:
         with WorkerPool(2) as pool:
             results = run_many(
-                specs,
+                specs(oversized_bundle_once, tmp_path, 2, faulty={0}),
                 workers=2,
                 pool=pool,
                 retry_backoff_s=0.0,
@@ -307,22 +276,18 @@ def test_scenario_oversized_bundle_survives_the_merge(monkeypatch):
     payload = [
         event
         for event in log.by_kind(obs_events.FAULT_INJECTION)
-        if event.source == "chaos_infra.payload"
+        if event.source == "fault_task.payload"
     ]
     assert len(payload) == 2000
     publish(log)
 
 
-def test_scenario_permanent_exception_exhausts_cleanly(monkeypatch):
+def test_scenario_permanent_exception_exhausts_cleanly():
     """A fault outlasting every retry yields a structured RunFailure."""
-    monkeypatch.setenv(
-        FAULTS_ENV, '{"kind": "exception", "shards": [1], "times": 99}'
-    )
-    specs = [ReturnValue(0), ReturnValue(1), ReturnValue(2)]
     with obs_events.recording() as log:
         with WorkerPool(2) as pool:
             results = run_many(
-                specs,
+                [partial(raise_always, shard, shard == 1, shard) for shard in range(3)],
                 workers=2,
                 pool=pool,
                 max_attempts=2,
@@ -334,7 +299,53 @@ def test_scenario_permanent_exception_exhausts_cleanly(monkeypatch):
     assert isinstance(failure, RunFailure)
     assert failure.attempts == 2
     assert failure.error_type == "InjectedFault"
+    assert len(log.by_kind(obs_events.FAULT_INJECTION)) == 2
     publish(log)
+
+
+@pytest.mark.parametrize("fault", ["kill", "exception"])
+def test_a_bare_coordinator_still_counts_pool_health(tmp_path, fault):
+    """Pool health is plain metrics: with no tracer and no event log, the
+    coordinator still counts every dispatch, retry, failure and death."""
+    task = {"kill": kill_once, "exception": raise_once}[fault]
+    matrix = np.arange(24.0).reshape(8, 3)
+    expected = [float(matrix[a:b].sum()) for a, b in shard_ranges(8, 2)]
+    assert obs.get_tracer() is None and obs_events.get_event_log() is None
+    with WorkerPool(2) as pool, SharedMatrix.create(matrix) as shared:
+        results = pool.map_shards(
+            task,
+            shard_tasks(tmp_path, shared, 8, 2, faulty={0}),
+            max_attempts=3,
+            deadline=TaskDeadline(hard_timeout_s=30.0),
+        )
+    assert results == expected
+    assert obs.counter_value("pool.tasks_completed") == 2.0
+    assert obs.counter_value("pool.tasks_retried") >= 1.0
+    assert obs.counter_value("pool.tasks_failed") >= 1.0
+    assert obs.counter_value("pool.tasks_dispatched") == 2.0 + obs.counter_value(
+        "pool.tasks_retried"
+    )
+    deaths = obs.counter_value("pool.worker_deaths")
+    assert deaths >= 1.0 if fault == "kill" else deaths == 0.0
+    assert obs.global_registry().histograms["pool.task_exec_s"].count == 2
+
+
+def test_first_attempt_fires_once_per_shard(tmp_path):
+    """The fault tasks' trigger: true on each shard's first attempt only,
+    counted per ``counts`` directory, and announced once under a log."""
+    other = tmp_path / "other"
+    other.mkdir()
+    with obs_events.recording() as log:
+        draws = [
+            first_attempt(str(tmp_path), shard, "kill") for shard in (0, 1, 0, 1, 0)
+        ]
+        assert first_attempt(str(other), 0, "hang")
+    assert draws == [True, True, False, False, False]
+    announced = [
+        (event.fields["fault"], event.fields["shard"], event.fields["attempt"])
+        for event in log.by_kind(obs_events.FAULT_INJECTION)
+    ]
+    assert announced == [("kill", 0, 1), ("kill", 1, 1), ("hang", 0, 1)]
 
 
 #: Runs in a fresh interpreter, where no resource tracker has started yet:
@@ -387,7 +398,6 @@ def test_worker_death_after_attach_keeps_the_segment(tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(
         part for part in (src, env.get("PYTHONPATH")) if part
     )
-    env.pop(FAULTS_ENV, None)
     completed = subprocess.run(
         [sys.executable, "-c", _DEATH_AFTER_ATTACH, str(tmp_path / "died")],
         env=env,
@@ -399,14 +409,3 @@ def test_worker_death_after_attach_keeps_the_segment(tmp_path):
     assert completed.stdout.strip() == "[45.0, 145.0, 245.0, 345.0]"
     assert (tmp_path / "died").exists()  # shard 0 really died once
     assert "resource_tracker" not in completed.stderr
-
-
-def test_faults_never_fire_without_the_env(monkeypatch):
-    """No spec, no injection wrapper: the fault-free path is untouched."""
-    monkeypatch.delenv(FAULTS_ENV, raising=False)
-    matrix = np.ones((8, 2))
-    with WorkerPool(2) as pool, SharedMatrix.create(matrix) as shared:
-        results = pool.map_shards(
-            shard_sum, _matrix_and_tasks(shared, rows=8, shards=2)
-        )
-    assert results == [8.0, 8.0]

@@ -6,6 +6,9 @@
 change a single bit of any result.
 """
 
+import pickle
+from contextlib import nullcontext
+
 import pytest
 
 from conftest import (
@@ -19,6 +22,7 @@ from conftest import (
 from repro.engine import chaos_spec, run_many
 from repro.faults import run_chaos_suite
 from repro.faults.harness import DEFAULT_SUITE
+from repro.obs import events as obs_events
 
 RESHAPING_MODES = ("pre", "lc_only", "conversion", "throttle_boost")
 CHAOS_NAMES = tuple(scenario.name for scenario in DEFAULT_SUITE)
@@ -76,3 +80,20 @@ def test_run_many_parallel_matches_serial(golden):
     for artifacts in parallel:
         fingerprint = chaos_fingerprint(artifacts.result)
         assert fingerprint == golden["chaos"][artifacts.result.scenario.name]
+
+
+@pytest.mark.parametrize(
+    "workers, recording", [(1, True), (2, False), (2, True)]
+)
+def test_artifacts_do_not_grow_with_the_events_emitted(workers, recording):
+    """An artifact holds its spec and result, not an event log.  A serial
+    one used to hold the coordinator's whole log, and a pooled one a
+    pickled copy of its worker's log even with no log in the coordinator;
+    each now pickles to the size of a bare serial run's."""
+    specs = [chaos_spec(name, dc_name="DC1", **SMALL) for name in CHAOS_NAMES[:2]]
+    reference = [len(pickle.dumps(artifact)) for artifact in run_many(specs)]
+    log = obs_events.EventLog()
+    with obs_events.recording(log) if recording else nullcontext():
+        artifacts = run_many(specs, workers=workers)
+    assert (len(log) > 1000) is recording  # the events reached the log
+    assert [len(pickle.dumps(artifact)) for artifact in artifacts] == reference

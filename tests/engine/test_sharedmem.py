@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.engine.parallel import WorkerPool
+from repro.obs import get_event_log, get_tracer, reset_metrics, snapshot_metrics
 from repro.engine.sharedmem import (
     SEGMENT_PREFIX,
     SharedMatrix,
@@ -148,6 +149,24 @@ def test_unlink_is_idempotent():
     shared.unlink()
     shared.unlink()
     assert owned_segment_names() == ()
+
+
+def test_segment_gauges_publish_with_no_tracer_or_log():
+    """The live-segment gauges are plain metrics, published whether or not
+    a tracer or an event log is live."""
+    assert get_tracer() is None and get_event_log() is None
+    reset_metrics()
+    try:
+        with SharedMatrix.create(np.ones((4, 4))) as shared:
+            live = snapshot_metrics()
+            assert live["counters"]["shm.segments_created"] == 1.0
+            assert live["gauges"]["shm.segments_live"] == 1.0
+            assert live["gauges"]["shm.bytes_live"] == float(shared.handle.nbytes)
+        gone = snapshot_metrics()["gauges"]
+        assert gone["shm.segments_live"] == 0.0
+        assert gone["shm.bytes_live"] == 0.0
+    finally:
+        reset_metrics()
 
 
 def read_shard_sum(handle, start, stop):

@@ -15,24 +15,24 @@ forever.  These tests pin the watchdog contract:
 * pooled work never runs in the coordinator, so a task that hangs or
   exits its process wherever it runs cannot hang or kill the coordinator.
 
-The last two are pinned with task functions that misbehave on their own,
-with no injector armed: a fault that fires only in pool workers cannot
-show where a task runs.
+Every fault is a task function that misbehaves on its own, on a given
+shard's first attempt (counted in a ``tmp_path`` file, since pool workers
+share no memory) or on every attempt.
 """
 
-import json
 import os
 import subprocess
 import sys
 import textwrap
 import time
+from functools import partial
 
 import pytest
 
 import repro
+from conftest import announce, first_attempt
 from repro import obs
 from repro.engine import parallel
-from repro.engine.chaos_infra import FAULTS_ENV
 from repro.engine.deadline import TaskDeadline, TaskTimeoutError
 from repro.engine.parallel import RunFailure, WorkerPool, run_many
 from repro.obs import events as obs_events
@@ -53,29 +53,34 @@ def ident(value):
     return value
 
 
-class ReturnValue:
-    def __init__(self, value):
-        self.value = value
-
-    def __call__(self):
-        return self.value
-
-
-def _hang_spec(shards, times):
-    return json.dumps(
-        {"kind": "hang", "shards": shards, "times": times, "duration_s": HANG_S}
-    )
+def hang_once(counts, shard, faulty):
+    """Returns ``shard``, after hanging on a faulty shard's first attempt."""
+    if faulty and first_attempt(counts, shard, "hang"):
+        time.sleep(HANG_S)
+    return shard
 
 
-def test_watchdog_kills_and_retry_recovers(monkeypatch):
-    monkeypatch.setenv(FAULTS_ENV, _hang_spec([1], times=1))
+def hang_always(shard, faulty):
+    """Returns ``shard``, or hangs on every attempt of a faulty one."""
+    if faulty:
+        announce("hang", shard)
+        time.sleep(HANG_S)
+    return shard
+
+
+def tasks(counts, n, faulty):
+    """``map_shards`` tasks ``(counts, shard, faulty)`` for ``hang_once``."""
+    return [(str(counts), shard, shard in faulty) for shard in range(n)]
+
+
+def test_watchdog_kills_and_retry_recovers(tmp_path):
     deadline = TaskDeadline(hard_timeout_s=0.75)
     with obs_events.recording() as log:
         started = time.perf_counter()
         with WorkerPool(2) as pool:
             results = pool.map_shards(
-                ident,
-                [(0,), (1,), (2,)],
+                hang_once,
+                tasks(tmp_path, 3, faulty={1}),
                 max_attempts=2,
                 deadline=deadline,
             )
@@ -92,15 +97,14 @@ def test_watchdog_kills_and_retry_recovers(monkeypatch):
     assert timeout_event.fields["timeout_s"] == 0.75
 
 
-def test_exhausted_hang_raises_task_timeout_error(monkeypatch):
+def test_exhausted_hang_raises_task_timeout_error():
     """map_shards: a permanent hang surfaces as TaskTimeoutError."""
-    monkeypatch.setenv(FAULTS_ENV, _hang_spec([0], times=99))
     deadline = TaskDeadline(hard_timeout_s=0.5)
     started = time.perf_counter()
     with WorkerPool(2) as pool:
         with pytest.raises(TaskTimeoutError) as excinfo:
             pool.map_shards(
-                ident, [(0,), (1,)], max_attempts=2, deadline=deadline
+                hang_always, [(0, True), (1, False)], max_attempts=2, deadline=deadline
             )
     elapsed = time.perf_counter() - started
     assert elapsed < HANG_S / 4
@@ -111,13 +115,12 @@ def test_exhausted_hang_raises_task_timeout_error(monkeypatch):
     assert obs.counter_value("pool.task_timeouts") == 2.0  # both attempts
 
 
-def test_exhausted_hang_is_a_run_failure(monkeypatch):
+def test_exhausted_hang_is_a_run_failure():
     """run_many: a permanent hang fills the slot with RunFailure."""
-    monkeypatch.setenv(FAULTS_ENV, _hang_spec([1], times=99))
     deadline = TaskDeadline(hard_timeout_s=0.5)
     with WorkerPool(2) as pool:
         results = run_many(
-            [ReturnValue(0), ReturnValue(1), ReturnValue(2)],
+            [partial(hang_always, shard, shard == 1) for shard in range(3)],
             workers=2,
             pool=pool,
             max_attempts=2,
@@ -131,20 +134,19 @@ def test_exhausted_hang_is_a_run_failure(monkeypatch):
     assert failure.attempts == 2
 
 
-def test_innocent_inflight_tasks_are_retried_not_condemned(monkeypatch):
+def test_innocent_inflight_tasks_are_retried_not_condemned(tmp_path):
     """Tasks in flight when the watchdog fires burn an attempt but recover.
 
     Killing the pool takes the innocents' workers with it; their failures
     are collateral (plain RuntimeError, not a timeout) and the retry on
     the rebuilt pool completes them.
     """
-    monkeypatch.setenv(FAULTS_ENV, _hang_spec([0], times=1))
     deadline = TaskDeadline(hard_timeout_s=0.75)
     with obs_events.recording() as log:
         with WorkerPool(2) as pool:
             results = pool.map_shards(
-                ident,
-                [(index,) for index in range(4)],
+                hang_once,
+                tasks(tmp_path, 4, faulty={0}),
                 max_attempts=3,
                 deadline=deadline,
             )
@@ -159,13 +161,11 @@ def sleep_then_return(value, seconds):
     return value
 
 
-class SleepThenReturn:
-    def __init__(self, value, seconds):
-        self.value = value
-        self.seconds = seconds
-
-    def __call__(self):
-        return sleep_then_return(self.value, self.seconds)
+def kill_once_then_sleep(counts, shard, faulty, seconds):
+    """Exits its worker on a faulty shard's first attempt; else sleeps."""
+    if faulty and first_attempt(counts, shard, "kill"):
+        os._exit(13)
+    return sleep_then_return(shard, seconds)
 
 
 def test_queueing_does_not_count_toward_the_deadline():
@@ -189,17 +189,19 @@ def test_queueing_does_not_count_toward_the_deadline():
     assert obs.counter_value("pool.tasks_dispatched") == 4.0
 
 
-def test_tasks_not_yet_submitted_keep_their_attempts(monkeypatch):
+def test_tasks_not_yet_submitted_keep_their_attempts(tmp_path):
     """An executor break costs an attempt only to the tasks in flight on it.
 
     Shard 0 kills its worker while shard 1 runs beside it.  Shards 2 and 3
     are still waiting in the coordinator, so with one attempt each they
     run on the rebuilt executor instead of failing with the dead one.
     """
-    monkeypatch.setenv(FAULTS_ENV, json.dumps({"kind": "kill", "shards": [0], "times": 1}))
     with WorkerPool(2) as pool:
         results = run_many(
-            [SleepThenReturn(index, 0.3) for index in range(4)],
+            [
+                partial(kill_once_then_sleep, str(tmp_path), shard, shard == 0, 0.3)
+                for shard in range(4)
+            ],
             workers=2,
             pool=pool,
             max_attempts=1,
@@ -234,7 +236,7 @@ def test_pool_kill_discards_executor_without_waiting():
 
 
 # ----------------------------------------------------------------------
-# tasks that misbehave wherever they run (no injector)
+# tasks that misbehave wherever they run
 # ----------------------------------------------------------------------
 def sleep_on_shard_one(value):
     if value == 1:
@@ -303,7 +305,6 @@ def test_exiting_shard_breaks_the_pool_not_the_coordinator(which):
     env["PYTHONPATH"] = os.pathsep.join(
         part for part in (src, env.get("PYTHONPATH")) if part
     )
-    env.pop(FAULTS_ENV, None)
     completed = subprocess.run(
         [sys.executable, "-c", _EXITING_STAGE, which],
         env=env,

@@ -1,4 +1,4 @@
-"""Worker telemetry across the pool boundary: capture, failure, kill switch.
+"""Worker telemetry across the pool boundary: capture, failure, what ships.
 
 Pins the cross-process observability contract end to end:
 
@@ -12,13 +12,21 @@ Pins the cross-process observability contract end to end:
 * a worker dying mid-task loses that attempt's bundle, but the *retried*
   task's bundle arrives with the retry — telemetry is only ever lost with
   the process that held it;
-* ``REPRO_OBS_CAPTURE=0`` disables capture entirely: tasks run bare and
-  the coordinator registry receives zero entries;
+* a worker observes only what the coordinator observes: metric deltas
+  and the ``pool.*`` histograms always arrive, spans only under a
+  coordinator tracer, events only under a coordinator event log, and a
+  tracer or log a worker inherited at fork records nothing.  The tracer
+  is the dispatching thread's, the log the process's, and each stage
+  looks at both when it is dispatched; no environment variable changes
+  any of it;
 * merged metric totals are a function of the work, not of completion
   order or worker count.
 """
 
 import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
+from functools import partial
 
 import numpy as np
 import pytest
@@ -27,6 +35,7 @@ from repro import obs
 from repro.engine.parallel import RunFailure, WorkerPool, run_many
 from repro.engine.sharedmem import SharedMatrix, attach_rows, shard_ranges
 from repro.obs import events as obs_events
+from repro.obs import remote
 
 
 @pytest.fixture(autouse=True)
@@ -74,6 +83,32 @@ def spec_raises():
 
 def forty_two():
     return 42
+
+
+def surfaces_seen(value):
+    """Records on every surface; returns whether it had a tracer and a log."""
+    obs.count("task.calls")
+    obs.emit("advisory", source="task", value=value)
+    with obs.span("task.inner"):
+        pass
+    return obs.get_tracer() is not None, obs.get_event_log() is not None
+
+
+def inherited_surfaces(seconds):
+    """Outside any capture: what the worker's own tracer and log hold.
+
+    Sleeps first, so that two probes submitted together land on two
+    workers.
+    """
+    import time
+
+    time.sleep(seconds)
+    tracer, log = obs.get_tracer(), obs.get_event_log()
+    return (
+        os.getpid(),
+        None if tracer is None else len(list(tracer.walk())),
+        None if log is None else len(log),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -266,29 +301,156 @@ def test_run_many_batch_lands_in_run_report():
 
 
 # ----------------------------------------------------------------------
-# the kill switch
+# workers observe what the coordinator observes
 # ----------------------------------------------------------------------
-def test_capture_disabled_adds_zero_registry_entries(monkeypatch):
-    monkeypatch.setenv("REPRO_OBS_CAPTURE", "0")
-    matrix = np.arange(40, dtype=np.float64).reshape(10, 4)
-    ranges = shard_ranges(10, 2)
-    with obs.tracing() as tracer:
+@pytest.mark.parametrize(
+    "trace, record",
+    [(False, False), (True, False), (False, True), (True, True)],
+    ids=["bare", "tracer-only", "log-only", "tracer-and-log"],
+)
+def test_workers_observe_only_what_the_coordinator_observes(monkeypatch, trace, record):
+    shipped = []
+    merge = remote.merge_bundles
+
+    def spy(bundles):
+        shipped.extend(bundles)
+        merge(bundles)
+
+    monkeypatch.setattr(remote, "merge_bundles", spy)
+    with ExitStack() as stack:
+        tracer = stack.enter_context(obs.tracing()) if trace else None
+        log = stack.enter_context(obs_events.recording()) if record else None
         with WorkerPool(2) as pool:
-            with SharedMatrix.create(matrix) as shared:
-                tasks = [(shared.handle, a, b) for a, b in ranges]
-                results = pool.map_shards(traced_shard_sum, tasks)
-    assert results == [float(matrix[a:b].sum()) for a, b in ranges]
+            results = pool.map_shards(surfaces_seen, [(0,), (1,)], label="probe")
+    assert results == [(trace, record)] * 2
+
+    # Metric deltas and the pool's latency histograms always arrive.
     snapshot = obs.snapshot_metrics()
-    assert snapshot["counters"] == {}
-    assert snapshot["gauges"] == {}
-    assert snapshot["histograms"] == {}
+    assert snapshot["counters"]["task.calls"] == 2.0
+    assert snapshot["counters"]["pool.tasks_completed"] == 2.0
+    for name in ("pool.task_exec_s", "pool.task_roundtrip_s", "pool.task_queue_s"):
+        assert snapshot["histograms"][name]["count"] == 2
+    assert sorted(bundle.shard_id for bundle in shipped) == [0, 1]
+    assert all(bundle.wall_s > 0 and bundle.roundtrip_s > 0 for bundle in shipped)
+
+    # Spans ship only to a tracer, events only to a log.
+    assert all(bool(bundle.spans) is trace for bundle in shipped)
+    assert all(bool(bundle.events) is record for bundle in shipped)
+    if trace:
+        [pool_stage] = tracer.roots
+        assert [task.name for task in pool_stage.children] == ["probe", "probe"]
+        assert all(
+            [child.name for child in task.children] == ["task.inner"]
+            for task in pool_stage.children
+        )
+        assert all(task.meta["roundtrip_s"] > 0 for task in pool_stage.children)
+    if record:
+        assert sorted(e.fields["value"] for e in log.by_kind("advisory")) == [0, 1]
+
+
+def test_inherited_tracer_and_log_stay_empty_under_a_bare_coordinator():
+    """A pool forked under observation, then used by a bare coordinator:
+    the tracer and log each worker inherited at fork record nothing."""
+    pool = WorkerPool(2)
+    try:
+        with obs.tracing(), obs_events.recording():
+            pool.warm()
+        results = pool.map_shards(surfaces_seen, [(index,) for index in range(4)])
+        assert results == [(False, False)] * 4
+        probes = [pool.submit(inherited_surfaces, 0.3) for _ in range(pool.workers)]
+        seen = [probe.result() for probe in probes]
+    finally:
+        pool.shutdown()
+    assert len({pid for pid, _, _ in seen}) == 2
+    # Each worker did inherit both, and neither holds anything.
+    assert [(spans, events) for _, spans, events in seen] == [(0, 0), (0, 0)]
+    assert obs.counter_value("task.calls") == 4.0
+
+
+def test_the_tracer_is_the_dispatching_threads_and_the_log_the_processes():
+    """A stage dispatched from a thread with no tracer ships no spans, even
+    while another thread traces; an event log is live for every thread."""
+    with obs.tracing() as tracer, obs_events.recording() as log:
+        with WorkerPool(2) as pool, ThreadPoolExecutor(1) as thread:
+            pool.warm()
+            dispatched = thread.submit(
+                pool.map_shards, surfaces_seen, [(0,), (1,)], label="probe"
+            )
+            results = dispatched.result()
+    assert results == [(False, True)] * 2
     assert tracer.roots == []
+    assert sorted(e.fields["value"] for e in log.by_kind("advisory")) == [0, 1]
+    assert obs.counter_value("task.calls") == 2.0
 
 
-def test_capture_disabled_run_many_still_reports_failures(monkeypatch):
-    monkeypatch.setenv("REPRO_OBS_CAPTURE", "0")
-    results = run_many(
-        [spec_raises, spec_raises], workers=2, max_attempts=1, retry_backoff_s=0
-    )
-    assert all(isinstance(r, RunFailure) for r in results)
-    assert all(r.error_type == "ValueError" for r in results)
+def test_each_stage_observes_what_its_coordinator_observes_at_dispatch():
+    """One pool, four stages: each follows the coordinator as it stands
+    when that stage is dispatched, not as it stood when the pool forked."""
+    with WorkerPool(2) as pool:
+        bare = pool.map_shards(surfaces_seen, [(0,), (1,)])
+        with obs.tracing() as full_tracer, obs_events.recording() as log:
+            full = pool.map_shards(surfaces_seen, [(2,), (3,)])
+        with obs.tracing() as tracer:
+            traced = pool.map_shards(surfaces_seen, [(4,), (5,)])
+        bare_again = pool.map_shards(surfaces_seen, [(6,), (7,)])
+    assert bare == bare_again == [(False, False)] * 2
+    assert full == [(True, True)] * 2
+    assert traced == [(True, False)] * 2
+    assert sorted(e.fields["value"] for e in log.by_kind("advisory")) == [2, 3]
+    for stage_tracer in (full_tracer, tracer):
+        [pool_stage] = stage_tracer.roots
+        assert [len(task.children) for task in pool_stage.children] == [1, 1]
+    assert obs.counter_value("task.calls") == 8.0
+    assert obs.counter_value("pool.tasks_completed") == 8.0
+
+
+def test_a_bare_run_many_ships_metrics_and_no_spans_or_events(monkeypatch):
+    shipped = []
+    merge = remote.merge_bundles
+
+    def spy(bundles):
+        shipped.extend(bundles)
+        merge(bundles)
+
+    monkeypatch.setattr(remote, "merge_bundles", spy)
+    specs = [partial(surfaces_seen, value) for value in range(3)]
+    artifacts = run_many(specs, workers=2)
+    assert [artifact.result for artifact in artifacts] == [(False, False)] * 3
+    snapshot = obs.snapshot_metrics()
+    assert snapshot["counters"]["task.calls"] == 3.0
+    assert snapshot["counters"]["pool.tasks_completed"] == 3.0
+    assert snapshot["histograms"]["pool.task_exec_s"]["count"] == 3
+    assert sorted(bundle.shard_id for bundle in shipped) == [0, 1, 2]
+    assert all(bundle.label == "run.spec" for bundle in shipped)
+    assert all(not bundle.spans and not bundle.events for bundle in shipped)
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("REPRO_OBS_CAPTURE", "0"),
+        ("REPRO_INFRA_FAULTS", '{"kind": "kill"}'),
+        ("REPRO_INFRA_FAULTS", '{"kind": "exception", "times": 99}'),
+        ("REPRO_INFRA_FAULTS", '{"kind": "oversized_bundle", "payload_events": 2000}'),
+        ("REPRO_INFRA_FAULTS", '{"kind": "oops"}'),
+    ],
+    ids=["capture-off", "kill", "exception", "oversized-bundle", "typo"],
+)
+def test_the_pool_reads_no_former_switch_from_the_environment(monkeypatch, name, value):
+    """Capture and fault injection were once switched by the environment;
+    a pool forked with either variable set still runs every task once, and
+    a traced, recording coordinator still sees all of it."""
+    monkeypatch.setenv(name, value)
+    with obs.tracing() as tracer, obs_events.recording() as log:
+        with WorkerPool(2) as pool:
+            results = pool.map_shards(
+                surfaces_seen, [(0,), (1,)], label="probe", max_attempts=1
+            )
+    assert results == [(True, True)] * 2
+    [pool_stage] = tracer.roots
+    assert [task.name for task in pool_stage.children] == ["probe", "probe"]
+    assert [event.kind for event in log] == ["advisory", "advisory"]
+    assert obs.counter_value("task.calls") == 2.0
+    assert obs.counter_value("pool.tasks_dispatched") == 2.0
+    for name in ("pool.tasks_failed", "pool.tasks_retried", "pool.worker_deaths"):
+        assert obs.counter_value(name) == 0.0

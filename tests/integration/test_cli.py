@@ -221,6 +221,16 @@ class TestReportCommand:
             main(["report", "--report", str(path)])
         assert str(path) in str(exit_info.value.code)
 
+    def test_document_without_pool_stages_names_the_run_that_records_one(
+        self, tmp_path
+    ):
+        path = tmp_path / "serial.json"
+        path.write_text(json.dumps({"spans": [], "stages": []}))
+        with pytest.raises(SystemExit) as exit_info:
+            main(["report", "--report", str(path)])
+        message = str(exit_info.value.code)
+        assert f"'smoothoperator report --run --report {path}'" in message
+
     def test_missing_report_exits_with_the_hint(self, tmp_path):
         path = tmp_path / "absent.json"
         with pytest.raises(SystemExit) as exit_info:

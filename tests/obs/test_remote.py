@@ -22,25 +22,18 @@ def _clean_registry():
     obs.reset_metrics()
 
 
-class TestCaptureEnabled:
-    def test_default_on(self, monkeypatch):
-        monkeypatch.delenv(remote.CAPTURE_ENV, raising=False)
-        assert remote.capture_enabled()
-
-    @pytest.mark.parametrize("value", ["0", "false", "no", "off", " 0 ", "FALSE"])
-    def test_kill_switch_values(self, monkeypatch, value):
-        monkeypatch.setenv(remote.CAPTURE_ENV, value)
-        assert not remote.capture_enabled()
-
-    @pytest.mark.parametrize("value", ["1", "true", "yes", "anything"])
-    def test_truthy_values(self, monkeypatch, value):
-        monkeypatch.setenv(remote.CAPTURE_ENV, value)
-        assert remote.capture_enabled()
+def _record_everything():
+    obs.count("work.rows", 40)
+    obs.emit("advisory", source="test", note="hi")
+    with obs.span("inner"):
+        pass
 
 
 class TestCapture:
     def test_bundle_collects_spans_metrics_events(self):
-        with remote.capture(shard_id=3, label="score.shard") as cap:
+        with remote.capture(
+            shard_id=3, label="score.shard", trace=True, record=True
+        ) as cap:
             obs.count("work.rows", 40)
             obs.observe("work.latency", 0.5)
             obs.set_gauge("work.gauge", 7.0)
@@ -65,12 +58,48 @@ class TestCapture:
         assert event["span_id"] == root["span_id"]
 
     def test_capture_is_isolated_from_global_registry(self):
-        with remote.capture():
+        with remote.capture(trace=False, record=False):
             obs.count("isolated.counter")
         assert obs.snapshot_metrics()["counters"] == {}
 
+    @pytest.mark.parametrize("trace", [False, True])
+    @pytest.mark.parametrize("record", [False, True])
+    def test_ships_spans_and_events_only_where_asked(self, trace, record):
+        with remote.capture(trace=trace, record=record) as cap:
+            _record_everything()
+        bundle = cap.bundle
+        assert bundle.counters == {"work.rows": 40.0}
+        assert bundle.wall_s > 0.0
+        assert bool(bundle.spans) is trace
+        assert bool(bundle.events) is record
+
+    def test_installs_nothing_over_an_inherited_tracer_and_log(self):
+        """A tracer and a log live before the capture (as a worker inherits
+        them at fork) record nothing of a bare capture's task, and are back
+        in place after it."""
+        with obs.tracing() as inherited_tracer, obs_events.recording() as inherited_log:
+            with remote.capture(trace=False, record=False) as cap:
+                assert obs.get_tracer() is None
+                assert obs.get_event_log() is None
+                _record_everything()
+            assert obs.get_tracer() is inherited_tracer
+            assert obs.get_event_log() is inherited_log
+        assert inherited_tracer.roots == []
+        assert len(inherited_log) == 0
+        assert cap.bundle.counters == {"work.rows": 40.0}
+
+    def test_bare_failure_still_ships_its_error(self):
+        cap = remote.capture(shard_id=1, label="boom.shard", trace=False, record=False)
+        with pytest.raises(ValueError):
+            with cap:
+                obs.count("work.rows")
+                raise ValueError("kaboom")
+        assert cap.bundle.error == {"type": "ValueError", "message": "kaboom"}
+        assert cap.bundle.counters == {"work.rows": 1.0}
+        assert cap.bundle.spans == [] and cap.bundle.events == []
+
     def test_exception_recorded_and_propagates(self):
-        cap = remote.capture(shard_id=1, label="boom.shard")
+        cap = remote.capture(shard_id=1, label="boom.shard", trace=True, record=True)
         with pytest.raises(ValueError):
             with cap:
                 obs.emit("advisory", source="boom", note="before")
@@ -87,7 +116,7 @@ class TestCapture:
 
     def test_nested_capture_restores_previous_surfaces(self):
         with obs.tracing() as outer_tracer:
-            with remote.capture():
+            with remote.capture(trace=True, record=True):
                 pass
             with obs.span("after"):
                 pass
@@ -97,7 +126,7 @@ class TestCapture:
 class TestRunCaptured:
     def test_success_returns_result_and_bundle(self):
         result, bundle = remote.run_captured(
-            lambda a, b: a + b, 2, "add.shard", 1, (20, 22)
+            lambda a, b: a + b, 2, "add.shard", 1, (20, 22), trace=True, record=True
         )
         assert result == 42
         assert bundle.shard_id == 2
@@ -109,7 +138,7 @@ class TestRunCaptured:
             raise KeyError("missing")
 
         with pytest.raises(KeyError) as exc_info:
-            remote.run_captured(explode, 0, "boom", 2, ())
+            remote.run_captured(explode, 0, "boom", 2, (), trace=True, record=True)
         bundle = remote.bundle_from_error(exc_info.value)
         assert bundle is not None
         assert bundle.failed
@@ -122,7 +151,7 @@ class TestRunCaptured:
             raise ValueError("kaboom")
 
         with pytest.raises(ValueError) as exc_info:
-            remote.run_captured(explode, 0, "boom", 1, ())
+            remote.run_captured(explode, 0, "boom", 1, (), trace=True, record=True)
         revived = pickle.loads(pickle.dumps(exc_info.value))
         assert type(revived) is ValueError
         bundle = remote.bundle_from_error(revived)
@@ -134,7 +163,9 @@ class TestRunCaptured:
 
 def _make_bundle(shard_id, *, counters=None, observations=(), events=(), attempt=1):
     """A bundle built through the real capture machinery."""
-    with remote.capture(shard_id=shard_id, label="t.shard", attempt=attempt) as cap:
+    with remote.capture(
+        shard_id=shard_id, label="t.shard", attempt=attempt, trace=True, record=True
+    ) as cap:
         for name, value in (counters or {}).items():
             obs.count(name, value)
         for value in observations:
@@ -224,7 +255,7 @@ class TestMergeBundles:
         remote.merge_bundles([])  # must not touch (or require) any surface
 
     def test_span_from_dict_fills_id_map(self):
-        with remote.capture(shard_id=0) as cap:
+        with remote.capture(shard_id=0, trace=True, record=True) as cap:
             with obs.span("child"):
                 pass
         [payload] = cap.bundle.spans
