@@ -14,8 +14,8 @@ timings are gated:
   bound of ``benchmarks/conftest.py`` (3x their reference + 0.05 s);
 * on a host with at least two CPUs:
 
-  * the first bare pooled pass must beat the first serial pass by
-    :data:`MIN_SPEEDUP`;
+  * speedup: the fastest bare pooled pass must beat the fastest bare
+    serial pass by :data:`MIN_SPEEDUP`;
   * capture overhead: the fastest traced pooled pass ≤ the fastest bare
     pooled pass × (1 + :data:`MAX_CAPTURE_OVERHEAD`) +
     :data:`OVERHEAD_FLOOR_S`;
@@ -27,9 +27,10 @@ timings are gated:
   only reported.
 
 The passes under a tracer plus an event log, serial and pooled, are
-reported with their overhead over the bare pass and not gated.  Each
-overhead compares the fastest of :data:`OVERHEAD_PASSES` passes per side:
-single passes on a shared host spread by tens of percent.
+reported with their overhead over the bare pass and not gated, and so is
+the first serial pass over the first bare pooled pass.  The speedup and
+each overhead compare the fastest of :data:`OVERHEAD_PASSES` passes per
+side: single passes on a shared host spread by tens of percent.
 
 Scale is deliberately small: the point is the executor overhead and the
 speedup ratio, not the simulation itself.
@@ -58,7 +59,7 @@ MAX_CAPTURE_OVERHEAD = 0.05
 MAX_RECOVERY_OVERHEAD = 0.03
 #: Additive slack on the two overhead gates, against timer jitter.
 OVERHEAD_FLOOR_S = 0.05
-#: Passes per side of each overhead; the fastest one counts.
+#: Passes per side of the speedup and each overhead; the fastest one counts.
 OVERHEAD_PASSES = 3
 
 #: Reference wall seconds per pass (recorded with 2 workers on 1 CPU).
@@ -139,6 +140,10 @@ def _overhead(wall, bare):
     return wall / bare - 1.0 if bare > 0 else 0.0
 
 
+def _ratio(serial, pooled):
+    return serial / pooled if pooled > 0 else float("inf")
+
+
 @pytest.mark.benchmark(group="engine")
 def test_chaos_suite_parallel_speedup(benchmark, emit_report, check_walls):
     specs, passes, imbalance = benchmark.pedantic(_run, rounds=1, iterations=1)
@@ -161,7 +166,8 @@ def test_chaos_suite_parallel_speedup(benchmark, emit_report, check_walls):
     bare_s = fastest["pooled", "bare"]
     traced_s = fastest["pooled", "traced"]
     guarded_s = fastest["pooled", "deadline"]
-    speedup = serial_s / parallel_s if parallel_s > 0 else float("inf")
+    speedup = _ratio(fastest["serial", "bare"], bare_s)
+    first_speedup = _ratio(serial_s, parallel_s)
     capture_overhead = _overhead(traced_s, bare_s)
     recovery_overhead = _overhead(guarded_s, bare_s)
     serial_full = _overhead(fastest["serial", "full"], fastest["serial", "bare"])
@@ -176,7 +182,9 @@ def test_chaos_suite_parallel_speedup(benchmark, emit_report, check_walls):
                 f"  workers           {WORKERS} (host cpus: {cpu_count})",
                 f"  serial wall       {serial_s:.3f}s (first pass)",
                 f"  parallel wall     {parallel_s:.3f}s (first bare pass)",
-                f"  speedup           {speedup:.2f}x",
+                f"  speedup           {speedup:.2f}x (fastest bare passes,"
+                f" limit {MIN_SPEEDUP}x)",
+                f"  first-pass ratio  {first_speedup:.2f}x (not gated)",
                 f"  fastest of {OVERHEAD_PASSES} passes:",
                 f"    serial bare     {fastest['serial', 'bare']:.3f}s",
                 f"    serial full     {fastest['serial', 'full']:.3f}s"
@@ -203,7 +211,9 @@ def test_chaos_suite_parallel_speedup(benchmark, emit_report, check_walls):
         if speedup < MIN_SPEEDUP:
             failures.append(
                 f"process pool speedup {speedup:.2f}x is below {MIN_SPEEDUP}x "
-                f"at {WORKERS} workers on {cpu_count} CPUs"
+                f"at {WORKERS} workers on {cpu_count} CPUs: the fastest bare "
+                f"serial pass took {fastest['serial', 'bare']:.3f}s, the "
+                f"fastest bare pooled pass {bare_s:.3f}s"
             )
         capture_limit = bare_s * (1.0 + MAX_CAPTURE_OVERHEAD) + OVERHEAD_FLOOR_S
         if traced_s > capture_limit:

@@ -291,11 +291,7 @@ def _cmd_profile(args: argparse.Namespace) -> None:
             operator = SmoothOperator(
                 SmoothOperatorConfig(
                     placement=PlacementConfig(seed=0),
-                    remap=RemapConfig(
-                        level=Level.RPP,
-                        max_swaps=20,
-                        verify_every=args.verify_every,
-                    ),
+                    remap=RemapConfig(level=Level.RPP, max_swaps=20),
                 )
             )
             outcome = operator.optimize(dc.records, dc.topology)
@@ -518,17 +514,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help=(
             "hard per-task deadline in seconds for pooled stages: hung "
             "workers are killed and the task retried"
-        ),
-    )
-    parser.add_argument(
-        "--verify-every",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "opt-in remapping verification knob: every N accepted swaps "
-            "touching a node, cross-check its exactly-maintained aggregate "
-            "against a from-scratch recomputation (profile command)"
         ),
     )
     parser.add_argument(

@@ -11,7 +11,7 @@ scores improve at *both* nodes involved.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -22,13 +22,9 @@ from ..infra.topology import PowerTopology
 from ..traces.traceset import TraceSet, sum_rows
 from .asynchrony import differential_rows
 
-#: Conventional period for the opt-in verification knob
-#: (``RemapConfig.verify_every``).  Historically this forced a periodic
-#: exact recomputation to correct the float drift of incremental ``+=``
-#: aggregate patches; ``_NodeGroup.swap_member`` now applies each swap
-#: exactly (a group-scoped recompute from member rows), so the period
-#: only controls how often the optional cross-check harness runs.
-RECOMPUTE_EVERY = 64
+#: One shard of a remap: each level node's ``(name, member ids, rows of the
+#: trace matrix)``, members in membership order.
+_Shard = List[Tuple[str, List[str], List[int]]]
 
 
 @dataclass(frozen=True)
@@ -58,14 +54,6 @@ class RemapConfig:
         :meth:`RemappingEngine.run`).  Mirrors the operational reality that
         migrations within a suite are cheap while cross-suite moves are
         not.  ``None`` (default) makes the whole tree the one shard.
-    verify_every:
-        Opt-in verification knob.  Every this many accepted swaps touching
-        a group, cross-check the group's exactly-maintained aggregate and
-        score caches against an independent from-scratch recomputation and
-        raise if they diverge.  Swap application is exact, so this is a
-        debugging/auditing harness, not a correctness requirement;
-        :data:`RECOMPUTE_EVERY` is the conventional period.  ``None``
-        (default) disables the checks.
     """
 
     level: str
@@ -74,7 +62,6 @@ class RemapConfig:
     candidate_instances: int = 16
     min_improvement: float = 1e-3
     shard_level: Optional[str] = None
-    verify_every: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.max_swaps < 0:
@@ -85,8 +72,6 @@ class RemapConfig:
             raise ValueError("min_improvement cannot be negative")
         if self.shard_level == self.level:
             raise ValueError("shard_level must differ from the swap level")
-        if self.verify_every is not None and self.verify_every <= 0:
-            raise ValueError("verify_every must be positive when set")
 
 
 @dataclass(frozen=True)
@@ -116,71 +101,48 @@ class RemapResult:
 class _NodeGroup:
     """One level node's members as rows of the trace matrix, with score caches.
 
-    A group keeps its members' ids and matrix row indices in membership
-    order, its aggregate ``total`` (:func:`~repro.traces.sum_rows` of the
-    member rows, the ``total += row`` loop's bits) and each member's row
-    peak.  Scoring gathers the members into one ``(m, T)`` block when it
-    needs them and keeps no copy: with the rows held per group, a fleet's
-    global remap would hold a second copy of the fleet.  Swaps are applied
-    *exactly*: :meth:`swap_member` rebuilds ``total`` from the new member
-    rows, so there is no incremental-patch drift, and the caches of the two
-    groups a swap touches are dropped.  The swap loop's per-iteration cost
-    depends on the two affected groups, not the fleet.
+    A group keeps its members' ids and their row indices into ``matrix`` in
+    membership order, its aggregate ``total`` (:func:`~repro.traces.sum_rows`
+    of the member rows, the ``total += row`` loop's bits) and each member's
+    row peak.  Ids are only carried, never looked up: the rows arrive
+    resolved.  Scoring gathers the members into one ``(m, T)`` block when
+    it needs them and keeps no copy: with the rows held per group, a
+    fleet's global remap would hold a second copy of the fleet.  Swaps are
+    applied *exactly*: :meth:`swap_member` rebuilds ``total`` from the new
+    member rows, so there is no incremental-patch drift, and the caches of
+    the two groups a swap touches are dropped.  The swap loop's
+    per-iteration cost depends on the two affected groups, not the fleet.
     """
 
     __slots__ = (
         "name",
         "members",
         "rows",
+        "matrix",
         "total",
         "peaks",
         "_asynchrony",
         "_self_diffs",
         "_ranked",
-        "_swaps_since_verify",
     )
 
-    def __init__(self, name: str, members: List[str], traces: TraceSet) -> None:
+    def __init__(
+        self, name: str, members: List[str], rows: List[int], matrix: np.ndarray
+    ) -> None:
         self.name = name
         self.members = list(members)
-        self.rows = [traces.index_of(instance_id) for instance_id in self.members]
-        self._swaps_since_verify = 0
-        self.recompute(traces)
+        self.rows = list(rows)
+        self.matrix = matrix
+        self.recompute()
 
-    def recompute(self, traces: TraceSet) -> None:
+    def recompute(self) -> None:
         """Rebuild ``total`` and the row peaks from member rows; drop caches."""
-        block = traces.matrix[self.rows]
+        block = self.matrix[self.rows]
         self.total = sum_rows(block)
         self.peaks = block.max(axis=1)
         self._asynchrony: Optional[float] = None
         self._self_diffs: Optional[np.ndarray] = None
         self._ranked: Optional[List[int]] = None
-
-    def verify(self, traces: TraceSet) -> None:
-        """Cross-check cached state against an independent recomputation.
-
-        The opt-in ``RemapConfig.verify_every`` harness: raises if the
-        exactly-maintained ``total``, the row peaks or the cached
-        asynchrony diverge from a member-by-member rebuild.
-        """
-        expected = np.zeros(traces.grid.n_samples)
-        for instance_id in self.members:
-            expected += traces.row(instance_id)
-        if not np.array_equal(self.total, expected):
-            raise RuntimeError(
-                f"group {self.name}: aggregate diverged from member rows"
-            )
-        peaks = [float(traces.row(instance_id).max()) for instance_id in self.members]
-        if self.peaks.tolist() != peaks:
-            raise RuntimeError(f"group {self.name}: row peaks diverged")
-        aggregate_peak = float(expected.max())
-        fresh = sum(peaks) / aggregate_peak if aggregate_peak > 0 else 1.0
-        if self._asynchrony is not None and self._asynchrony != fresh:
-            raise RuntimeError(
-                f"group {self.name}: cached asynchrony diverged "
-                f"({self._asynchrony} != {fresh})"
-            )
-        obs.count("remap.verifications")
 
     def asynchrony(self) -> float:
         if self._asynchrony is None:
@@ -197,59 +159,38 @@ class _NodeGroup:
                 )
         return self._asynchrony
 
-    def self_differentials(self, traces: TraceSet) -> np.ndarray:
+    def self_differentials(self) -> np.ndarray:
         """AD of every member against the rest of its own group, in member
         order; one block evaluation, cached until the group changes."""
         if self._self_diffs is None:
-            block = traces.matrix[self.rows]
+            block = self.matrix[self.rows]
             self._self_diffs = differential_rows(
                 block, self.peaks, self.total, block, len(self.members) - 1
             )
         return self._self_diffs
 
-    def ranked(self, traces: TraceSet) -> List[int]:
+    def ranked(self) -> List[int]:
         """Member positions by self-differential, lowest first, ties by id.
 
         The members most synchronous with their own node contribute most to
         its peak, so moving them out is likeliest to help both sides.
         """
         if self._ranked is None:
-            scores = self.self_differentials(traces).tolist()
+            scores = self.self_differentials().tolist()
             self._ranked = sorted(
                 range(len(self.members)),
                 key=lambda k: (scores[k], self.members[k]),
             )
         return self._ranked
 
-    def differential(self, instance_values: np.ndarray, *, exclude: Optional[str], traces: TraceSet) -> float:
-        """AD of a (possibly external) instance against this node.
-
-        ``exclude`` removes one current member from the group first — used
-        to evaluate an incoming instance against the group it would join
-        after the outgoing member departs.  The one-row case of the swap
-        loop's block kernel.
-        """
-        excluded = 0.0 if exclude is None else traces.row(exclude)
-        count = len(self.members) - (exclude is not None)
-        return float(
-            differential_rows(
-                instance_values[None, :],
-                instance_values.max(),
-                self.total,
-                excluded,
-                count,
-            )[0]
-        )
-
-    def swap_member(self, outgoing: str, incoming: str, traces: TraceSet) -> None:
-        """Apply a swap exactly: new membership, aggregate rebuilt from rows."""
-        position = self.members.index(outgoing)
+    def swap_member(self, position: int, incoming: str, row: int) -> None:
+        """Replace the member at ``position`` with ``incoming`` (matrix row
+        ``row``), appended last; the aggregate is rebuilt from the rows."""
         del self.members[position]
         del self.rows[position]
         self.members.append(incoming)
-        self.rows.append(traces.index_of(incoming))
-        self._swaps_since_verify += 1
-        self.recompute(traces)
+        self.rows.append(row)
+        self.recompute()
 
 
 class RemappingEngine:
@@ -266,9 +207,9 @@ class RemappingEngine:
         The loop runs once per shard: each :attr:`RemapConfig.shard_level`
         subtree, or the whole tree when that is ``None``.  With more than
         one shard, ``workers > 1`` fans the shards out across the
-        persistent pool over a shared-memory view of ``traces`` (shards
-        are independent, so the result is identical for any worker count);
-        a single shard always runs here.
+        persistent pool, each reading a shared-memory copy of
+        ``traces.matrix`` (shards are independent, so the result is
+        identical for any worker count); a single shard always runs here.
         """
         with obs.span(
             "remap",
@@ -276,20 +217,21 @@ class RemappingEngine:
             max_swaps=self.config.max_swaps,
             workers=workers,
         ):
-            shards = self._shards(assignment)
+            shards = self._shards(assignment, traces)
             if workers <= 1 or len(shards) <= 1:
                 swaps = [
                     swap
-                    for members_by_node in shards
-                    for swap in self._remap_shard(members_by_node, traces)
+                    for shard in shards
+                    for swap in self._remap_shard(shard, traces.matrix)
                 ]
             else:
-                swaps = self._run_shards_pooled(shards, traces, workers)
+                swaps = self._run_shards_pooled(shards, traces.matrix, workers)
             return RemapResult(assignment=_apply_swaps(assignment, swaps), swaps=swaps)
 
     # ------------------------------------------------------------------
-    def _shards(self, assignment: Assignment) -> List[Dict[str, List[str]]]:
-        """Per-shard ``{level-node name: member ids}`` maps, shard order.
+    def _shards(self, assignment: Assignment, traces: TraceSet) -> List[_Shard]:
+        """Each shard's level nodes with their members resolved to rows of
+        ``traces.matrix``, in shard order.
 
         Without a shard level the whole tree is the one shard, read from
         the assignment's own topology.
@@ -304,42 +246,28 @@ class RemappingEngine:
             ]
         shards = []
         for subtree in subtrees:
-            members_by_node = {}
+            shard = []
             for node in subtree.nodes_at_level(self.config.level):
                 members = assignment.instances_under(node.name)
                 if members:
-                    members_by_node[node.name] = members
-            if members_by_node:
-                shards.append(members_by_node)
+                    rows = [traces.index_of(instance_id) for instance_id in members]
+                    shard.append((node.name, members, rows))
+            if shard:
+                shards.append(shard)
         return shards
 
     def _run_shards_pooled(
-        self,
-        shards: List[Dict[str, List[str]]],
-        traces: TraceSet,
-        workers: int,
+        self, shards: List[_Shard], matrix: np.ndarray, workers: int
     ) -> List[Swap]:
-        """Fan shard swap loops out over a shared-memory trace view."""
+        """Fan shard swap loops out over a shared-memory copy of ``matrix``."""
         # Lazy imports: repro.engine imports repro.core via the chaos
         # harness, so the reverse edge must not exist at module scope.
         from ..engine.parallel import get_pool
         from ..engine.sharedmem import SharedMatrix
 
         pool = get_pool(workers)
-        with SharedMatrix.create(traces.matrix) as shared:
-            tasks = []
-            for members_by_node in shards:
-                groups_spec = tuple(
-                    (
-                        name,
-                        tuple(
-                            (instance_id, traces.index_of(instance_id))
-                            for instance_id in members
-                        ),
-                    )
-                    for name, members in members_by_node.items()
-                )
-                tasks.append((shared.handle, traces.grid, groups_spec, self.config))
+        with SharedMatrix.create(matrix) as shared:
+            tasks = [(shared.handle, shard, self.config) for shard in shards]
             obs.count("remap.shards", len(tasks))
             shard_swaps = pool.map_shards(
                 _remap_shard_task, tasks, label="remap.shard"
@@ -347,21 +275,19 @@ class RemappingEngine:
         return [swap for swaps in shard_swaps for swap in swaps]
 
     # ------------------------------------------------------------------
-    def _remap_shard(
-        self, members_by_node: Dict[str, List[str]], traces: TraceSet
-    ) -> List[Swap]:
+    def _remap_shard(self, shard: _Shard, matrix: np.ndarray) -> List[Swap]:
         """The Sec. 3.6 loop over one shard's groups; its accepted swaps."""
         groups = {
-            name: _NodeGroup(name, members, traces)
-            for name, members in members_by_node.items()
+            name: _NodeGroup(name, members, rows, matrix)
+            for name, members, rows in shard
         }
         if len(groups) < 2:
             return []
         swaps: List[Swap] = []
         for _ in range(self.config.max_swaps):
             obs.count("remap.swaps_attempted")
-            swap = self._best_swap(groups, traces)
-            if swap is None:
+            found = self._best_swap(groups, matrix)
+            if found is None:
                 # No candidate cleared the hysteresis threshold: the loop
                 # converged.  Recorded so operators can see *why* it stopped.
                 obs_events.emit(
@@ -372,13 +298,11 @@ class RemappingEngine:
                     min_improvement=self.config.min_improvement,
                 )
                 break
-            groups[swap.node_a].swap_member(swap.instance_a, swap.instance_b, traces)
-            groups[swap.node_b].swap_member(swap.instance_b, swap.instance_a, traces)
-            if self.config.verify_every is not None:
-                for group in (groups[swap.node_a], groups[swap.node_b]):
-                    if group._swaps_since_verify >= self.config.verify_every:
-                        group.verify(traces)
-                        group._swaps_since_verify = 0
+            swap, position_a, position_b = found
+            group_a, group_b = groups[swap.node_a], groups[swap.node_b]
+            row_a = group_a.rows[position_a]
+            group_a.swap_member(position_a, swap.instance_b, group_b.rows[position_b])
+            group_b.swap_member(position_b, swap.instance_a, row_a)
             swaps.append(swap)
             obs.count("remap.swaps_accepted")
             obs_events.emit(
@@ -395,8 +319,10 @@ class RemappingEngine:
 
     # ------------------------------------------------------------------
     def _best_swap(
-        self, groups: Dict[str, _NodeGroup], traces: TraceSet
-    ) -> Optional[Swap]:
+        self, groups: Dict[str, _NodeGroup], matrix: np.ndarray
+    ) -> Optional[Tuple[Swap, int, int]]:
+        """The first swap that clears the threshold, with the positions of
+        its outgoing member in ``node_a`` and incoming member in ``node_b``."""
         # Cached per-group scores: only the two groups the previous swap
         # touched were invalidated, so ranking the fleet costs O(groups),
         # not O(instances).
@@ -406,10 +332,9 @@ class RemappingEngine:
             return None
 
         # Worst-fitting member of the worst node (the first, on a tie).
-        diffs = worst.self_differentials(traces)
+        diffs = worst.self_differentials()
         position = int(np.argmin(diffs))
-        outgoing = worst.members[position]
-        outgoing_values = traces.matrix[worst.rows[position]]
+        outgoing_values = matrix[worst.rows[position]]
         outgoing_score_here = diffs[position]
         threshold = self.config.min_improvement
 
@@ -417,8 +342,8 @@ class RemappingEngine:
         for partner in partners[: self.config.candidate_nodes]:
             if len(partner.members) < 2:
                 continue
-            candidates = partner.ranked(traces)[: self.config.candidate_instances]
-            incoming_values = traces.matrix[[partner.rows[k] for k in candidates]]
+            candidates = partner.ranked()[: self.config.candidate_instances]
+            incoming_values = matrix[[partner.rows[k] for k in candidates]]
             # Scores after each hypothetical exchange, one row per candidate.
             incoming_at_worst = differential_rows(
                 incoming_values,
@@ -435,9 +360,7 @@ class RemappingEngine:
                 len(partner.members) - 1,
             )
             gain_worst = incoming_at_worst - outgoing_score_here
-            gain_partner = (
-                outgoing_at_partner - partner.self_differentials(traces)[candidates]
-            )
+            gain_partner = outgoing_at_partner - partner.self_differentials()[candidates]
             passing = np.flatnonzero(
                 (gain_worst > threshold) & (gain_partner > threshold)
             )
@@ -447,14 +370,16 @@ class RemappingEngine:
             obs.count("remap.candidates_evaluated", evaluated)
             if len(passing):
                 first = int(passing[0])
-                return Swap(
-                    instance_a=outgoing,
+                incoming = candidates[first]
+                swap = Swap(
+                    instance_a=worst.members[position],
                     node_a=worst.name,
-                    instance_b=partner.members[candidates[first]],
+                    instance_b=partner.members[incoming],
                     node_b=partner.name,
                     gain_a=float(gain_worst[first]),
                     gain_b=float(gain_partner[first]),
                 )
+                return swap, position, incoming
         return None
 
 
@@ -487,34 +412,13 @@ def _apply_swaps(assignment: Assignment, swaps: List[Swap]) -> Assignment:
 
 
 def _remap_shard_task(
-    handle: object,
-    grid: object,
-    groups_spec: "tuple",
-    config: RemapConfig,
+    handle: object, shard: _Shard, config: RemapConfig
 ) -> List[Swap]:
     """One shard of a sharded remap, run in a pool worker.
 
-    ``groups_spec`` is ``((node_name, ((instance_id, row), ...)), ...)`` —
-    names and row indices only; the trace matrix arrives through the
-    shared-memory ``handle``.  The shard's rows are gathered into a local
-    TraceSet (a copy bounded by shard size, not fleet size).
+    ``shard`` carries names, ids and row indices only; the loop reads the
+    trace matrix in place through the shared-memory ``handle``.
     """
     from ..engine.sharedmem import attached_view
 
-    view = attached_view(handle)
-    ids = [
-        instance_id
-        for _, members in groups_spec
-        for instance_id, _ in members
-    ]
-    rows = [
-        row
-        for _, members in groups_spec
-        for _, row in members
-    ]
-    traces = TraceSet(grid, ids, view[np.asarray(rows)], dtype=view.dtype)
-    members_by_node = {
-        name: [instance_id for instance_id, _ in members]
-        for name, members in groups_spec
-    }
-    return RemappingEngine(config)._remap_shard(members_by_node, traces)
+    return RemappingEngine(config)._remap_shard(shard, attached_view(handle))

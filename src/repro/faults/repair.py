@@ -14,7 +14,6 @@ telemetry is a no-op, and repairing repaired telemetry changes nothing.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -186,13 +185,16 @@ def _stuck_mask(values: np.ndarray, min_run: int) -> np.ndarray:
 
 
 def _nan_percentile_lastaxis(windows: np.ndarray, q: float) -> np.ndarray:
-    """``np.nanpercentile(windows, q, axis=-1)`` without its NaN slow path.
+    """``np.nanpercentile(windows, q, axis=-1)``, bit for bit, without its
+    NaN slow path.
 
     With any NaN present, numpy routes nanpercentile through a per-slice
     Python loop — minutes on a (traces, samples, window) stack.  Sorting
-    pushes NaNs to the end of each window, so the percentile is an order
-    statistic over the first ``count`` entries, gathered vectorised with
-    the same linear interpolation nanpercentile uses.
+    pushes NaNs to the end of each slice, so the percentile is an order
+    statistic over the first ``count`` entries, gathered vectorised and
+    interpolated as numpy does: back from the upper neighbour when the
+    fraction is at least one half, forward from the lower one otherwise.
+    An all-NaN slice gives NaN.
     """
     ordered = np.sort(windows, axis=-1)
     count = np.count_nonzero(np.isfinite(windows), axis=-1)
@@ -202,8 +204,9 @@ def _nan_percentile_lastaxis(windows: np.ndarray, q: float) -> np.ndarray:
     frac = np.clip(pos - lo, 0.0, 1.0)
     lo_val = np.take_along_axis(ordered, lo[..., np.newaxis], axis=-1)[..., 0]
     hi_val = np.take_along_axis(ordered, hi[..., np.newaxis], axis=-1)[..., 0]
-    baseline = lo_val + frac * (hi_val - lo_val)
-    return np.where(count > 0, baseline, np.nan)
+    step = hi_val - lo_val
+    value = np.where(frac >= 0.5, hi_val - step * (1 - frac), lo_val + step * frac)
+    return np.where(count > 0, value, np.nan)
 
 
 def _spike_mask(values: np.ndarray, policy: RepairPolicy) -> np.ndarray:
@@ -219,10 +222,8 @@ def _spike_mask(values: np.ndarray, policy: RepairPolicy) -> np.ndarray:
     # All-NaN windows (long dropouts) legitimately yield NaN baselines; the
     # comparison below treats them as "no spike".
     baseline = _nan_percentile_lastaxis(windows, policy.despike_percentile)
-    with np.errstate(all="ignore"), warnings.catch_warnings():
-        warnings.filterwarnings("ignore", message="All-NaN slice encountered")
-        # Robust per-row scale so near-zero baselines don't flag tiny wiggles.
-        scale = np.nanpercentile(values, 95, axis=1)
+    # Robust per-row scale so near-zero baselines don't flag tiny wiggles.
+    scale = _nan_percentile_lastaxis(values, 95)
     scale = np.where(np.isfinite(scale), scale, 0.0)
     floor = 0.02 * scale[:, np.newaxis] + 1e-9
     threshold = policy.despike_factor * np.maximum(baseline, floor)

@@ -75,7 +75,7 @@ class HeadroomIndex:
 
     The incremental counterpart of :func:`node_headroom`: instead of a
     full ``recompute()`` after every placement action, call
-    :meth:`apply` with the :class:`~repro.engine.delta.FleetDelta` that
+    :meth:`apply_delta` with the :class:`~repro.engine.delta.FleetDelta` that
     describes the action and only the dirtied budgeted nodes' entries are
     refreshed — with the identical expression the full pass uses, so
     :meth:`headroom` stays bit-identical to ``node_headroom`` over a
@@ -111,7 +111,7 @@ class HeadroomIndex:
         )
 
     # ------------------------------------------------------------------
-    def apply(self, delta) -> None:
+    def apply_delta(self, delta) -> None:
         """Apply a delta: refresh headroom for the dirtied budgeted nodes."""
         if self.view.version == self._seen_version:
             dirty = self.view.apply_delta(delta)
@@ -125,10 +125,6 @@ class HeadroomIndex:
         for name in dirty:
             if name in self._values:
                 self._values[name] = self._entry(name)
-
-    #: Subscriber-protocol alias — :class:`~repro.engine.delta.PlacementState`
-    #: fan-out calls ``apply_delta``.
-    apply_delta = apply
 
     def headroom(self) -> Dict[str, float]:
         """Current headroom of every budgeted node (topology node order)."""

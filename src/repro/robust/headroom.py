@@ -255,15 +255,11 @@ class RobustHeadroomIndex:
             leaf_name = self.remove(instance_id)
             self.place(instance_id, leaf_name)
 
-    #: :func:`repro.infra.headroom.HeadroomIndex`-style alias.
-    apply = apply_delta
-
     def verify(self) -> None:
         """Cross-check every accountant against an exact recomputation.
 
-        The Γ-accounting analogue of the remapping engine's
-        ``verify_every`` harness: rebuilds each node's nominal sum and
-        top-Γ radius sum from the membership and raises on divergence.
+        Rebuilds each node's nominal sum and top-Γ radius sum from the
+        membership and raises on divergence.
         """
         for name, accountant in self.accountants.items():
             values = list(accountant._members.values())

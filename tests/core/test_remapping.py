@@ -1,20 +1,26 @@
 """Unit tests for the differential-score swap loop (Sec. 3.6)."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
-from repro import obs
 from repro.baselines import oblivious_placement
 from repro.core import (
     RemapConfig,
     RemappingEngine,
     node_asynchrony_scores,
 )
-from repro.core.remapping import RECOMPUTE_EVERY, _NodeGroup
+from repro.core.asynchrony import differential_rows
+from repro.core.remapping import _NodeGroup, _remap_shard_task
 from repro.infra import Assignment, Level, NodePowerView, build_topology, two_level_spec
 from repro.traces import TimeGrid, TraceSet, training_trace_set
+
+from ..properties.test_property_remapping import oracle_remap
+
+
+def _group(name, members, traces):
+    """A node group over ``traces.matrix``, its members resolved to rows."""
+    rows = [traces.index_of(instance_id) for instance_id in members]
+    return _NodeGroup(name, members, rows, traces.matrix)
 
 
 @pytest.fixture
@@ -157,6 +163,48 @@ class TestShardedRemap:
         assert pooled.swaps == serial.swaps
         assert pooled.assignment.as_mapping() == serial.assignment.as_mapping()
 
+    def test_shards_resolve_members_to_rows(self, two_suites):
+        """Each shard lists its level nodes' names, member ids and their rows
+        of the trace matrix, in membership order."""
+        topo, assignment, traces = two_suites
+        shards = RemappingEngine(self.config())._shards(assignment, traces)
+        assert [[name for name, _, _ in shard] for shard in shards] == [
+            [f"dc/suite{s}/rpp0", f"dc/suite{s}/rpp1"] for s in range(2)
+        ]
+        for shard in shards:
+            for name, members, rows in shard:
+                assert members == assignment.instances_under(name)
+                assert rows == [traces.index_of(i) for i in members]
+
+    def test_shard_task_reads_the_shared_matrix_in_place(
+        self, two_suites, monkeypatch
+    ):
+        """A pooled shard runs the serial loop on the attached segment: it
+        builds no TraceSet and returns the serial shards' swaps."""
+        from repro.engine.sharedmem import SharedMatrix, detach_all
+
+        topo, assignment, traces = two_suites
+        engine = RemappingEngine(self.config())
+        serial = engine.run(assignment, traces)
+        shards = engine._shards(assignment, traces)
+
+        def no_traceset(*args, **kwargs):
+            raise AssertionError("the shard task built a TraceSet")
+
+        monkeypatch.setattr(TraceSet, "__init__", no_traceset)
+        with SharedMatrix.create(traces.matrix) as shared:
+            try:
+                pooled = [
+                    swap
+                    for shard in shards
+                    for swap in _remap_shard_task(shared.handle, shard, engine.config)
+                ]
+            finally:
+                detach_all()
+        assert len(shards) == 2
+        assert serial.n_swaps >= 2
+        assert pooled == serial.swaps
+
     def test_workers_ignored_without_shard_level(self, fragmented):
         topo, assignment, traces = fragmented
         engine = RemappingEngine(RemapConfig(level=Level.RPP, max_swaps=4))
@@ -201,20 +249,26 @@ def _phased_fleet(n_instances, leaves, seed=7):
 
 
 class TestNodeGroupInternals:
+    """The differential kernel as the swap loop calls it, on a group's total."""
+
     def test_empty_rest_differential_is_two(self):
         """A one-member group with that member excluded scores the AD limit,
         2.0 — inside the [1, 2] range, not an out-of-range sentinel."""
         grid = TimeGrid(0, 60, 24)
         traces = TraceSet(grid, ["solo", "other"], np.ones((2, 24)))
-        group = _NodeGroup("n", ["solo"], traces)
-        score = group.differential(traces.row("other"), exclude="solo", traces=traces)
-        assert score == 2.0
+        group = _group("n", ["solo"], traces)
+        other = traces.row("other")
+        score = differential_rows(
+            other[None, :], other.max(), group.total, traces.row("solo"), 0
+        )
+        assert score.tolist() == [2.0]
 
     def test_empty_group_differential_is_two(self):
         grid = TimeGrid(0, 60, 24)
         traces = TraceSet(grid, ["a"], np.ones((1, 24)))
-        group = _NodeGroup("n", [], traces)
-        assert group.differential(traces.row("a"), exclude=None, traces=traces) == 2.0
+        group = _group("n", [], traces)
+        a = traces.row("a")
+        assert differential_rows(a[None, :], a.max(), group.total, 0.0, 0).tolist() == [2.0]
 
     def test_differential_stays_in_range(self):
         """The empty-rest value must not beat a genuinely good partner: AD is
@@ -223,9 +277,12 @@ class TestNodeGroupInternals:
         up = np.linspace(0, 10, 24)
         down = np.linspace(10, 0, 24)
         traces = TraceSet(grid, ["u", "d"], np.vstack([up, down]))
-        group = _NodeGroup("n", ["u"], traces)
-        anti_phase = group.differential(traces.row("d"), exclude=None, traces=traces)
-        empty = group.differential(traces.row("d"), exclude="u", traces=traces)
+        group = _group("n", ["u"], traces)
+        d = traces.row("d")
+        [anti_phase] = differential_rows(d[None, :], d.max(), group.total, 0.0, 1)
+        [empty] = differential_rows(
+            d[None, :], d.max(), group.total, traces.row("u"), 0
+        )
         assert 1.0 <= anti_phase <= 2.0
         assert empty <= 2.0 + 1e-12
 
@@ -236,55 +293,22 @@ class TestNodeGroupInternals:
         grid = TimeGrid(0, 60, 24)
         ids = [f"x{k}" for k in range(4)]
         traces = TraceSet(grid, ids, rng.random((4, 24)))
-        group = _NodeGroup("n", ["x0", "x1"], traces)
-        for k in range(RECOMPUTE_EVERY):
-            outgoing = group.members[0]
+        group = _group("n", ["x0", "x1"], traces)
+        for _ in range(64):
             incoming = next(i for i in ids if i not in group.members)
-            group.swap_member(outgoing, incoming, traces)
+            group.swap_member(0, incoming, traces.index_of(incoming))
             exact = np.zeros(grid.n_samples)
             for i in group.members:
                 exact += traces.row(i)
             assert np.array_equal(group.total, exact)
 
-    def test_verify_knob_passes_on_exact_state(self):
-        """The opt-in verify harness accepts exactly-maintained groups and
-        rejects a tampered aggregate."""
-        grid = TimeGrid(0, 60, 24)
-        rng = np.random.default_rng(1)
-        ids = [f"x{k}" for k in range(4)]
-        traces = TraceSet(grid, ids, rng.random((4, 24)))
-        group = _NodeGroup("n", ["x0", "x1"], traces)
-        group.swap_member("x0", "x2", traces)
-        group.verify(traces)  # exact state: no raise
-        group.total[0] += 1.0
-        with pytest.raises(RuntimeError, match="diverged"):
-            group.verify(traces)
-
-    def test_verify_every_runs_during_swap_loop(self, fragmented):
-        """verify_every periodically cross-checks the touched groups; with
-        exact swap application the loop result is unchanged."""
-        topo, assignment, traces = fragmented
-        baseline = RemappingEngine(RemapConfig(level=Level.RPP)).run(
-            assignment, traces
-        )
-        verified = RemappingEngine(
-            RemapConfig(level=Level.RPP, verify_every=1)
-        ).run(assignment, traces)
-        assert [
-            (s.instance_a, s.instance_b) for s in verified.swaps
-        ] == [(s.instance_a, s.instance_b) for s in baseline.swaps]
-        assert verified.assignment.as_mapping() == baseline.assignment.as_mapping()
-
-    def test_verify_every_validation(self):
-        with pytest.raises(ValueError):
-            RemapConfig(level=Level.RPP, verify_every=0)
-
     def test_swap_member_tracks_membership(self):
         grid = TimeGrid(0, 60, 24)
         traces = TraceSet(grid, ["a", "b", "c"], np.ones((3, 24)))
-        group = _NodeGroup("n", ["a", "b"], traces)
-        group.swap_member("a", "c", traces)
-        assert sorted(group.members) == ["b", "c"]
+        group = _group("n", ["a", "b"], traces)
+        group.swap_member(0, "c", traces.index_of("c"))
+        assert group.members == ["b", "c"]
+        assert group.rows == [traces.index_of("b"), traces.index_of("c")]
 
 
 class TestOneMemberNodeSwapPath:
@@ -332,22 +356,25 @@ class TestOneMemberNodeSwapPath:
 
 class TestAggregateDrift:
     def test_final_totals_match_fresh_recompute(self):
-        """Regression for incremental float drift: with ``verify_every=1``,
-        every swap of max_swaps=50 on a 500-instance fleet cross-checks both
-        touched node aggregates against a from-scratch recompute, bit for
-        bit, and the verified run decides exactly what the plain one does."""
+        """Regression for incremental float drift: over max_swaps=50 on a
+        500-instance fleet, the loop accepts the per-member oracle's swaps
+        with its gain bits.  The oracle rebuilds every touched node's total
+        member by member, so a swap that patched a total instead would
+        move the gains."""
         topo, assignment, traces = _phased_fleet(500, leaves=5)
         config = RemapConfig(level=Level.RPP, max_swaps=50, candidate_nodes=4)
-        plain = RemappingEngine(config).run(assignment, traces)
-        with obs.tracing() as tracer:
-            verified = RemappingEngine(replace(config, verify_every=1)).run(
-                assignment, traces
-            )
-        assert verified.n_swaps > 0  # the fleet is fragmented enough to swap
-        counters = tracer.find("remap").counters
-        assert counters["remap.verifications"] == 2 * verified.n_swaps
-        assert verified.swaps == plain.swaps
-        assert verified.assignment.as_mapping() == plain.assignment.as_mapping()
+        result = RemappingEngine(config).run(assignment, traces)
+        members_by_node = {
+            node.name: assignment.instances_under(node.name)
+            for node in topo.nodes_at_level(Level.RPP)
+            if assignment.instances_under(node.name)
+        }
+        expected, _ = oracle_remap(members_by_node, traces, config)
+        assert result.n_swaps > 0  # the fleet is fragmented enough to swap
+        assert result.swaps == expected
+        assert [(s.gain_a.hex(), s.gain_b.hex()) for s in result.swaps] == [
+            (s.gain_a.hex(), s.gain_b.hex()) for s in expected
+        ]
 
     def test_totals_returned_even_without_swaps(self):
         topo, _, traces = _phased_fleet(20, leaves=2)

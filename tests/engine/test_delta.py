@@ -192,6 +192,16 @@ class TestPlacementState:
         assert [tag for tag, _ in calls] == ["first", "second"]
         assert calls[0][1] is calls[1][1]
 
+    def test_headroom_indices_define_the_one_delta_hook(self):
+        """Both headroom indices define ``apply_delta``, the name the fan-out
+        calls, in their own class body, and no second name for it."""
+        from repro.infra.headroom import HeadroomIndex
+        from repro.robust.headroom import RobustHeadroomIndex
+
+        for index_cls in (HeadroomIndex, RobustHeadroomIndex):
+            assert "apply_delta" in vars(index_cls)
+            assert not hasattr(index_cls, "apply")
+
 
 class TestViewRejectsWholeDelta:
     """A delta the view rejects changes nothing, whichever move is bad."""

@@ -7,7 +7,12 @@ Three invariants the chaos harness leans on:
   linear signals, within a curvature bound for smooth ones);
 * the emergency capping fallback never sheds a service class below its
   policy floor.
+
+Repair's vectorised NaN percentile is also held to ``np.nanpercentile``'s
+bits.
 """
+
+import warnings
 
 import numpy as np
 from hypothesis import given, settings
@@ -25,6 +30,7 @@ from repro.faults import (
     dirty_copy,
     repair_telemetry,
 )
+from repro.faults.repair import _nan_percentile_lastaxis
 from repro.infra import Assignment, CappingPolicy, CappingSimulator, PowerNode, PowerTopology
 from repro.traces import ServiceKind, TimeGrid, TraceSet
 
@@ -106,6 +112,29 @@ class TestGapInterpolation:
         tolerance = amplitude * (2 * np.pi / 144) ** 2 * (length + 1) ** 2 / 8
         err = np.abs(outcome.traces.row("sine") - clean).max()
         assert err <= tolerance + 1e-9
+
+
+@st.composite
+def nan_stacks(draw):
+    """Small row matrices or (rows, samples, window) stacks with NaN
+    readings, all-NaN slices among them."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from([(1, 1), (1, 2), (3, 7), (5, 24), (2, 6, 11), (4, 5, 11)]))
+    values = rng.uniform(0, 500, shape)
+    values[rng.random(shape) < draw(st.sampled_from([0.0, 0.2, 0.5, 0.9]))] = np.nan
+    if draw(st.booleans()):
+        values[0] = np.nan
+    return values
+
+
+class TestNanPercentileMatchesNumpy:
+    @given(values=nan_stacks(), q=st.sampled_from([0, 10, 50, 95, 99.5, 100]))
+    @settings(max_examples=200, deadline=None)
+    def test_bit_for_bit(self, values, q):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN slices
+            expected = np.nanpercentile(values, q, axis=-1)
+        assert _nan_percentile_lastaxis(values, q).tobytes() == expected.tobytes()
 
 
 class TestCappingFloors:

@@ -8,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 from repro import obs
 from repro.analysis import FragmentationMonitor, MonitorConfig
 from repro.core import RemapConfig, RemappingEngine, differential_scores_for_node
+from repro.core.asynchrony import differential_rows
 from repro.core.remapping import Swap, _NodeGroup
 from repro.infra import Assignment, Level, NodePowerView, build_topology, two_level_spec
 from repro.traces import TimeGrid, TraceSet
@@ -244,25 +245,29 @@ class TestNodeGroupMatchesPerMemberOracle:
     def test_block_scores_match_member_loop(self, scene):
         """Total, asynchrony, every self-differential (also through
         ``differential_scores_for_node``), the candidate rank and one-row
-        differentials keep the per-member loop's bits."""
+        differentials of the kernel the swap loop calls keep the
+        per-member loop's bits."""
         traces, members, outsider = scene
-        group = _NodeGroup("n", members, traces)
+        rows = [traces.index_of(instance_id) for instance_id in members]
+        group = _NodeGroup("n", members, rows, traces.matrix)
         oracle = _OracleGroup("n", members, traces)
         assert group.total.tobytes() == oracle.total.tobytes()
         assert group.asynchrony().hex() == oracle.asynchrony.hex()
-        diffs = group.self_differentials(traces).tolist()
+        diffs = group.self_differentials().tolist()
         assert [d.hex() for d in diffs] == [oracle.diffs[i].hex() for i in members]
-        ranked = [members[k] for k in group.ranked(traces)]
+        ranked = [members[k] for k in group.ranked()]
         assert ranked == [i for _, i in sorted((s, i) for i, s in oracle.diffs.items())]
         if len(members) >= 2:
             node_scores = differential_scores_for_node(traces.subset(members))
             assert [node_scores[i].hex() for i in members] == [d.hex() for d in diffs]
         values = traces.row(outsider)
         for exclude in [None, *members[:2]]:
-            assert (
-                group.differential(values, exclude=exclude, traces=traces).hex()
-                == oracle.differential(values, exclude, traces).hex()
-            )
+            excluded = 0.0 if exclude is None else traces.row(exclude)
+            count = len(members) - (exclude is not None)
+            [score] = differential_rows(
+                values[None, :], values.max(), group.total, excluded, count
+            ).tolist()
+            assert score.hex() == oracle.differential(values, exclude, traces).hex()
 
 
 class TestRemappingInvariants:
