@@ -17,6 +17,7 @@ from typing import List, Optional
 
 from .. import obs
 from ..core.metrics import AsynchronyIndex
+from ..engine.delta import PlacementState
 from ..infra.aggregation import NodePowerView
 from ..infra.assignment import Assignment
 from ..obs import events as obs_events
@@ -85,9 +86,10 @@ class FragmentationMonitor:
     whole new trace set and re-measures the fleet.  Delta mode
     (:meth:`observe_delta`) ingests a
     :class:`~repro.engine.delta.FleetDelta` — one swap, move, or in-place
-    trace refresh — and re-scores only the dirtied nodes through the
-    monitor's persistent incremental view and
-    :class:`~repro.core.metrics.AsynchronyIndex`, so
+    trace refresh — through the monitor's own
+    :class:`~repro.engine.delta.PlacementState`, which checks it and
+    re-scores only the dirtied nodes through the monitor's persistent
+    incremental view and :class:`~repro.core.metrics.AsynchronyIndex`, so
     :meth:`needs_remapping` stays current at O(affected subtree) per
     placement action instead of O(fleet).
     """
@@ -96,6 +98,7 @@ class FragmentationMonitor:
         self.assignment = assignment
         self.config = config
         self._reference_sum_of_peaks: Optional[float] = None
+        self._state: Optional[PlacementState] = None
         self._view: Optional[NodePowerView] = None
         self._index: Optional[AsynchronyIndex] = None
         self.history: List[Snapshot] = []
@@ -120,25 +123,29 @@ class FragmentationMonitor:
     def observe_delta(self, label: str, delta) -> Snapshot:
         """Ingest one placement delta and re-evaluate drift incrementally.
 
-        Applies the delta to the persistent view/score index (touching
-        only the dirty subtree), evaluates the same thresholds as
-        :meth:`observe`, and feeds the dirtied budgeted nodes' aggregate
-        traces to the active flight recorder — so precursor detection and
-        violation events keep flowing without re-scoring the fleet.
+        Applies the delta through the monitor's placement state, which
+        checks it and re-sums and re-scores only the dirty subtree,
+        evaluates the same thresholds as :meth:`observe`, and feeds the
+        dirtied budgeted nodes' aggregate traces to the active flight
+        recorder — so precursor detection and violation events keep
+        flowing without re-scoring the fleet.
         """
-        if self._reference_sum_of_peaks is None or self._index is None:
+        if self._reference_sum_of_peaks is None or self._state is None:
             raise RuntimeError("monitor must be calibrated before observing")
-        self._index.apply_delta(delta)  # drives the shared view
+        dirty = self._state.apply(delta)
         snapshot = self._snapshot_from_cache(label, check=True)
         self.history.append(snapshot)
         self._emit_advisories(label, snapshot)
-        assert self._view is not None
-        obs_telemetry.record_delta(self._view, self._view.last_dirty)
+        obs_telemetry.record_delta(self._view, dirty)
         obs.count("monitor.delta_observations")
         return snapshot
 
-    def apply_delta(self, delta) -> None:
-        """Subscriber-protocol hook for :class:`~repro.engine.delta.PlacementState`."""
+    def apply_delta(self, delta, dirty) -> None:
+        """Subscriber-protocol hook for :class:`~repro.engine.delta.PlacementState`.
+
+        The delta goes through the monitor's own state, like
+        :meth:`observe_delta`; ``dirty`` is not read.
+        """
         self.observe_delta(f"delta:{len(self.history)}", delta)
 
     def _emit_advisories(self, label: str, snapshot: Snapshot) -> None:
@@ -168,10 +175,12 @@ class FragmentationMonitor:
         # A whole-fleet snapshot rebuilds the persistent incremental state
         # (the traces changed wholesale).  If deltas moved instances since
         # the last snapshot, carry the *current* placement forward.
-        if self._view is not None:
-            self.assignment = self._view.materialized_assignment()
-        self._view = NodePowerView(self.assignment.topology, self.assignment, traces)
-        self._index = AsynchronyIndex(self._view, self.config.level)
+        if self._state is not None:
+            self.assignment = self._state.assignment()
+        topology = self.assignment.topology
+        state = self._state = PlacementState(topology, traces, self.assignment)
+        self._view = state.register(NodePowerView(topology, self.assignment, traces))
+        self._index = state.register(AsynchronyIndex(self._view, self.config.level))
         return self._snapshot_from_cache(label, check=check)
 
     def _snapshot_from_cache(self, label: str, *, check: bool) -> Snapshot:

@@ -84,30 +84,26 @@ def node_asynchrony_scores(
 class AsynchronyIndex:
     """Per-node asynchrony scores at one level, maintained under deltas.
 
-    Wraps a :class:`~repro.infra.aggregation.NodePowerView` and keeps the
+    Reads a :class:`~repro.infra.aggregation.NodePowerView` and keeps the
     level's scores current as :class:`~repro.engine.delta.FleetDelta`\\ s
     arrive: only the dirtied nodes are re-scored, with the identical
     expression :func:`node_asynchrony_scores` uses in its view-backed
     path, so :meth:`scores` is bit-identical to a full recompute over a
-    freshly rebuilt view.
-
-    The index drives its own view, but shares it safely: if another
-    subscriber already advanced the view by this delta (the view's
-    ``version`` is one ahead), the index reuses ``view.last_dirty``
-    instead of re-applying.
+    freshly rebuilt view.  Register it on a
+    :class:`~repro.engine.delta.PlacementState` after its view, which
+    re-sums the dirty nodes first.
     """
 
     def __init__(self, view: NodePowerView, level: str) -> None:
         self.view = view
         self.level = level
-        self._nodes = list(view.topology.nodes_at_level(level))
-        if not self._nodes:
+        nodes = view.topology.nodes_at_level(level)
+        if not nodes:
             raise ValueError(f"topology has no nodes at level {level!r}")
         self._member_peaks = view.traces.peaks()
-        self._seen_version = view.version
-        self._scores: Dict[str, Optional[float]] = {}
-        for node in self._nodes:
-            self._scores[node.name] = self._score_node(node.name)
+        self._scores: Dict[str, Optional[float]] = {
+            node.name: self._score_node(node.name) for node in nodes
+        }
 
     # ------------------------------------------------------------------
     def _score_node(self, node_name: str) -> Optional[float]:
@@ -121,27 +117,18 @@ class AsynchronyIndex:
         return sum_peaks / aggregate_peak if aggregate_peak > 0 else 1.0
 
     # ------------------------------------------------------------------
-    def apply_delta(self, delta) -> None:
-        if self.view.version == self._seen_version:
-            dirty = self.view.apply_delta(delta)
-        elif self.view.version == self._seen_version + 1:
-            dirty = list(self.view.last_dirty)
-        else:
-            raise RuntimeError(
-                "view advanced more than one delta ahead of this index"
-            )
-        self._seen_version = self.view.version
+    def apply_delta(self, delta, dirty) -> None:
+        """Patch the refreshed rows' peaks and re-score the dirty level nodes."""
         traces = self.view.traces
         for instance_id in delta.trace_updates:
             # Patch the cached per-member peaks for rewritten rows; max is
             # exact, so the patched entry equals a fresh traces.peaks().
             row = traces.index_of(instance_id)
             self._member_peaks[row] = traces.matrix[row].max()
-        dirty_set = set(dirty)
         refreshed = 0
-        for node in self._nodes:
-            if node.name in dirty_set:
-                self._scores[node.name] = self._score_node(node.name)
+        for name in dirty:
+            if name in self._scores:
+                self._scores[name] = self._score_node(name)
                 refreshed += 1
         obs.count("delta.scores_recomputed", refreshed)
 

@@ -12,7 +12,8 @@ this module provides the O(affected subtree) alternative:
 * :func:`dirty_nodes` — the set of power-tree nodes whose aggregate state
   a delta invalidates: the union of the touched leaves' root paths.
 * :class:`PlacementState` — the single owner of the live placement.  It
-  validates and applies each delta to its own mapping, fans the delta out
+  is the one place a delta is checked and its dirty nodes are found: it
+  applies each delta to its own mapping, hands the delta and those nodes
   to registered indices (:meth:`~repro.infra.aggregation.NodePowerView.apply_delta`,
   :class:`~repro.core.metrics.AsynchronyIndex`,
   :class:`~repro.infra.headroom.HeadroomIndex`,
@@ -168,9 +169,10 @@ class PlacementState:
 
     The mutable counterpart of the immutable
     :class:`~repro.infra.assignment.Assignment`.  All placement changes
-    flow through :meth:`apply`; registered subscribers (anything with an
-    ``apply_delta(delta)`` method) observe every delta exactly once, in
-    registration order.
+    flow through :meth:`apply`, which checks each delta once; registered
+    subscribers (anything with an ``apply_delta(delta, dirty)`` method)
+    observe every accepted delta exactly once, in registration order,
+    with the dirty node names :meth:`apply` returns.
 
     Per-leaf member lists use append-on-arrival order, and
     :meth:`assignment` materializes the mapping leaf-by-leaf in topology
@@ -254,7 +256,16 @@ class PlacementState:
 
     # ------------------------------------------------------------------
     def register(self, index):
-        """Subscribe an index; it sees every subsequent delta once, in order."""
+        """Subscribe an index; it sees every subsequent delta once, in order.
+
+        An index that reads a view (``index.view``) is registered after
+        that view, so the view is current before the index reads it.
+        """
+        view = getattr(index, "view", None)
+        if view is not None and not any(view is sub for sub in self._subscribers):
+            raise ValueError(
+                "register the view an index reads on this state before the index"
+            )
         self._subscribers.append(index)
         return index
 
@@ -262,9 +273,11 @@ class PlacementState:
         """Validate and apply a delta; returns the dirtied node names.
 
         The batch is validated as a whole before any mutation, so a
-        rejected delta leaves the state untouched — and capacity is
-        checked against the *net* post-delta occupancy, so a swap into a
-        full leaf is legal (the paired departure frees the slot).
+        rejected delta leaves the state untouched and reaches no
+        subscriber — and capacity is checked against the *net* post-delta
+        occupancy, so a swap into a full leaf is legal (the paired
+        departure frees the slot).  Every subscriber gets the returned
+        list itself: root-first per touched leaf, first-touch order.
         """
         started = time.perf_counter()
         net: Dict[str, int] = {}
@@ -318,7 +331,7 @@ class PlacementState:
                 self._leaf_of[move.instance_id] = move.dst_leaf
         dirty = dirty_nodes(self.topology, delta.touched_leaves(self._leaf_of))
         for subscriber in self._subscribers:
-            subscriber.apply_delta(delta)
+            subscriber.apply_delta(delta, dirty)
         self._version += 1
         obs.count("delta.applied")
         obs.count("delta.moves", len(delta.moves))

@@ -34,7 +34,7 @@ from ..core.pipeline import SmoothOperator, SmoothOperatorConfig
 from ..core.placement import PlacementConfig
 from ..engine import Engine, ScenarioSpec, chaos_spec, run_many
 from ..infra.aggregation import NodePowerView
-from ..infra.breaker import BreakerModel, audit_view, power_safe
+from ..infra.breaker import BreakerModel, audit_view
 from ..infra.budget import preserved_budgets, provision_hierarchical
 from ..infra.topology import Level
 from ..reshaping.conversion import ConversionPolicy
@@ -300,7 +300,6 @@ def run_chaos_scenario(
                 # on).
                 obs_telemetry.record_view(view)
                 trips = audit_view(view, BreakerModel())
-                safe = power_safe(view, BreakerModel())
 
             # -- reshape under runtime faults ----------------------------
             with obs.span("chaos.reshape"):
@@ -314,7 +313,7 @@ def run_chaos_scenario(
         quality_clean=quality_clean,
         quality_chaos=quality_chaos,
         placement_trips=sum(len(t) for t in trips.values()),
-        placement_safe=safe,
+        placement_safe=not trips,
         reshaping=reshaping,
     )
 

@@ -314,16 +314,22 @@ def repair_telemetry(
     # ``stuck_min_run``, and an edge-filled gap forms a constant run that
     # only a later pass can see.  Each iteration operates on exactly what a
     # fresh call would see, so the loop stops precisely when another repair
-    # would change nothing: idempotence by construction.
+    # would change nothing — when nothing is flagged, or when the re-fill
+    # writes back the values it read (a stuck run at a row's edge is
+    # re-filled with its own value) — and that last pass is not counted:
+    # idempotence by construction.
     for _ in range(32):
         stuck = _stuck_mask(filled, policy.stuck_min_run)
         spikes = _spike_mask(np.where(stuck, np.nan, filled), policy) & ~stuck
         flags = stuck | spikes
         if not flags.any():
             break
+        refilled, n_interp, new_dead = _interpolate_gaps(filled, flags, policy)
+        if np.array_equal(refilled, filled):
+            break
+        filled = refilled
         report.n_stuck += int(stuck.sum())
         report.n_spikes += int(spikes.sum())
-        filled, n_interp, new_dead = _interpolate_gaps(filled, flags, policy)
         report.n_interpolated += n_interp
         dead.update(new_dead)
     report.dead_traces = [telemetry.ids[row] for row in sorted(dead)]

@@ -9,7 +9,7 @@ power/energy slack (metric 2) — read off this view.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 import numpy as np
 
@@ -24,11 +24,12 @@ class NodePowerView:
     """Aggregate power at every node of a tree under one placement.
 
     Beyond the one-shot bottom-up build, the view is an incremental index:
-    :meth:`apply_delta` ingests a
-    :class:`~repro.engine.delta.FleetDelta` and recomputes only the dirty
-    subtree — each dirty node with the *identical* expression the full
-    build uses, so the incrementally maintained aggregates (and the cached
-    per-node peaks) stay bit-identical to a from-scratch rebuild.
+    registered on a :class:`~repro.engine.delta.PlacementState`, its
+    :meth:`apply_delta` takes each delta the state has checked, with the
+    dirty nodes the state found, and recomputes only those nodes — each
+    with the *identical* expression the full build uses, so the
+    incrementally maintained aggregates (and the cached per-node peaks)
+    stay bit-identical to a from-scratch rebuild.
 
     Members are held as row indices into ``traces.matrix``.  Every node's
     aggregate is a row of one ``(nodes, T)`` array in the matrix's dtype,
@@ -56,34 +57,21 @@ class NodePowerView:
         if missing:
             raise ValueError(f"assignment places instances without traces: {missing[:5]}")
         self.topology = topology
-        self.assignment = assignment
         self.traces = traces
-        # Live membership for the incremental path, as rows of
-        # ``traces.matrix`` in arrival order.  After deltas these lists are
-        # authoritative; ``self.assignment`` keeps the as-built placement
-        # (materialize the current one via :meth:`materialized_assignment`).
+        # Live membership, as rows of ``traces.matrix`` in arrival order;
+        # :meth:`materialized_assignment` reads the current placement.
         self._leaf_rows: Dict[str, List[int]] = {
             leaf.name: [
                 traces.index_of(i) for i in assignment.instances_on_leaf(leaf.name)
             ]
             for leaf in topology.leaves()
         }
-        ids = traces.ids
-        self._leaf_of: Dict[str, str] = {
-            ids[row]: leaf_name
-            for leaf_name, rows in self._leaf_rows.items()
-            for row in rows
-        }
         #: node name → its aggregate, a row of one ``(nodes, T)`` array.
         self._node_values: Dict[str, np.ndarray] = {}
         #: internal node name → its children's rows of that array.
         self._blocks: Dict[str, np.ndarray] = {}
-        #: leaf name → node names on its root path, root first.
-        self._paths: Dict[str, Tuple[str, ...]] = {}
         self._depth: Dict[str, int] = {}
         self._peaks: Dict[str, float] = {}
-        self._version = 0
-        self._last_dirty: Tuple[str, ...] = ()
         self._layout()
         self._aggregate(topology.root)
 
@@ -96,22 +84,20 @@ class NodePowerView:
         """
         root = self.topology.root
         order = [root]
-        paths = {root.name: (root.name,)}
+        depth = self._depth
+        depth[root.name] = 0
         first_child: Dict[str, int] = {}
         for node in order:  # grows while it is walked
             first_child[node.name] = len(order)
             order.extend(node.children)
             for child in node.children:
-                paths[child.name] = paths[node.name] + (child.name,)
+                depth[child.name] = depth[node.name] + 1
         values = np.empty(
             (len(order), self.traces.grid.n_samples), dtype=self.traces.matrix.dtype
         )
         for row, node in enumerate(order):
             self._node_values[node.name] = values[row]
-            self._depth[node.name] = len(paths[node.name]) - 1
-            if node.is_leaf:
-                self._paths[node.name] = paths[node.name]
-            else:
+            if not node.is_leaf:
                 start = first_child[node.name]
                 self._blocks[node.name] = values[start : start + len(node.children)]
 
@@ -134,85 +120,27 @@ class NodePowerView:
     # ------------------------------------------------------------------
     # incremental maintenance
     # ------------------------------------------------------------------
-    @property
-    def version(self) -> int:
-        """Number of deltas applied to this view."""
-        return self._version
+    def apply_delta(self, delta, dirty) -> None:
+        """Apply a delta that :class:`~repro.engine.delta.PlacementState`
+        has checked, with the ``dirty`` nodes it found.
 
-    @property
-    def last_dirty(self) -> Tuple[str, ...]:
-        """Node names dirtied (and refreshed) by the most recent delta."""
-        return self._last_dirty
-
-    def apply_delta(self, delta) -> List[str]:
-        """Apply a :class:`~repro.engine.delta.FleetDelta` to the view.
-
-        Validates every move first, so a rejected delta leaves the view
-        untouched; then updates the live membership move by move and
-        recomputes exactly the dirty subtree — touched leaves from member
-        rows, their ancestors from child aggregates, deepest first — and
-        invalidates the cached peaks of those nodes.  Returns the dirty
-        node names (root-first per touched leaf, first-touch order).
+        Moves each moved row between its leaves' row lists, then re-sums
+        exactly the dirty nodes — touched leaves from member rows, their
+        ancestors from child aggregates, deepest first — and invalidates
+        the cached peaks of those nodes.
         """
-        touched = self._check_delta(delta)
         index_of = self.traces.index_of
         for move in delta.moves:
-            instance_id = move.instance_id
+            row = index_of(move.instance_id)
             if move.src_leaf is not None:
-                self._leaf_rows[move.src_leaf].remove(index_of(instance_id))
-                del self._leaf_of[instance_id]
+                self._leaf_rows[move.src_leaf].remove(row)
             if move.dst_leaf is not None:
-                self._leaf_rows[move.dst_leaf].append(index_of(instance_id))
-                self._leaf_of[instance_id] = move.dst_leaf
-
-        dirty: List[str] = []
-        seen = set()
-        for leaf_name in touched:
-            for name in self._paths[leaf_name]:
-                if name not in seen:
-                    seen.add(name)
-                    dirty.append(name)
+                self._leaf_rows[move.dst_leaf].append(row)
         # Children before parents: recompute deepest nodes first.
         for name in sorted(dirty, key=self._depth.__getitem__, reverse=True):
             self._compute_node(name)
             self._peaks.pop(name, None)
-        self._version += 1
-        self._last_dirty = tuple(dirty)
         obs.count("delta.view_nodes_recomputed", len(dirty))
-        return dirty
-
-    def _check_delta(self, delta) -> List[str]:
-        """Reject a delta the view cannot apply; return its touched leaves.
-
-        An arrival is judged against the membership the delta's own
-        departures leave (each instance appears in at most one move), so
-        a swap is legal, as in
-        :meth:`~repro.engine.delta.PlacementState.apply`.
-        """
-        final: Dict[str, Optional[str]] = {}
-        for move in delta.moves:
-            instance_id = move.instance_id
-            if (
-                move.src_leaf is not None
-                and self._leaf_of.get(instance_id) != move.src_leaf
-            ):
-                raise ValueError(f"{instance_id!r} is not on leaf {move.src_leaf!r}")
-            if move.dst_leaf is not None:
-                if move.dst_leaf not in self._leaf_rows:
-                    raise KeyError(f"{move.dst_leaf!r} is not a leaf")
-                if move.src_leaf is None and instance_id in self._leaf_of:
-                    raise ValueError(f"{instance_id!r} is already placed")
-                if instance_id not in self.traces:
-                    raise ValueError(f"{instance_id!r} has no trace")
-            final[instance_id] = move.dst_leaf
-
-        def leaf_after(instance_id: str) -> str:
-            leaf = final.get(instance_id, self._leaf_of.get(instance_id))
-            if leaf is None:
-                raise KeyError(f"{instance_id!r} is not placed")
-            return leaf
-
-        return delta.touched_leaves(leaf_after)
 
     def member_ids(self, leaf_name: str) -> List[str]:
         """Current members of a leaf, in arrival order (a copy)."""

@@ -110,7 +110,9 @@ def audit_view(view: NodePowerView, model: Optional[BreakerModel] = None) -> Dic
 def power_safe(view: NodePowerView, model: Optional[BreakerModel] = None) -> bool:
     """True when no budgeted node of ``view`` trips a breaker.
 
-    Convenience wrapper over :func:`audit_view` for safety assertions: the
-    chaos harness calls this after every recovery step.
+    Convenience wrapper over :func:`audit_view` for safety assertions.  It
+    runs the whole audit, breaker events included, so a caller that also
+    wants the trips should call :func:`audit_view` once and test its
+    result instead.
     """
     return not audit_view(view, model)

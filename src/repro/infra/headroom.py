@@ -74,16 +74,11 @@ class HeadroomIndex:
     """Per-node nominal headroom maintained under deltas.
 
     The incremental counterpart of :func:`node_headroom`: instead of a
-    full ``recompute()`` after every placement action, call
-    :meth:`apply_delta` with the :class:`~repro.engine.delta.FleetDelta` that
-    describes the action and only the dirtied budgeted nodes' entries are
-    refreshed — with the identical expression the full pass uses, so
-    :meth:`headroom` stays bit-identical to ``node_headroom`` over a
-    freshly rebuilt view.
-
-    The index drives its view, but shares it safely with other
-    subscribers via the view's delta version (whoever sees the delta
-    first advances the view; later subscribers reuse ``last_dirty``).
+    full ``recompute()`` after every placement action, register the index
+    on a :class:`~repro.engine.delta.PlacementState` after its view, and
+    each delta refreshes only the dirtied budgeted nodes' entries — with
+    the identical expression the full pass uses, so :meth:`headroom`
+    stays bit-identical to ``node_headroom`` over a freshly rebuilt view.
     """
 
     def __init__(
@@ -94,7 +89,6 @@ class HeadroomIndex:
     ) -> None:
         self.view = view
         self.reserve = dict(reserve) if reserve else {}
-        self._seen_version = view.version
         self._budgets: Dict[str, float] = {
             node.name: node.budget_watts
             for node in view.topology.nodes()
@@ -111,17 +105,8 @@ class HeadroomIndex:
         )
 
     # ------------------------------------------------------------------
-    def apply_delta(self, delta) -> None:
+    def apply_delta(self, delta, dirty) -> None:
         """Apply a delta: refresh headroom for the dirtied budgeted nodes."""
-        if self.view.version == self._seen_version:
-            dirty = self.view.apply_delta(delta)
-        elif self.view.version == self._seen_version + 1:
-            dirty = list(self.view.last_dirty)
-        else:
-            raise RuntimeError(
-                "view advanced more than one delta ahead of this index"
-            )
-        self._seen_version = self.view.version
         for name in dirty:
             if name in self._values:
                 self._values[name] = self._entry(name)

@@ -143,26 +143,36 @@ class EventLog:
         self._events.append(event)
         return event
 
-    def append(self, event: Event) -> Event:
-        """Append a pre-built event, restamping only its sequence number.
+    def append(
+        self,
+        kind: str,
+        *,
+        severity: str,
+        source: str,
+        fields: Dict[str, object],
+        span_id: Optional[int],
+        span_path: Optional[str],
+    ) -> Event:
+        """Append one event with the given span correlation; stamp its seq.
 
-        Unlike :meth:`emit` this preserves the event's span correlation as
-        given instead of sampling the coordinator's open span — it is the
-        merge path for events shipped from worker processes, whose
-        ``span_id`` has already been remapped onto the rebuilt span tree.
+        Unlike :meth:`emit` this keeps the span correlation as given
+        instead of sampling the coordinator's open span — it is the merge
+        path for events shipped from worker processes, whose ``span_id``
+        has already been remapped onto the rebuilt span tree.  The event
+        keeps ``fields`` itself, so the caller hands over a dict it owns.
         """
         self._seq += 1
-        stamped = Event(
+        event = Event(
             seq=self._seq,
-            kind=event.kind,
-            severity=event.severity,
-            source=event.source,
-            fields=dict(event.fields),
-            span_id=event.span_id,
-            span_path=event.span_path,
+            kind=kind,
+            severity=severity,
+            source=source,
+            fields=fields,
+            span_id=span_id,
+            span_path=span_path,
         )
-        self._events.append(stamped)
-        return stamped
+        self._events.append(event)
+        return event
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:

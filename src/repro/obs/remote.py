@@ -320,13 +320,10 @@ def _merge_one(
             fields.setdefault("shard_id", bundle.shard_id)
             span_id = payload.get("span_id")
             log.append(
-                _events.Event(
-                    seq=int(payload["seq"]),
-                    kind=str(payload["kind"]),
-                    severity=str(payload.get("severity", "info")),
-                    source=str(payload.get("source", "")),
-                    fields=fields,
-                    span_id=id_map.get(span_id) if span_id is not None else None,
-                    span_path=payload.get("span_path"),
-                )
+                str(payload["kind"]),
+                severity=str(payload.get("severity", "info")),
+                source=str(payload.get("source", "")),
+                fields=fields,
+                span_id=id_map.get(span_id) if span_id is not None else None,
+                span_path=payload.get("span_path"),
             )

@@ -380,8 +380,9 @@ def record_delta(
     The incremental companion of :func:`record_view`: after a
     :class:`~repro.engine.delta.FleetDelta` is applied to a view, feeding
     the flight recorder (and precursor/violation detection) only needs
-    the refreshed aggregates — ``dirty_nodes`` is typically the view's
-    ``last_dirty``.  Unbudgeted dirty nodes are skipped, like in
+    the refreshed aggregates — ``dirty_nodes`` is the list
+    :meth:`~repro.engine.delta.PlacementState.apply` returned for that
+    delta.  Unbudgeted dirty nodes are skipped, like in
     :func:`record_view`.  Returns the number of nodes recorded; a cheap
     no-op (returning 0) when nothing is installed.
     """

@@ -229,13 +229,15 @@ class RobustHeadroomIndex:
             raise KeyError(f"{instance_id!r} is not placed")
 
     # ------------------------------------------------------------------
-    def apply_delta(self, delta) -> None:
+    def apply_delta(self, delta, dirty) -> None:
         """Apply a :class:`~repro.engine.delta.FleetDelta` to the index.
 
         Moves map directly onto :meth:`place` / :meth:`remove` /
         :meth:`move` (each O(depth × log n)).  Trace updates re-read the
         uncertainty model for the named instances (remove + place), so a
         refreshed nominal/radius takes effect along the whole root path.
+        ``dirty`` is not read: each accountant update walks its own root
+        path.
         """
         for mv in delta.moves:
             instance_id = mv.instance_id

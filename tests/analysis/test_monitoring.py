@@ -226,6 +226,24 @@ class TestMonitorDeltaFeed:
         assert not snapshot.healthy
         assert monitor.assignment.as_mapping() == assignment.with_swap("d1", "u2").as_mapping()
 
+    def test_overfilling_delta_is_rejected(self, setting):
+        """The monitor's own placement state checks each delta, so a move
+        into a full leaf raises and leaves the monitor's placement as it was."""
+        _, _, traces = setting
+        topo = build_topology(two_level_spec("dc", leaves=2, leaf_capacity=2))
+        assignment = Assignment(
+            topo, {"u1": "dc/rpp0", "d1": "dc/rpp0", "u2": "dc/rpp1", "d2": "dc/rpp1"}
+        )
+        monitor = FragmentationMonitor(assignment, MonitorConfig(level=Level.RPP))
+        monitor.calibrate(traces)
+        with pytest.raises(ValueError, match="capacity"):
+            monitor.observe_delta(
+                "overfill", self._delta().move("u2", "dc/rpp1", "dc/rpp0")
+            )
+        assert len(monitor.history) == 1
+        monitor.observe("same-traces", traces)
+        assert monitor.assignment.as_mapping() == assignment.as_mapping()
+
     def test_registers_as_placement_state_subscriber(self, setting):
         from repro.engine.delta import PlacementState
 

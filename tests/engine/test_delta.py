@@ -181,16 +181,19 @@ class TestPlacementState:
             def __init__(self, tag):
                 self.tag = tag
 
-            def apply_delta(self, delta):
-                calls.append((self.tag, delta))
+            def apply_delta(self, delta, dirty):
+                calls.append((self.tag, delta, dirty))
 
         state.register(Probe("first"))
         state.register(Probe("second"))
         a = state.members("dc/rpp0")[0]
         b = state.members("dc/rpp1")[0]
-        state.swap(a, b)
-        assert [tag for tag, _ in calls] == ["first", "second"]
+        dirty = state.swap(a, b)
+        assert [tag for tag, _, _ in calls] == ["first", "second"]
         assert calls[0][1] is calls[1][1]
+        # One dirty walk: both probes get the very list apply returns.
+        assert calls[0][2] is calls[1][2] is dirty
+        assert dirty == dirty_nodes(topo, ["dc/rpp0", "dc/rpp1"])
 
     def test_headroom_indices_define_the_one_delta_hook(self):
         """Both headroom indices define ``apply_delta``, the name the fan-out
@@ -204,27 +207,39 @@ class TestPlacementState:
 
 
 class TestViewRejectsWholeDelta:
-    """A delta the view rejects changes nothing, whichever move is bad."""
+    """A delta the state rejects reaches neither the view nor its indices,
+    whichever move is bad."""
 
     @staticmethod
-    def _view_with_spare():
+    def _state_with_spare():
         topo, assignment, traces = small_fleet()
         rng = np.random.default_rng(1)
         spare = TraceSet(GRID, ["spare"], rng.uniform(5, 50, size=(1, GRID.n_samples)))
-        view = NodePowerView(topo, assignment, traces.merged_with(spare))
-        a = view.member_ids("dc/rpp0")[0]
-        b = view.member_ids("dc/rpp1")[0]
-        view.apply_delta(FleetDelta.swap(a, "dc/rpp0", b, "dc/rpp1"))
-        return topo, view
+        traces = traces.merged_with(spare)
+        state = PlacementState(topo, traces, assignment)
+        view = state.register(NodePowerView(topo, assignment, traces))
+        provision_from_view(view, margin=1.5)
+        scores = state.register(AsynchronyIndex(view, Level.RPP))
+        headroom = state.register(HeadroomIndex(view))
+        state.swap(state.members("dc/rpp0")[0], state.members("dc/rpp1")[0])
+        return state, view, scores, headroom
 
     @staticmethod
-    def _snapshot(topo, view):
+    def _snapshot(state, view, scores, headroom):
+        topo = state.topology
         return (
+            state.mapping(),
             {leaf: view.member_ids(leaf) for leaf in topo.leaf_names()},
-            view.version,
-            view.last_dirty,
+            scores.scores(),
+            headroom.headroom(),
             {node.name: view.node_trace(node.name).values for node in topo.nodes()},
         )
+
+    def _assert_unchanged(self, before, indexed):
+        after = self._snapshot(*indexed)
+        assert after[:4] == before[:4]
+        for name, values in before[4].items():
+            assert np.array_equal(after[4][name], values), name
 
     @pytest.mark.parametrize(
         "second, error",
@@ -236,40 +251,40 @@ class TestViewRejectsWholeDelta:
         ],
     )
     def test_rejected_second_move_changes_nothing(self, second, error):
-        topo, view = self._view_with_spare()
-        before = self._snapshot(topo, view)
-        first = Move(view.member_ids("dc/rpp0")[0], "dc/rpp0", "dc/rpp3")
+        indexed = self._state_with_spare()
+        state, view = indexed[:2]
+        before = self._snapshot(*indexed)
+        first = Move(state.members("dc/rpp0")[0], "dc/rpp0", "dc/rpp3")
         with pytest.raises(error):
-            view.apply_delta(FleetDelta(moves=(first, second)))
-        after = self._snapshot(topo, view)
-        assert after[:3] == before[:3]
-        for name, values in before[3].items():
-            assert np.array_equal(after[3][name], values), name
-        fresh = NodePowerView(topo, view.materialized_assignment(), view.traces)
-        for node in topo.nodes():
+            state.apply(FleetDelta(moves=(first, second)))
+        self._assert_unchanged(before, indexed)
+        assert state.version == 1
+        fresh = NodePowerView(state.topology, state.assignment(), view.traces)
+        for node in state.topology.nodes():
             assert np.array_equal(
                 view._node_values[node.name], fresh._node_values[node.name]
             )
 
     def test_refresh_of_an_instance_the_delta_removes_changes_nothing(self):
-        topo, view = self._view_with_spare()
-        before = self._snapshot(topo, view)
-        leaving = view.member_ids("dc/rpp2")[0]
+        indexed = self._state_with_spare()
+        state = indexed[0]
+        before = self._snapshot(*indexed)
+        leaving = state.members("dc/rpp2")[0]
         with pytest.raises(KeyError):
-            view.apply_delta(
+            state.apply(
                 FleetDelta(
                     moves=(Move(leaving, "dc/rpp2", None),),
                     trace_updates=(leaving,),
                 )
             )
-        assert self._snapshot(topo, view)[:3] == before[:3]
+        self._assert_unchanged(before, indexed)
 
     def test_arrivals_are_judged_after_departures(self):
         """A swap and a departure-then-arrival pass the up-front check."""
-        topo, view = self._view_with_spare()
-        a = view.member_ids("dc/rpp2")[0]
-        b = view.member_ids("dc/rpp3")[0]
-        view.apply_delta(
+        state, view, scores, headroom = self._state_with_spare()
+        a = state.members("dc/rpp2")[0]
+        b = state.members("dc/rpp3")[0]
+        state.apply(
             FleetDelta(
                 moves=(
                     Move(a, "dc/rpp2", "dc/rpp3"),
@@ -281,12 +296,16 @@ class TestViewRejectsWholeDelta:
         assert view.member_ids("dc/rpp3")[-1] == a
         assert view.member_ids("dc/rpp2")[-1] == b
         assert view.member_ids("dc/rpp0")[-1] == "spare"
-        assert view.version == 2
+        for leaf in state.topology.leaf_names():
+            assert view.member_ids(leaf) == state.members(leaf)
+        assert state.version == 2
 
 
 class TestSharedViewGuard:
     def test_indices_sharing_a_view_apply_each_delta_once(self):
-        """Two indices over one view: the view advances once per delta."""
+        """Two indices over one view: each delta re-sums each dirty node once."""
+        from repro.obs import metrics as obs_metrics
+
         topo, assignment, traces = small_fleet()
         state = PlacementState(topo, traces, assignment)
         view = NodePowerView(topo, state.assignment(), traces)
@@ -296,8 +315,10 @@ class TestSharedViewGuard:
         head_index = state.register(HeadroomIndex(view))
         a = state.members("dc/rpp0")[0]
         b = state.members("dc/rpp1")[0]
-        state.swap(a, b)
-        assert view.version == 1
+        with obs_metrics.capturing() as registry:
+            dirty = state.swap(a, b)
+        counters = registry.snapshot()["counters"]
+        assert counters["delta.view_nodes_recomputed"] == len(dirty)
 
         fresh_view = NodePowerView(topo, state.assignment(), traces)
         assert score_index.scores() == node_asynchrony_scores(
@@ -305,19 +326,24 @@ class TestSharedViewGuard:
         )
         assert head_index.headroom() == node_headroom(fresh_view)
 
-    def test_index_drives_view_when_standalone(self):
+    @pytest.mark.parametrize(
+        "make_index",
+        [lambda view: AsynchronyIndex(view, Level.RPP), HeadroomIndex],
+        ids=["scores", "headroom"],
+    )
+    def test_index_registered_before_its_view_is_refused(self, make_index):
+        """An index reads its view's aggregates, so the view must already
+        be on the state; refusing at registration leaves nothing applied."""
         topo, assignment, traces = small_fleet()
-        view = NodePowerView(topo, assignment, traces)
-        index = AsynchronyIndex(view, Level.RPP)
-        delta = FleetDelta.swap(
-            assignment.instances_on_leaf("dc/rpp0")[0],
-            "dc/rpp0",
-            assignment.instances_on_leaf("dc/rpp1")[0],
-            "dc/rpp1",
-        )
-        index.apply_delta(delta)
-        assert view.version == 1
-        fresh = NodePowerView(topo, view.materialized_assignment(), traces)
-        assert index.scores() == node_asynchrony_scores(
-            view.materialized_assignment(), traces, Level.RPP, view=fresh
-        )
+        state = PlacementState(topo, traces, assignment)
+        view = NodePowerView(topo, state.assignment(), traces)
+        with pytest.raises(ValueError, match="view"):
+            state.register(make_index(view))
+        # A view registered on another state does not count either.
+        PlacementState(topo, traces, assignment).register(view)
+        with pytest.raises(ValueError, match="view"):
+            state.register(make_index(view))
+        state.register(view)
+        state.register(make_index(view))
+        state.swap("i0", "i1")
+        assert view.member_ids("dc/rpp0") == state.members("dc/rpp0")

@@ -104,6 +104,20 @@ def test_scenario_leaves_the_cached_budgets_alone():
     assert outcome.reshaping.scenario.budget_watts != before[dc.topology.root.name]
 
 
+def test_audit_records_each_placement_trip_once():
+    """The audit scans the deployed placement once, so an event log holds
+    one breaker event per placement trip, and the verdict reads those trips."""
+    from repro.obs import events
+
+    with events.recording() as log:
+        outcome = run_chaos_scenario(
+            scenario_by_name("stuck_sensors"), dc_name="DC1", **SMALL
+        )
+    assert outcome.placement_trips > 0
+    assert not outcome.placement_safe
+    assert len(log.by_kind(events.BREAKER_TRIP)) == outcome.placement_trips
+
+
 class TestReporting:
     def test_table_lists_every_scenario(self, clean_outcome, dirty_outcome):
         table = format_chaos_table([clean_outcome, dirty_outcome])

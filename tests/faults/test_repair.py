@@ -101,6 +101,32 @@ class TestDetectors:
         np.testing.assert_allclose(outcome.traces.row("flat"), 42.0)
 
 
+class TestFixpoint:
+    def test_no_op_refill_ends_the_loop(self, monkeypatch):
+        """A stuck run through a row's last sample is re-filled with its own
+        value, so the detect/re-fill loop has reached its fixpoint: it stops
+        by the second detect pass and counts each flagged sample once at
+        most."""
+        import repro.faults.repair as repair_module
+
+        traces = smooth_traces(n_rows=2)
+        matrix = traces.matrix.copy()
+        matrix[0, -20:] = matrix[0, -21]  # 20 stuck samples after a real one
+        passes = []
+        detect = repair_module._stuck_mask
+
+        def counting_detect(values, min_run):
+            passes.append(min_run)
+            return detect(values, min_run)
+
+        monkeypatch.setattr(repair_module, "_stuck_mask", counting_detect)
+        outcome = repair_telemetry(RawTelemetry(GRID, list(traces.ids), matrix))
+        assert len(passes) <= 2
+        assert outcome.report.n_stuck <= 20
+        assert outcome.report.n_interpolated <= 20
+        np.testing.assert_array_equal(outcome.traces.matrix, matrix)
+
+
 class TestRealign:
     def test_misaligned_grid_snapped_back(self):
         traces = smooth_traces()

@@ -300,6 +300,7 @@ class TestRecordDelta:
     def _fleet(self):
         import numpy as np
 
+        from repro.engine.delta import PlacementState
         from repro.infra import Assignment, NodePowerView, build_topology, two_level_spec
         from repro.infra.budget import provision_from_view
         from repro.traces import TimeGrid, TraceSet
@@ -310,15 +311,14 @@ class TestRecordDelta:
         ids = [f"i{k}" for k in range(9)]
         traces = TraceSet(grid, ids, rng.uniform(1, 10, size=(9, 24)))
         mapping = {ids[k]: topo.leaf_names()[k % 3] for k in range(9)}
-        view = NodePowerView(topo, Assignment(topo, mapping), traces)
+        state = PlacementState(topo, traces, mapping)
+        view = state.register(NodePowerView(topo, Assignment(topo, mapping), traces))
         provision_from_view(view, margin=0.1)
-        return topo, view
+        return topo, state, view
 
     def test_records_only_dirty_budgeted_nodes(self):
-        from repro.engine.delta import FleetDelta
-
-        topo, view = self._fleet()
-        dirty = view.apply_delta(FleetDelta.swap("i0", "dc/rpp0", "i1", "dc/rpp1"))
+        topo, state, view = self._fleet()
+        dirty = state.swap("i0", "i1")
         with telemetry.recording() as recorder:
             recorded = telemetry.record_delta(view, dirty)
         budgeted_dirty = [

@@ -4,7 +4,8 @@ The delta layer's contract is exactness: after an arbitrary sequence of
 swaps, moves, arrivals, departures, and in-place trace refreshes, every
 incrementally maintained index (per-node aggregates and peaks, asynchrony
 scores, nominal headroom) must be *bit-identical* to a from-scratch
-rebuild from the materialized assignment; the Γ-robust accountants (whose
+rebuild from the materialized assignment, and so must the last snapshot
+of a subscribed fragmentation monitor; the Γ-robust accountants (whose
 O(1) float patches reorder additions by design) must agree within
 accumulation tolerance.  Float32 fast-path traces are exercised alongside
 float64, and a second family of scenes runs on a deeper tree (five levels
@@ -16,6 +17,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.monitoring import FragmentationMonitor, MonitorConfig
 from repro.core.metrics import AsynchronyIndex, node_asynchrony_scores
 from repro.engine.delta import PlacementState
 from repro.infra import (
@@ -166,6 +168,10 @@ def _run_scene(scene):
     provision_from_view(view, margin=0.25)
     score_index = state.register(AsynchronyIndex(view, Level.RPP))
     head_index = state.register(HeadroomIndex(view))
+    config = MonitorConfig(level=Level.RPP)
+    monitor = FragmentationMonitor(assignment, config)
+    monitor.calibrate(traces)
+    state.register(monitor)
 
     _apply_ops(state, traces, ops, rng)
 
@@ -195,6 +201,12 @@ def _run_scene(scene):
 
     assert head_index.headroom() == node_headroom(fresh_view)
     head_index.verify()
+
+    last = monitor.history[-1]
+    reference = FragmentationMonitor(fresh_assignment, config).calibrate(traces)
+    assert last.sum_of_peaks == reference.sum_of_peaks
+    assert last.worst_node == reference.worst_node
+    assert last.min_asynchrony == reference.min_asynchrony
 
 
 class TestIncrementalEqualsFull:
