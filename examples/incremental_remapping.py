@@ -10,7 +10,7 @@ both nodes.  Each swap costs exactly two instance migrations.
 This example starts from a legacy, service-grouped placement and shows how
 much of the full optimiser's benefit a bounded number of swaps recovers.
 
-Run:  python examples/workload_drift.py
+Run:  python examples/incremental_remapping.py
 """
 
 from repro.analysis import format_percent, format_table

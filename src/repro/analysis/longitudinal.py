@@ -7,9 +7,12 @@ module simulates that regime end-to-end:
 
 * service behaviour drifts week over week (peak hours shift, amplitudes
   grow/shrink) while every instance keeps its stable *personality*;
-* a :class:`FragmentationMonitor` watches each week's telemetry;
+* one :class:`~repro.engine.delta.PlacementState` holds the placement
+  across the weeks: each new week is written into its trace rows and
+  announced as a trace refresh, and a :class:`FragmentationMonitor` on its
+  view and index watches the result;
 * when it raises advisories, the Sec. 3.6 swap engine runs with a bounded
-  migration budget.
+  migration budget, and its swaps go through the state.
 
 The output is the weekly sum-of-peaks trajectory with and without
 adaptation — the quantity that decides how often a datacenter must re-run
@@ -23,7 +26,9 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
+from ..core.metrics import AsynchronyIndex
 from ..core.remapping import RemapConfig, RemappingEngine
+from ..engine.delta import PlacementState
 from ..infra.aggregation import NodePowerView
 from ..infra.assignment import Assignment
 from ..traces.instance import InstanceRecord
@@ -215,7 +220,7 @@ class LongitudinalSimulation:
         self.initial_assignment = initial_assignment
         self.level = level
         self.monitor_config = monitor_config or MonitorConfig(
-            level=level, sum_of_peaks_tolerance=0.02
+            sum_of_peaks_tolerance=0.02
         )
         self.remap_config = remap_config or RemapConfig(
             level=level, max_swaps=20, candidate_nodes=5
@@ -225,40 +230,46 @@ class LongitudinalSimulation:
         if n_weeks <= 0:
             raise ValueError("n_weeks must be positive")
         topology = self.initial_assignment.topology
-        assignment = self.initial_assignment
-        monitor = FragmentationMonitor(assignment, self.monitor_config)
+        traces = self.fleet.week(0)
+        state = PlacementState(topology, traces, self.initial_assignment)
+        view = state.register(NodePowerView(topology, self.initial_assignment, traces))
+        index = state.register(AsynchronyIndex(view, self.level))
+        monitor = FragmentationMonitor(index, self.monitor_config)
 
         adaptive: List[WeekOutcome] = []
         static: List[float] = []
         for week in range(n_weeks):
-            traces = self.fleet.week(week)
-            # The static arm never adapts.
-            static_view = NodePowerView(topology, self.initial_assignment, traces)
-            static.append(static_view.sum_of_peaks(self.level))
-
-            if week == 0:
-                snapshot = monitor.calibrate(traces)
-                swaps = 0
-            else:
-                snapshot = monitor.observe(f"week-{week}", traces)
-                swaps = 0
-                if snapshot.advisories:
+            advisories = swaps = 0
+            if week > 0:
+                _write_week(traces, self.fleet.week(week))
+                state.update_traces(*traces.ids)
+                advisories = len(monitor.observe(f"week-{week}").advisories)
+                if advisories:
                     engine = RemappingEngine(self.remap_config)
-                    result = engine.run(assignment, traces)
+                    result = engine.run(state.assignment(), traces)
+                    for swap in result.swaps:
+                        state.swap(swap.instance_a, swap.instance_b)
                     swaps = result.n_swaps
                     if swaps:
-                        assignment = result.assignment
-                        monitor = FragmentationMonitor(
-                            assignment, self.monitor_config
-                        )
-                        monitor.calibrate(traces)
-            view = NodePowerView(topology, assignment, traces)
+                        monitor.calibrate()
+            # The static arm never adapts: a frozen view per week.
+            static_view = NodePowerView(topology, self.initial_assignment, traces)
+            static.append(static_view.sum_of_peaks(self.level))
             adaptive.append(
                 WeekOutcome(
                     week=week,
                     sum_of_peaks=view.sum_of_peaks(self.level),
-                    advisories=len(snapshot.advisories),
+                    advisories=advisories,
                     swaps_performed=swaps,
                 )
             )
         return LongitudinalResult(adaptive=adaptive, static=static)
+
+
+def _write_week(traces: TraceSet, week: TraceSet) -> None:
+    """Overwrite ``traces``' rows with ``week``'s, which must match row for row."""
+    if week.grid != traces.grid or week.ids != traces.ids:
+        raise ValueError(
+            "a week's telemetry must keep the first week's grid and instance order"
+        )
+    traces.matrix[...] = week.matrix

@@ -3,11 +3,11 @@
 "Our framework continuously records the I-traces and the S-traces, and
 dynamically re-evaluates the severity of the fragmentation problem by
 monitoring the sum of peaks of power traces at each level of power
-infrastructure."  A :class:`FragmentationMonitor` ingests periodic trace
-snapshots, tracks each level's sum of peaks and worst node against the
-values observed at deployment time, and raises advisories when drift
-exceeds configured thresholds — the trigger for running the remapping
-engine.
+infrastructure."  A :class:`FragmentationMonitor` reads the live
+aggregates and scores of one :class:`~repro.engine.delta.PlacementState`,
+tracks its level's sum of peaks and worst node against the values observed
+at calibration time, and raises advisories when drift exceeds configured
+thresholds — the trigger for running the remapping engine.
 """
 
 from __future__ import annotations
@@ -17,25 +17,20 @@ from typing import List, Optional
 
 from .. import obs
 from ..core.metrics import AsynchronyIndex
-from ..engine.delta import PlacementState
-from ..infra.aggregation import NodePowerView
-from ..infra.assignment import Assignment
 from ..obs import events as obs_events
 from ..obs import telemetry as obs_telemetry
-from ..traces.traceset import TraceSet
 
 
 @dataclass(frozen=True)
 class MonitorConfig:
     """Drift thresholds.
 
-    An advisory fires when a level's sum of peaks grows by more than
-    ``sum_of_peaks_tolerance`` (fractional) over its deployment-time
+    An advisory fires when the monitored level's sum of peaks grows by
+    more than ``sum_of_peaks_tolerance`` (fractional) over its calibration
     reference, or when any node's asynchrony score falls below
     ``min_asynchrony``.
     """
 
-    level: str
     sum_of_peaks_tolerance: float = 0.05
     min_asynchrony: float = 1.02
 
@@ -80,73 +75,56 @@ class Snapshot:
 
 
 class FragmentationMonitor:
-    """Tracks a placement's fragmentation over successive trace snapshots.
+    """Tracks a placement's fragmentation as its state changes.
 
-    Two feeds are supported.  Snapshot mode (:meth:`observe`) ingests a
-    whole new trace set and re-measures the fleet.  Delta mode
-    (:meth:`observe_delta`) ingests a
-    :class:`~repro.engine.delta.FleetDelta` — one swap, move, or in-place
-    trace refresh — through the monitor's own
-    :class:`~repro.engine.delta.PlacementState`, which checks it and
-    re-scores only the dirtied nodes through the monitor's persistent
-    incremental view and :class:`~repro.core.metrics.AsynchronyIndex`, so
-    :meth:`needs_remapping` stays current at O(affected subtree) per
-    placement action instead of O(fleet).
+    The monitor owns no placement and no aggregate: it reads an
+    :class:`~repro.core.metrics.AsynchronyIndex` and the
+    :class:`~repro.infra.aggregation.NodePowerView` that index reads
+    (``index.view``), both registered on the
+    :class:`~repro.engine.delta.PlacementState` that owns the placement,
+    and judges the index's level.  It calibrates when it is built, so
+    ``history[0]`` is the ``"calibration"`` snapshot.  New telemetry
+    arrives as trace rows rewritten in place and announced with
+    ``state.update_traces``, a remap as swaps through ``state.swap``;
+    :meth:`observe` then evaluates the live state.  Registered on the
+    state itself (after its index), the monitor observes every delta
+    through :meth:`apply_delta`, so :meth:`needs_remapping` stays current
+    at O(affected subtree) per placement action instead of O(fleet).
     """
 
-    def __init__(self, assignment: Assignment, config: MonitorConfig) -> None:
-        self.assignment = assignment
+    def __init__(self, index: AsynchronyIndex, config: MonitorConfig) -> None:
+        self.index = index
         self.config = config
-        self._reference_sum_of_peaks: Optional[float] = None
-        self._state: Optional[PlacementState] = None
-        self._view: Optional[NodePowerView] = None
-        self._index: Optional[AsynchronyIndex] = None
         self.history: List[Snapshot] = []
+        self.calibrate()
 
     # ------------------------------------------------------------------
-    def calibrate(self, traces: TraceSet) -> Snapshot:
-        """Record the deployment-time reference from the first snapshot."""
-        snapshot = self._measure("calibration", traces, check=False)
+    def calibrate(self) -> Snapshot:
+        """Take the live state as the new reference, e.g. after a remap."""
+        snapshot = self._snapshot("calibration", reference=None)
         self._reference_sum_of_peaks = snapshot.sum_of_peaks
         self.history.append(snapshot)
         return snapshot
 
-    def observe(self, label: str, traces: TraceSet) -> Snapshot:
-        """Ingest a new snapshot and evaluate drift against the reference."""
-        if self._reference_sum_of_peaks is None:
-            raise RuntimeError("monitor must be calibrated before observing")
-        snapshot = self._measure(label, traces, check=True)
+    def observe(self, label: str) -> Snapshot:
+        """Evaluate the live state's drift against the reference."""
+        snapshot = self._snapshot(label, reference=self._reference_sum_of_peaks)
         self.history.append(snapshot)
         self._emit_advisories(label, snapshot)
-        return snapshot
-
-    def observe_delta(self, label: str, delta) -> Snapshot:
-        """Ingest one placement delta and re-evaluate drift incrementally.
-
-        Applies the delta through the monitor's placement state, which
-        checks it and re-sums and re-scores only the dirty subtree,
-        evaluates the same thresholds as :meth:`observe`, and feeds the
-        dirtied budgeted nodes' aggregate traces to the active flight
-        recorder — so precursor detection and violation events keep
-        flowing without re-scoring the fleet.
-        """
-        if self._reference_sum_of_peaks is None or self._state is None:
-            raise RuntimeError("monitor must be calibrated before observing")
-        dirty = self._state.apply(delta)
-        snapshot = self._snapshot_from_cache(label, check=True)
-        self.history.append(snapshot)
-        self._emit_advisories(label, snapshot)
-        obs_telemetry.record_delta(self._view, dirty)
-        obs.count("monitor.delta_observations")
         return snapshot
 
     def apply_delta(self, delta, dirty) -> None:
         """Subscriber-protocol hook for :class:`~repro.engine.delta.PlacementState`.
 
-        The delta goes through the monitor's own state, like
-        :meth:`observe_delta`; ``dirty`` is not read.
+        The state has applied the delta and its view and index have
+        caught up, so the monitor observes the new state and feeds the
+        ``dirty`` budgeted nodes' aggregate traces to the active flight
+        recorder — precursor detection and violation events keep flowing
+        without re-scoring the fleet.
         """
-        self.observe_delta(f"delta:{len(self.history)}", delta)
+        self.observe(f"delta:{len(self.history)}")
+        obs_telemetry.record_delta(self.index.view, dirty)
+        obs.count("monitor.delta_observations")
 
     def _emit_advisories(self, label: str, snapshot: Snapshot) -> None:
         # Mirror the findings into the structured event log (no-op unless
@@ -168,37 +146,24 @@ class FragmentationMonitor:
 
     def needs_remapping(self) -> bool:
         """True if the most recent snapshot raised any advisory."""
-        return bool(self.history) and not self.history[-1].healthy
+        return not self.history[-1].healthy
 
     # ------------------------------------------------------------------
-    def _measure(self, label: str, traces: TraceSet, *, check: bool) -> Snapshot:
-        # A whole-fleet snapshot rebuilds the persistent incremental state
-        # (the traces changed wholesale).  If deltas moved instances since
-        # the last snapshot, carry the *current* placement forward.
-        if self._state is not None:
-            self.assignment = self._state.assignment()
-        topology = self.assignment.topology
-        state = self._state = PlacementState(topology, traces, self.assignment)
-        self._view = state.register(NodePowerView(topology, self.assignment, traces))
-        self._index = state.register(AsynchronyIndex(self._view, self.config.level))
-        return self._snapshot_from_cache(label, check=check)
-
-    def _snapshot_from_cache(self, label: str, *, check: bool) -> Snapshot:
-        assert self._view is not None and self._index is not None
-        sum_of_peaks = self._view.sum_of_peaks(self.config.level)
-        scores = self._index.scores()
+    def _snapshot(self, label: str, *, reference: Optional[float]) -> Snapshot:
+        """The live state's numbers; advisories only against a ``reference``."""
+        level = self.index.level
+        sum_of_peaks = self.index.view.sum_of_peaks(level)
+        scores = self.index.scores()
         worst = min(scores, key=scores.get) if scores else None
         min_score = min(scores.values()) if scores else 1.0
 
         advisories: List[Advisory] = []
-        if check:
-            reference = self._reference_sum_of_peaks
-            assert reference is not None
+        if reference is not None:
             if sum_of_peaks > reference * (1.0 + self.config.sum_of_peaks_tolerance):
                 advisories.append(
                     Advisory(
                         kind="sum_of_peaks",
-                        level=self.config.level,
+                        level=level,
                         node_name=None,
                         observed=sum_of_peaks,
                         reference=reference,
@@ -209,7 +174,7 @@ class FragmentationMonitor:
                     advisories.append(
                         Advisory(
                             kind="node_asynchrony",
-                            level=self.config.level,
+                            level=level,
                             node_name=node_name,
                             observed=score,
                             reference=self.config.min_asynchrony,

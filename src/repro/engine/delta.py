@@ -196,7 +196,6 @@ class PlacementState:
             self._members[leaf_name].append(instance_id)
             self._leaf_of[instance_id] = leaf_name
         self._subscribers: list = []
-        self._version = 0
 
     # ------------------------------------------------------------------
     def _validate_arrival(self, instance_id: str, leaf_name: str) -> None:
@@ -211,11 +210,6 @@ class PlacementState:
             raise ValueError(f"leaf {leaf_name!r} is at capacity ({leaf.capacity})")
 
     # ------------------------------------------------------------------
-    @property
-    def version(self) -> int:
-        """Number of deltas applied so far."""
-        return self._version
-
     def __len__(self) -> int:
         return len(self._leaf_of)
 
@@ -255,19 +249,22 @@ class PlacementState:
         return Assignment(self.topology, self.mapping())
 
     # ------------------------------------------------------------------
-    def register(self, index):
-        """Subscribe an index; it sees every subsequent delta once, in order.
+    def register(self, subscriber):
+        """Subscribe ``subscriber``; it sees every subsequent delta once, in order.
 
-        An index that reads a view (``index.view``) is registered after
-        that view, so the view is current before the index reads it.
+        A subscriber that reads a view (``subscriber.view``) or an index
+        (``subscriber.index``) is registered after it, so what it reads is
+        current before it reads it.
         """
-        view = getattr(index, "view", None)
-        if view is not None and not any(view is sub for sub in self._subscribers):
-            raise ValueError(
-                "register the view an index reads on this state before the index"
-            )
-        self._subscribers.append(index)
-        return index
+        for name in ("view", "index"):
+            read = getattr(subscriber, name, None)
+            if read is not None and not any(read is sub for sub in self._subscribers):
+                raise ValueError(
+                    f"register the {name} a subscriber reads on this state "
+                    "before the subscriber"
+                )
+        self._subscribers.append(subscriber)
+        return subscriber
 
     def apply(self, delta: FleetDelta) -> List[str]:
         """Validate and apply a delta; returns the dirtied node names.
@@ -332,7 +329,6 @@ class PlacementState:
         dirty = dirty_nodes(self.topology, delta.touched_leaves(self._leaf_of))
         for subscriber in self._subscribers:
             subscriber.apply_delta(delta, dirty)
-        self._version += 1
         obs.count("delta.applied")
         obs.count("delta.moves", len(delta.moves))
         obs.count("delta.nodes_dirtied", len(dirty))

@@ -344,28 +344,17 @@ def record_power(
 def record_view(view, *, prefix: str = "", precursors: Optional[PrecursorConfig] = None) -> int:
     """Record every budgeted node of a :class:`~repro.infra.aggregation.NodePowerView`.
 
-    Walks the topology, feeding each budgeted node's aggregate trace into
-    :func:`record_power` keyed by the node's name (repo topologies use
-    path-like names, e.g. ``"dc/suite0/rpp3"``).  Returns the number of
-    nodes recorded; a cheap no-op (returning 0) when nothing is installed.
+    :func:`record_delta` over every node in topology order: each budgeted
+    node's aggregate trace goes to :func:`record_power` keyed by the
+    node's name (repo topologies use path-like names, e.g.
+    ``"dc/suite0/rpp3"``).  Returns the number of nodes recorded; a cheap
+    no-op (returning 0), which never reads the view, when nothing is
+    installed.
     """
     if _RECORDER is None and _events.get_event_log() is None:
         return 0
-    recorded = 0
-    step_minutes = view.traces.grid.step_minutes
-    for node in view.topology.nodes():
-        if node.budget_watts is None:
-            continue
-        path = f"{prefix}{node.name}"
-        record_power(
-            path,
-            view._node_values[node.name],
-            node.budget_watts,
-            step_minutes=step_minutes,
-            precursors=precursors,
-        )
-        recorded += 1
-    return recorded
+    names = [node.name for node in view.topology.nodes()]
+    return record_delta(view, names, prefix=prefix, precursors=precursors)
 
 
 def record_delta(

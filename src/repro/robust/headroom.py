@@ -230,29 +230,21 @@ class RobustHeadroomIndex:
 
     # ------------------------------------------------------------------
     def apply_delta(self, delta, dirty) -> None:
-        """Apply a :class:`~repro.engine.delta.FleetDelta` to the index.
+        """Apply a delta that :class:`~repro.engine.delta.PlacementState`
+        has checked.
 
-        Moves map directly onto :meth:`place` / :meth:`remove` /
-        :meth:`move` (each O(depth × log n)).  Trace updates re-read the
-        uncertainty model for the named instances (remove + place), so a
-        refreshed nominal/radius takes effect along the whole root path.
-        ``dirty`` is not read: each accountant update walks its own root
-        path.
+        Each move is a :meth:`remove` from its source leaf and then a
+        :meth:`place` on its destination (each O(depth × log n)), move by
+        move, as :meth:`move` does.  Trace updates re-read the uncertainty
+        model for the named instances (remove + place), so a refreshed
+        nominal/radius takes effect along the whole root path.  ``dirty``
+        is not read: each accountant update walks its own root path.
         """
         for mv in delta.moves:
-            instance_id = mv.instance_id
-            if mv.src_leaf is None:
-                self.place(instance_id, mv.dst_leaf)
-                continue
-            current = self.leaf_of(instance_id)
-            if current != mv.src_leaf:
-                raise ValueError(
-                    f"{instance_id!r} is on {current!r}, not {mv.src_leaf!r}"
-                )
-            if mv.dst_leaf is None:
-                self.remove(instance_id)
-            else:
-                self.move(instance_id, mv.dst_leaf)
+            if mv.src_leaf is not None:
+                self.remove(mv.instance_id)
+            if mv.dst_leaf is not None:
+                self.place(mv.instance_id, mv.dst_leaf)
         for instance_id in delta.trace_updates:
             leaf_name = self.remove(instance_id)
             self.place(instance_id, leaf_name)

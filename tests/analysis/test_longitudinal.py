@@ -6,6 +6,7 @@ import pytest
 from repro.analysis.longitudinal import (
     DriftingFleet,
     LongitudinalSimulation,
+    PhaseConvergenceEvent,
     amplitude_drift,
     combined_drift,
     no_drift,
@@ -14,6 +15,8 @@ from repro.analysis.longitudinal import (
 from repro.core import PlacementConfig, WorkloadAwarePlacer
 from repro.infra import Level, build_topology, ocp_spec
 from repro.traces import (
+    TimeGrid,
+    TraceSet,
     TraceSynthesizer,
     cache_profile,
     db_profile,
@@ -150,3 +153,85 @@ class TestSimulation:
         sim = LongitudinalSimulation(fleet, assignment, level=Level.RPP)
         with pytest.raises(ValueError):
             sim.run(0)
+
+
+class _Shifted:
+    """A fleet whose later weeks come with another grid or id order."""
+
+    def __init__(self, fleet, change):
+        self.fleet = fleet
+        self.change = change
+        self.first = None
+
+    def week(self, week_index):
+        traces = self.fleet.week(week_index)
+        if week_index == 0:
+            self.first = traces
+            return traces
+        grid, ids, matrix = traces.grid, traces.ids, traces.matrix
+        if self.change == "ids":
+            ids, matrix = ids[::-1], matrix[::-1]
+        else:
+            grid = TimeGrid(
+                grid.start_minute + grid.step_minutes, grid.step_minutes, grid.n_samples
+            )
+        return TraceSet(grid, ids, matrix)
+
+
+class TestOneState:
+    def test_one_state_across_weeks(self, setting, monkeypatch):
+        """One state, one monitor, a view per week for the frozen arm plus
+        the live one, and one delta per later week plus one per swap."""
+        from repro.analysis import longitudinal
+        from repro.obs import metrics as obs_metrics
+
+        built = {"view": 0, "state": 0, "monitor": 0}
+
+        def counting(cls, key):
+            class Counted(cls):
+                def __init__(self, *args, **kwargs):
+                    built[key] += 1
+                    super().__init__(*args, **kwargs)
+
+            return Counted
+
+        for name, key in (
+            ("NodePowerView", "view"),
+            ("PlacementState", "state"),
+            ("FragmentationMonitor", "monitor"),
+        ):
+            counted = counting(getattr(longitudinal, name), key)
+            monkeypatch.setattr(longitudinal, name, counted)
+        records, _, assignment = setting
+        # Half the db fleet converges on one phase from week 2: the loop
+        # remaps twice.
+        db_ids = [r.instance_id for r in records if r.service == "db"]
+        rng = np.random.default_rng(3)
+        affected = rng.choice(db_ids, size=len(db_ids) // 2, replace=False)
+        event = PhaseConvergenceEvent(
+            week=2, instance_ids=frozenset(affected), target_offset_hours=12.0
+        )
+        fleet = DriftingFleet(
+            records, PROFILES, no_drift, step_minutes=60, seed=1, event=event
+        )
+        sim = LongitudinalSimulation(fleet, assignment, level=Level.RPP)
+        n_weeks = 4
+        with obs_metrics.capturing() as registry:
+            result = sim.run(n_weeks)
+        swaps = result.total_swaps()
+        remapped = [outcome.swaps_performed > 0 for outcome in result.adaptive]
+        assert remapped == [False, False, True, True]
+        assert built == {"view": n_weeks + 1, "state": 1, "monitor": 1}
+        counters = registry.snapshot()["counters"]
+        assert counters["delta.applied"] == n_weeks - 1 + swaps
+
+    @pytest.mark.parametrize("change", ["ids", "grid"])
+    def test_week_that_does_not_match_is_refused(self, setting, change):
+        records, _, assignment = setting
+        fleet = _Shifted(
+            DriftingFleet(records, PROFILES, no_drift, step_minutes=60, seed=1), change
+        )
+        sim = LongitudinalSimulation(fleet, assignment, level=Level.RPP)
+        with pytest.raises(ValueError, match="grid and instance order"):
+            sim.run(2)
+        assert np.array_equal(fleet.first.matrix, fleet.fleet.week(0).matrix)

@@ -1,10 +1,18 @@
-"""Unit tests for the fragmentation monitor."""
+"""Unit tests for the fragmentation monitor.
+
+Every monitor here reads the view and the asynchrony index of one
+:class:`~repro.engine.delta.PlacementState`: a new week of telemetry is
+written into the state's trace rows and announced with
+``state.update_traces``, and a placement change goes through the state.
+"""
 
 import numpy as np
 import pytest
 
 from repro.analysis import FragmentationMonitor, MonitorConfig
-from repro.infra import Assignment, Level, build_topology, two_level_spec
+from repro.core.metrics import AsynchronyIndex
+from repro.engine.delta import FleetDelta, PlacementState
+from repro.infra import Assignment, Level, NodePowerView, build_topology, two_level_spec
 from repro.traces import TimeGrid, TraceSet, inject_surge
 
 
@@ -21,42 +29,61 @@ def setting():
     return topo, assignment, traces
 
 
+def monitored(assignment, traces, config=MonitorConfig()):
+    """A state holding a view and an RPP index, and a monitor reading them."""
+    topo = assignment.topology
+    state = PlacementState(topo, traces, assignment)
+    view = state.register(NodePowerView(topo, assignment, traces))
+    index = state.register(AsynchronyIndex(view, Level.RPP))
+    return state, FragmentationMonitor(index, config)
+
+
+def write_week(state, week):
+    """Write a new week into the state's trace rows and announce it."""
+    state.traces.matrix[...] = week.matrix
+    state.update_traces(*week.ids)
+
+
+def surge(traces, ids, factor):
+    return inject_surge(traces, ids, factor=factor, start_hour=0, end_hour=24)
+
+
 class TestMonitorConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
-            MonitorConfig(level=Level.RPP, sum_of_peaks_tolerance=-0.1)
+            MonitorConfig(sum_of_peaks_tolerance=-0.1)
         with pytest.raises(ValueError):
-            MonitorConfig(level=Level.RPP, min_asynchrony=0.5)
+            MonitorConfig(min_asynchrony=0.5)
 
 
 class TestMonitor:
-    def test_requires_calibration(self, setting):
+    def test_calibrates_when_built(self, setting):
         _, assignment, traces = setting
-        monitor = FragmentationMonitor(assignment, MonitorConfig(level=Level.RPP))
-        with pytest.raises(RuntimeError):
-            monitor.observe("week1", traces)
+        _, monitor = monitored(assignment, traces)
+        (calibration,) = monitor.history
+        assert calibration.label == "calibration"
+        assert calibration.healthy
+        assert calibration.sum_of_peaks == monitor.index.view.sum_of_peaks(Level.RPP)
 
     def test_healthy_when_stable(self, setting):
         _, assignment, traces = setting
-        monitor = FragmentationMonitor(assignment, MonitorConfig(level=Level.RPP))
-        monitor.calibrate(traces)
-        snapshot = monitor.observe("week1", traces)
+        _, monitor = monitored(assignment, traces)
+        snapshot = monitor.observe("week1")
         assert snapshot.healthy
         assert not monitor.needs_remapping()
 
     def test_flags_sum_of_peaks_drift(self, setting):
         _, assignment, traces = setting
-        monitor = FragmentationMonitor(
+        state, monitor = monitored(
             assignment,
-            MonitorConfig(level=Level.RPP, sum_of_peaks_tolerance=0.05, min_asynchrony=1.0),
+            traces,
+            MonitorConfig(sum_of_peaks_tolerance=0.05, min_asynchrony=1.0),
         )
-        monitor.calibrate(traces)
-        surged = inject_surge(
-            traces, ["u1", "u2"], factor=3.0, start_hour=0, end_hour=24
-        )
-        snapshot = monitor.observe("surge-week", surged)
+        write_week(state, surge(traces, ["u1", "u2"], 3.0))
+        snapshot = monitor.observe("surge-week")
         assert not snapshot.healthy
         assert any(a.kind == "sum_of_peaks" for a in snapshot.advisories)
+        assert all(a.level == Level.RPP for a in snapshot.advisories)
         assert monitor.needs_remapping()
 
     def test_flags_low_asynchrony_node(self, setting):
@@ -65,39 +92,47 @@ class TestMonitor:
         grouped = Assignment(
             topo, {"u1": "dc/rpp0", "u2": "dc/rpp0", "d1": "dc/rpp1", "d2": "dc/rpp1"}
         )
-        monitor = FragmentationMonitor(
-            grouped, MonitorConfig(level=Level.RPP, min_asynchrony=1.05)
-        )
-        monitor.calibrate(traces)
-        snapshot = monitor.observe("week1", traces)
+        _, monitor = monitored(grouped, traces, MonitorConfig(min_asynchrony=1.05))
+        snapshot = monitor.observe("week1")
         flagged = [a for a in snapshot.advisories if a.kind == "node_asynchrony"]
         assert flagged
         assert all(a.node_name is not None for a in flagged)
 
     def test_worst_node_identified(self, setting):
         _, assignment, traces = setting
-        monitor = FragmentationMonitor(assignment, MonitorConfig(level=Level.RPP))
-        snapshot = monitor.calibrate(traces)
-        assert snapshot.worst_node in ("dc/rpp0", "dc/rpp1")
+        _, monitor = monitored(assignment, traces)
+        assert monitor.history[0].worst_node in ("dc/rpp0", "dc/rpp1")
 
     def test_history_accumulates(self, setting):
         _, assignment, traces = setting
-        monitor = FragmentationMonitor(assignment, MonitorConfig(level=Level.RPP))
-        monitor.calibrate(traces)
-        monitor.observe("w1", traces)
-        monitor.observe("w2", traces)
+        _, monitor = monitored(assignment, traces)
+        monitor.observe("w1")
+        monitor.observe("w2")
         assert [s.label for s in monitor.history] == ["calibration", "w1", "w2"]
 
     def test_advisory_severity(self, setting):
         _, assignment, traces = setting
-        monitor = FragmentationMonitor(
-            assignment, MonitorConfig(level=Level.RPP, sum_of_peaks_tolerance=0.0)
+        state, monitor = monitored(
+            assignment, traces, MonitorConfig(sum_of_peaks_tolerance=0.0)
         )
-        monitor.calibrate(traces)
-        surged = inject_surge(traces, ["u1"], factor=2.0, start_hour=0, end_hour=24)
-        snapshot = monitor.observe("surge", surged)
+        write_week(state, surge(traces, ["u1"], 2.0))
+        snapshot = monitor.observe("surge")
         drift = [a for a in snapshot.advisories if a.kind == "sum_of_peaks"]
         assert drift and drift[0].severity > 0
+
+    def test_calibrate_takes_the_live_state_as_reference(self, setting):
+        _, assignment, traces = setting
+        state, monitor = monitored(
+            assignment,
+            traces,
+            MonitorConfig(sum_of_peaks_tolerance=0.05, min_asynchrony=1.0),
+        )
+        write_week(state, surge(traces, ["u1", "u2"], 3.0))
+        assert not monitor.observe("surge-week").healthy
+        recalibrated = monitor.calibrate()
+        assert recalibrated.label == "calibration"
+        assert recalibrated.sum_of_peaks == monitor.history[-2].sum_of_peaks
+        assert monitor.observe("next-week").healthy
 
 
 class TestEventLogMirroring:
@@ -105,16 +140,14 @@ class TestEventLogMirroring:
         from repro.obs import events
 
         _, assignment, traces = setting
-        monitor = FragmentationMonitor(
+        state, monitor = monitored(
             assignment,
-            MonitorConfig(level=Level.RPP, sum_of_peaks_tolerance=0.05, min_asynchrony=1.0),
+            traces,
+            MonitorConfig(sum_of_peaks_tolerance=0.05, min_asynchrony=1.0),
         )
-        monitor.calibrate(traces)
-        surged = inject_surge(
-            traces, ["u1", "u2"], factor=3.0, start_hour=0, end_hour=24
-        )
+        write_week(state, surge(traces, ["u1", "u2"], 3.0))
         with events.recording() as log:
-            snapshot = monitor.observe("surge-week", surged)
+            snapshot = monitor.observe("surge-week")
         mirrored = log.by_kind(events.ADVISORY)
         assert len(mirrored) == len(snapshot.advisories)
         (event,) = [e for e in mirrored if e.fields["drift"] == "sum_of_peaks"]
@@ -127,25 +160,26 @@ class TestEventLogMirroring:
         from repro.obs import events
 
         _, assignment, traces = setting
-        surged = inject_surge(
-            traces, ["u1", "u2"], factor=3.0, start_hour=0, end_hour=24
-        )
+        surged = surge(traces, ["u1", "u2"], 3.0)
 
         def run(recorded):
-            monitor = FragmentationMonitor(
+            own = TraceSet(traces.grid, traces.ids, traces.matrix.copy())
+            state, monitor = monitored(
                 assignment,
-                MonitorConfig(
-                    level=Level.RPP, sum_of_peaks_tolerance=0.05, min_asynchrony=1.0
-                ),
+                own,
+                MonitorConfig(sum_of_peaks_tolerance=0.05, min_asynchrony=1.0),
             )
-            monitor.calibrate(traces)
+
+            def weeks():
+                healthy_first = monitor.observe("w1")
+                write_week(state, surged)
+                return healthy_first, monitor.observe("w2")
+
             if recorded:
                 with events.recording():
-                    healthy_first = monitor.observe("w1", traces)
-                    drifted = monitor.observe("w2", surged)
+                    healthy_first, drifted = weeks()
             else:
-                healthy_first = monitor.observe("w1", traces)
-                drifted = monitor.observe("w2", surged)
+                healthy_first, drifted = weeks()
             return healthy_first, drifted, monitor.needs_remapping()
 
         plain_healthy, plain_drifted, plain_decision = run(recorded=False)
@@ -161,39 +195,29 @@ class TestEventLogMirroring:
         from repro.obs import events
 
         _, assignment, traces = setting
-        monitor = FragmentationMonitor(assignment, MonitorConfig(level=Level.RPP))
-        monitor.calibrate(traces)
+        _, monitor = monitored(assignment, traces)
         with events.recording() as log:
-            snapshot = monitor.observe("quiet-week", traces)
+            snapshot = monitor.observe("quiet-week")
         assert snapshot.healthy
         assert len(log) == 0
 
 
 class TestMonitorDeltaFeed:
-    def _delta(self):
-        from repro.engine.delta import FleetDelta
-
-        return FleetDelta
-
-    def test_requires_calibration(self, setting):
-        _, assignment, traces = setting
-        monitor = FragmentationMonitor(assignment, MonitorConfig(level=Level.RPP))
-        with pytest.raises(RuntimeError):
-            monitor.observe_delta("d0", self._delta().swap("u1", "dc/rpp0", "u2", "dc/rpp1"))
-
     def test_delta_observation_matches_full_snapshot(self, setting):
-        """Consuming the swap as a delta yields the same snapshot numbers as
-        re-measuring the swapped placement from scratch."""
-        _, assignment, traces = setting
-        config = MonitorConfig(level=Level.RPP, min_asynchrony=1.0)
-        incremental = FragmentationMonitor(assignment, config)
-        incremental.calibrate(traces)
-        swap = self._delta().swap("d1", "dc/rpp0", "u2", "dc/rpp1")
-        from_delta = incremental.observe_delta("after-swap", swap)
+        """Observing the swap through the state yields the same snapshot
+        numbers as calibrating over a view built on the swapped placement."""
+        topo, assignment, traces = setting
+        config = MonitorConfig(min_asynchrony=1.0)
+        state, incremental = monitored(assignment, traces, config)
+        state.register(incremental)
+        state.apply(FleetDelta.swap("d1", "dc/rpp0", "u2", "dc/rpp1"))
+        from_delta = incremental.history[-1]
 
         swapped = assignment.with_swap("d1", "u2")
-        full = FragmentationMonitor(swapped, config)
-        reference = full.calibrate(traces)
+        fresh_view = NodePowerView(topo, swapped, traces)
+        reference = FragmentationMonitor(
+            AsynchronyIndex(fresh_view, Level.RPP), config
+        ).history[0]
         assert from_delta.sum_of_peaks == reference.sum_of_peaks
         assert from_delta.min_asynchrony == reference.min_asynchrony
         assert from_delta.worst_node == reference.worst_node
@@ -202,57 +226,78 @@ class TestMonitorDeltaFeed:
         """Pairing the synchronous instances via a delta drops both nodes'
         asynchrony to 1.0 — the monitor must flag it without a re-score."""
         _, assignment, traces = setting
-        monitor = FragmentationMonitor(
-            assignment, MonitorConfig(level=Level.RPP, min_asynchrony=1.05)
-        )
-        monitor.calibrate(traces)
+        state, monitor = monitored(assignment, traces, MonitorConfig(min_asynchrony=1.05))
+        state.register(monitor)
         assert not monitor.needs_remapping()
         # u1+d1 / u2+d2 are anti-phase (healthy); swapping d1 and u2 pairs
         # u1+u2 and d1+d2 — perfectly synchronous nodes.
-        monitor.observe_delta("bad-swap", self._delta().swap("d1", "dc/rpp0", "u2", "dc/rpp1"))
+        state.apply(FleetDelta.swap("d1", "dc/rpp0", "u2", "dc/rpp1"))
         assert monitor.needs_remapping()
         kinds = {a.kind for a in monitor.history[-1].advisories}
         assert "node_asynchrony" in kinds
 
     def test_snapshot_after_deltas_carries_placement_forward(self, setting):
-        """A whole-trace observe() after deltas re-measures the *moved*
+        """A whole-week observe() after deltas measures the *moved*
         placement, not the calibrated one."""
         _, assignment, traces = setting
-        config = MonitorConfig(level=Level.RPP, min_asynchrony=1.05)
-        monitor = FragmentationMonitor(assignment, config)
-        monitor.calibrate(traces)
-        monitor.observe_delta("bad-swap", self._delta().swap("d1", "dc/rpp0", "u2", "dc/rpp1"))
-        snapshot = monitor.observe("same-traces", traces)
+        state, monitor = monitored(assignment, traces, MonitorConfig(min_asynchrony=1.05))
+        state.register(monitor)
+        state.swap("d1", "u2")
+        write_week(state, traces)
+        snapshot = monitor.observe("same-traces")
         assert not snapshot.healthy
-        assert monitor.assignment.as_mapping() == assignment.with_swap("d1", "u2").as_mapping()
+        assert state.assignment().as_mapping() == assignment.with_swap("d1", "u2").as_mapping()
 
     def test_overfilling_delta_is_rejected(self, setting):
-        """The monitor's own placement state checks each delta, so a move
-        into a full leaf raises and leaves the monitor's placement as it was."""
+        """The state checks each delta before any subscriber sees it, so a
+        move into a full leaf raises and the monitor observes nothing."""
         _, _, traces = setting
         topo = build_topology(two_level_spec("dc", leaves=2, leaf_capacity=2))
         assignment = Assignment(
             topo, {"u1": "dc/rpp0", "d1": "dc/rpp0", "u2": "dc/rpp1", "d2": "dc/rpp1"}
         )
-        monitor = FragmentationMonitor(assignment, MonitorConfig(level=Level.RPP))
-        monitor.calibrate(traces)
+        state, monitor = monitored(assignment, traces)
+        state.register(monitor)
         with pytest.raises(ValueError, match="capacity"):
-            monitor.observe_delta(
-                "overfill", self._delta().move("u2", "dc/rpp1", "dc/rpp0")
-            )
+            state.apply(FleetDelta.move("u2", "dc/rpp1", "dc/rpp0"))
         assert len(monitor.history) == 1
-        monitor.observe("same-traces", traces)
-        assert monitor.assignment.as_mapping() == assignment.as_mapping()
+        monitor.observe("same-traces")
+        assert state.assignment().as_mapping() == assignment.as_mapping()
 
     def test_registers_as_placement_state_subscriber(self, setting):
-        from repro.engine.delta import PlacementState
-
-        topo, assignment, traces = setting
-        monitor = FragmentationMonitor(
-            assignment, MonitorConfig(level=Level.RPP, min_asynchrony=1.05)
-        )
-        monitor.calibrate(traces)
-        state = PlacementState(topo, traces, assignment)
-        state.register(monitor)
+        _, assignment, traces = setting
+        state, monitor = monitored(assignment, traces, MonitorConfig(min_asynchrony=1.05))
+        assert state.register(monitor) is monitor
         state.swap("d1", "u2")
         assert monitor.needs_remapping()
+        assert [s.label for s in monitor.history] == ["calibration", "delta:1"]
+
+    def test_one_swap_is_applied_once(self, setting):
+        """With a view, an index and a monitor on one state, a swap is
+        checked and applied once and each dirty node re-summed once."""
+        from repro.obs import metrics as obs_metrics
+
+        _, assignment, traces = setting
+        state, monitor = monitored(assignment, traces)
+        state.register(monitor)
+        with obs_metrics.capturing() as registry:
+            dirty = state.swap("d1", "u2")
+        counters = registry.snapshot()["counters"]
+        assert counters["delta.applied"] == 1
+        assert counters["delta.moves"] == 2
+        assert counters["delta.view_nodes_recomputed"] == len(dirty) == 3
+        assert counters["monitor.delta_observations"] == 1
+
+    def test_registered_before_its_index_is_refused(self, setting):
+        """A monitor reads its index's scores, so the index must already be
+        on the state; refusing at registration leaves nothing applied."""
+        topo, assignment, traces = setting
+        state = PlacementState(topo, traces, assignment)
+        view = state.register(NodePowerView(topo, assignment, traces))
+        monitor = FragmentationMonitor(AsynchronyIndex(view, Level.RPP), MonitorConfig())
+        with pytest.raises(ValueError, match="index"):
+            state.register(monitor)
+        state.register(monitor.index)
+        state.register(monitor)
+        state.swap("d1", "u2")
+        assert len(monitor.history) == 2

@@ -143,6 +143,8 @@ class TestPlacementState:
         assert len(state.members("dc/rpp0")) == 5
 
     def test_rejected_delta_leaves_state_untouched(self):
+        from repro.obs import metrics as obs_metrics
+
         topo, assignment, traces = small_fleet()
         state = PlacementState(topo, traces, assignment)
         before = state.mapping()
@@ -152,10 +154,11 @@ class TestPlacementState:
                 Move("i1", "dc/rpp3", "dc/rpp0"),  # wrong src leaf
             )
         )
-        with pytest.raises(ValueError):
-            state.apply(bad)
+        with obs_metrics.capturing() as registry:
+            with pytest.raises(ValueError):
+                state.apply(bad)
         assert state.mapping() == before
-        assert state.version == 0
+        assert "delta.applied" not in registry.snapshot()["counters"]
 
     def test_counters_and_histogram(self):
         from repro.obs import metrics as obs_metrics
@@ -258,7 +261,6 @@ class TestViewRejectsWholeDelta:
         with pytest.raises(error):
             state.apply(FleetDelta(moves=(first, second)))
         self._assert_unchanged(before, indexed)
-        assert state.version == 1
         fresh = NodePowerView(state.topology, state.assignment(), view.traces)
         for node in state.topology.nodes():
             assert np.array_equal(
@@ -298,7 +300,6 @@ class TestViewRejectsWholeDelta:
         assert view.member_ids("dc/rpp0")[-1] == "spare"
         for leaf in state.topology.leaf_names():
             assert view.member_ids(leaf) == state.members(leaf)
-        assert state.version == 2
 
 
 class TestSharedViewGuard:

@@ -1,8 +1,11 @@
 """Integration: the example scripts must run cleanly end to end."""
 
+import ast
 import pathlib
 import subprocess
 import sys
+
+import pytest
 
 
 EXAMPLES = pathlib.Path(__file__).resolve().parents[2] / "examples"
@@ -36,3 +39,15 @@ class TestExamples:
         out = run_example("incremental_remapping.py")
         assert "full re-placement" in out
         assert "migration budget" in out
+
+
+@pytest.mark.parametrize(
+    "path", sorted(EXAMPLES.glob("*.py")), ids=lambda path: path.name
+)
+def test_run_line_names_the_example(path):
+    """Each example's docstring says how to run that very example."""
+    docstring = ast.get_docstring(ast.parse(path.read_text()))
+    (run_line,) = [
+        line for line in docstring.splitlines() if line.startswith("Run:")
+    ]
+    assert run_line.split()[1:3] == ["python", f"examples/{path.name}"]

@@ -168,10 +168,8 @@ def _run_scene(scene):
     provision_from_view(view, margin=0.25)
     score_index = state.register(AsynchronyIndex(view, Level.RPP))
     head_index = state.register(HeadroomIndex(view))
-    config = MonitorConfig(level=Level.RPP)
-    monitor = FragmentationMonitor(assignment, config)
-    monitor.calibrate(traces)
-    state.register(monitor)
+    config = MonitorConfig()
+    monitor = state.register(FragmentationMonitor(score_index, config))
 
     _apply_ops(state, traces, ops, rng)
 
@@ -203,7 +201,9 @@ def _run_scene(scene):
     head_index.verify()
 
     last = monitor.history[-1]
-    reference = FragmentationMonitor(fresh_assignment, config).calibrate(traces)
+    reference = FragmentationMonitor(
+        AsynchronyIndex(fresh_view, Level.RPP), config
+    ).history[0]
     assert last.sum_of_peaks == reference.sum_of_peaks
     assert last.worst_node == reference.worst_node
     assert last.min_asynchrony == reference.min_asynchrony

@@ -9,7 +9,9 @@ from repro import obs
 from repro.analysis import FragmentationMonitor, MonitorConfig
 from repro.core import RemapConfig, RemappingEngine, differential_scores_for_node
 from repro.core.asynchrony import differential_rows
+from repro.core.metrics import AsynchronyIndex
 from repro.core.remapping import Swap, _NodeGroup
+from repro.engine.delta import PlacementState
 from repro.infra import Assignment, Level, NodePowerView, build_topology, two_level_spec
 from repro.traces import TimeGrid, TraceSet
 
@@ -314,15 +316,14 @@ class TestMonitorInvariants:
     @settings(max_examples=25, deadline=None)
     def test_observing_calibration_traces_is_healthy(self, scene, tolerance):
         """Identical telemetry can never raise a sum-of-peaks advisory."""
-        _, assignment, traces = scene
+        topo, assignment, traces = scene
+        state = PlacementState(topo, traces, assignment)
+        view = state.register(NodePowerView(topo, assignment, traces))
+        index = state.register(AsynchronyIndex(view, Level.RPP))
         monitor = FragmentationMonitor(
-            assignment,
-            MonitorConfig(
-                level=Level.RPP,
-                sum_of_peaks_tolerance=tolerance,
-                min_asynchrony=1.0,
-            ),
+            index,
+            MonitorConfig(sum_of_peaks_tolerance=tolerance, min_asynchrony=1.0),
         )
-        monitor.calibrate(traces)
-        snapshot = monitor.observe("same", traces)
+        state.update_traces(*traces.ids)
+        snapshot = monitor.observe("same")
         assert snapshot.healthy
