@@ -73,7 +73,7 @@ from .traces import (
     TraceSynthesizer,
 )
 
-__version__ = "12.0.0"
+__version__ = "12.1.0"
 
 __all__ = [
     "__version__",

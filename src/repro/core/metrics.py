@@ -119,12 +119,12 @@ class AsynchronyIndex:
     # ------------------------------------------------------------------
     def apply_delta(self, delta, dirty) -> None:
         """Patch the refreshed rows' peaks and re-score the dirty level nodes."""
-        traces = self.view.traces
-        for instance_id in delta.trace_updates:
-            # Patch the cached per-member peaks for rewritten rows; max is
-            # exact, so the patched entry equals a fresh traces.peaks().
-            row = traces.index_of(instance_id)
-            self._member_peaks[row] = traces.matrix[row].max()
+        if delta.trace_updates:
+            # Patch the cached per-member peaks of the rewritten rows; max
+            # is exact, so each patched entry equals a fresh traces.peaks().
+            traces = self.view.traces
+            rows = [traces.index_of(instance_id) for instance_id in delta.trace_updates]
+            self._member_peaks[rows] = traces.matrix[rows].max(axis=1)
         refreshed = 0
         for name in dirty:
             if name in self._scores:

@@ -17,7 +17,7 @@ from ..infra.budget import provision_hierarchical
 from ..infra.headroom import ExpansionPlan, plan_expansion
 from ..infra.topology import PowerTopology
 from ..traces.instance import InstanceRecord
-from ..traces.synthesis import test_trace_set, training_trace_set
+from ..traces.synthesis import fleet_trace_set
 from .placement import PlacementConfig, PlacementResult, WorkloadAwarePlacer
 from .remapping import RemapConfig, RemappingEngine, RemapResult
 
@@ -84,7 +84,12 @@ class OptimizationOutcome:
 
 
 class SmoothOperator:
-    """Facade over placement + optional remapping + evaluation."""
+    """Facade over placement + optional remapping + evaluation.
+
+    Each stage reads a synthesized :class:`~repro.traces.synthesis.Fleet`'s
+    training or test matrix in place; other records are copied once per
+    stage (:func:`~repro.traces.synthesis.fleet_trace_set`).
+    """
 
     def __init__(self, config: Optional[SmoothOperatorConfig] = None) -> None:
         self.config = config if config is not None else SmoothOperatorConfig()
@@ -115,7 +120,7 @@ class SmoothOperator:
             remap: Optional[RemapResult] = None
             if self.config.remap is not None:
                 engine = RemappingEngine(self.config.remap)
-                remap = engine.run(base, training_trace_set(records))
+                remap = engine.run(base, fleet_trace_set(records))
             return OptimizationOutcome(
                 placement=placement, remap=remap, robust=robust
             )
@@ -142,11 +147,7 @@ class SmoothOperator:
         ``per_server_watts`` defaults to the fleet's mean per-instance peak.
         """
         with obs.span("pipeline.evaluate", instances=len(records)):
-            traces = (
-                test_trace_set(records)
-                if use_test_week
-                else training_trace_set(records)
-            )
+            traces = fleet_trace_set(records, test=use_test_week)
             topology = baseline.topology
             before = NodePowerView(topology, baseline, traces)
             after = NodePowerView(topology, optimized, traces)

@@ -14,8 +14,9 @@ then does the same at each child until instances reach leaf power nodes.
 Synchronous instances (same cluster) end up spread evenly; each node's
 aggregate peak drops.
 
-The records are stacked into one fleet matrix once per placement, and a
-node works on the index array of its rows in that matrix: every basis,
+The records' training traces are read as one fleet matrix (the
+synthesized fleet's own, or one copy per placement for any other records),
+and a node works on the index array of its rows in that matrix: every basis,
 score and deal order above is read from the matrix by row index, with no
 per-node copy of the traces.
 
@@ -43,6 +44,7 @@ from ..infra.topology import PowerNode, PowerTopology
 from ..traces.instance import InstanceRecord
 from ..traces.service import ServiceRows
 from ..traces.service import extract_basis_traces  # noqa: F401  (wrapped by bench/layers.py)
+from ..traces.synthesis import fleet_trace_set
 from ..traces.traceset import TraceSet
 from .asynchrony import score_matrix
 from .clustering import ClusteringResult, balanced_kmeans, stack_size
@@ -139,8 +141,11 @@ def _require_unique_ids(records: Sequence[InstanceRecord]) -> None:
 
 
 class _FleetRows:
-    """The records being placed, stacked once into one validated matrix.
+    """The records being placed, as one validated matrix.
 
+    The matrix is the fleet's own training matrix when ``records`` is a
+    :class:`~repro.traces.synthesis.Fleet`, and a copy of the records'
+    training traces otherwise (:func:`~repro.traces.synthesis.fleet_trace_set`).
     Each row's facts are computed here, once: its service and energy (held
     by :class:`~repro.traces.service.ServiceRows`), its peak, and the rank
     of its instance id among all ids.  A node of the walk is an index
@@ -148,9 +153,7 @@ class _FleetRows:
     """
 
     def __init__(self, records: Sequence[InstanceRecord]) -> None:
-        self.traces = TraceSet.from_traces(
-            {record.instance_id: record.training_trace for record in records}
-        )
+        self.traces = fleet_trace_set(records)
         self.ids = self.traces.ids
         self.services = ServiceRows(
             self.traces.grid,

@@ -30,7 +30,6 @@ from ..baselines.oblivious import oblivious_placement
 from ..infra.assignment import Assignment
 from ..infra.builder import TopologySpec, build_topology, ocp_spec
 from ..infra.topology import PowerTopology
-from ..traces.instance import InstanceRecord
 from ..traces.profiles import (
     ServiceProfile,
     cache_profile,
@@ -42,7 +41,7 @@ from ..traces.profiles import (
     storage_profile,
     web_profile,
 )
-from ..traces.synthesis import TraceSynthesizer, test_trace_set, training_trace_set
+from ..traces.synthesis import Fleet, TraceSynthesizer, fleet_trace_set
 from ..traces.traceset import TraceSet
 
 
@@ -107,10 +106,15 @@ class DatacenterSpec:
 
 @dataclass
 class Datacenter:
-    """A materialised datacenter: fleet, topology, and original placement."""
+    """A materialised datacenter: fleet, topology, and original placement.
+
+    ``records`` is the synthesized :class:`~repro.traces.synthesis.Fleet`;
+    :meth:`training_traces` and :meth:`test_traces` return its read-only
+    sets, not copies.
+    """
 
     spec: DatacenterSpec
-    records: List[InstanceRecord]
+    records: Fleet
     topology: PowerTopology
     baseline: Assignment
 
@@ -119,10 +123,10 @@ class Datacenter:
         return self.spec.name
 
     def training_traces(self) -> TraceSet:
-        return training_trace_set(self.records)
+        return fleet_trace_set(self.records)
 
     def test_traces(self) -> TraceSet:
-        return test_trace_set(self.records)
+        return fleet_trace_set(self.records, test=True)
 
     def counts_by_kind(self) -> Dict[str, int]:
         counts: Dict[str, int] = {}

@@ -135,16 +135,15 @@ def provision_hierarchical(
     """
     if margin < 0:
         raise ValueError("margin cannot be negative")
+    # Reverse pre-order meets every child before its parent.  A recursive
+    # closure would refer to itself, a cycle that kept ``view`` alive until
+    # the cyclic collector ran.
     budgets: Dict[str, float] = {}
-
-    def visit(node) -> float:
+    for node in reversed(view.topology.nodes()):
         if node.is_leaf:
             budgets[node.name] = view.node_peak(node.name) * (1.0 + margin)
         else:
-            budgets[node.name] = sum(visit(child) for child in node.children)
-        return budgets[node.name]
-
-    visit(view.topology.root)
+            budgets[node.name] = sum(budgets[child.name] for child in node.children)
     apply_budgets(view.topology, budgets)
     return budgets
 

@@ -17,6 +17,7 @@ from typing import Dict, Iterable, Sequence, Tuple
 import numpy as np
 
 from ..traces.instance import InstanceRecord
+from ..traces.synthesis import fleet_trace_set
 from ..traces.traceset import TraceSet
 
 #: Default percentile of the trace history taken as the nominal draw.  The
@@ -106,11 +107,8 @@ class UncertainPowerModel:
         Placement must never peek at the held-out test week; the spike
         radii come from the same history the placer sees.
         """
-        traces = TraceSet.from_traces(
-            {record.instance_id: record.training_trace for record in records}
-        )
         return cls.from_traceset(
-            traces,
+            fleet_trace_set(records),
             nominal_percentile=nominal_percentile,
             radius_scale=radius_scale,
         )

@@ -66,9 +66,11 @@ from .service import (
     total_energy_by_service,
 )
 from .synthesis import (
+    Fleet,
     InstancePersonality,
     TraceSynthesizer,
     draw_personality,
+    fleet_trace_set,
     test_trace_set,
     training_trace_set,
 )
@@ -124,6 +126,8 @@ __all__ = [
     "TraceSynthesizer",
     "InstancePersonality",
     "draw_personality",
+    "Fleet",
+    "fleet_trace_set",
     "training_trace_set",
     "test_trace_set",
     "PercentileBand",

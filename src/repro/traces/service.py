@@ -20,6 +20,7 @@ import numpy as np
 from .grid import TimeGrid
 from .instance import InstanceRecord, group_by_service
 from .series import PowerTrace
+from .synthesis import fleet_trace_set
 from .traceset import TraceSet, sum_rows
 
 
@@ -61,14 +62,16 @@ class ServiceRows:
 
     @classmethod
     def from_records(cls, records: Sequence[InstanceRecord]) -> "ServiceRows":
-        """Stack the records' training traces (one grid for all, checked)."""
+        """The records' training traces as rows (one grid for all, checked).
+
+        A :class:`~repro.traces.synthesis.Fleet` lends its own training
+        matrix; other records are copied
+        (:func:`~repro.traces.synthesis.fleet_trace_set`).
+        """
         if not records:
             raise ValueError("no records to stack")
-        grid = records[0].training_trace.grid
-        for record in records:
-            grid.require_same(record.training_trace.grid)
-        matrix = np.stack([record.training_trace.values for record in records])
-        return cls(grid, matrix, [record.service for record in records])
+        traces = fleet_trace_set(records)
+        return cls(traces.grid, traces.matrix, [record.service for record in records])
 
     def top_services(
         self, top_m: int, rows: Optional[np.ndarray] = None

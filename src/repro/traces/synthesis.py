@@ -23,8 +23,9 @@ is ``rng.normal(loc, scale)`` to the bit (the white noise skips the
 
 from __future__ import annotations
 
+from collections import abc
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -117,6 +118,13 @@ class TraceSynthesizer:
         self._day_hours = self.grid.hours_of_day()[: self.grid.samples_per_day]
         self._weekend = (self.grid.days_of_week() >= 5).astype(np.float64)
         self._reversed_kernel = _ar1_kernel(self.grid.n_samples)[::-1].copy()
+        # The grids of a record's training week and of its held-out week,
+        # which is always the last one.
+        self._train_grid = self.grid.one_week()
+        self._test_grid = replace(
+            self._train_grid,
+            start_minute=self._train_grid.start_minute + (weeks - 1) * MINUTES_PER_WEEK,
+        )
 
     # ------------------------------------------------------------------
     def instance_trace(
@@ -213,21 +221,35 @@ class TraceSynthesizer:
 
         Each record holds the Eq.-4 averaged training trace (first
         ``weeks - test_weeks`` weeks) and the held-out test week, each a
-        row of its block's training or test matrix (so no record keeps the
-        raw multi-week traces alive).  Each of those matrices is checked
-        once, by :meth:`PowerTrace.rows`, with the checks and messages a
-        ``PowerTrace`` per row would raise.
+        read-only row of the service's training or test matrix (so no
+        record keeps the raw multi-week traces alive).  :meth:`fleet`
+        writes the same rows into the fleet's matrices instead.
         """
         if count <= 0:
             raise ValueError("count must be positive")
         n_train = training_week_count(self.weeks, test_weeks)
+        shape = (count, self.grid.samples_per_week)
+        test = np.empty(shape) if test_weeks else None
+        return self._write_service(profile, np.empty(shape), test, n_train, id_prefix)
+
+    def _write_service(
+        self,
+        profile: ServiceProfile,
+        training: np.ndarray,
+        test: Optional[np.ndarray],
+        n_train: int,
+        id_prefix: Optional[str] = None,
+    ) -> List[InstanceRecord]:
+        """Synthesize one instance per row of ``training`` (and ``test``).
+
+        Built :data:`SYNTHESIS_BLOCK_ROWS` rows at a time.  Each block's
+        rows are written in place, checked once by :meth:`PowerTrace.rows`
+        (with the checks and messages a ``PowerTrace`` per row would raise)
+        and made read-only; the records hold them as views.
+        """
+        count = len(training)
         prefix = id_prefix if id_prefix is not None else profile.name
         per_week = self.grid.samples_per_week
-        train_grid = self.grid.one_week()
-        test_grid = replace(
-            train_grid,
-            start_minute=train_grid.start_minute + (self.weeks - 1) * MINUTES_PER_WEEK,
-        )
         with obs.span("synthesize.service", service=profile.name, count=count):
             obs.count("synthesize.instances", count)
             records: List[InstanceRecord] = []
@@ -235,22 +257,28 @@ class TraceSynthesizer:
                 rows = min(SYNTHESIS_BLOCK_ROWS, count - start)
                 raw = self._raw_block(profile, rows, self._rng)
                 by_week = raw.reshape(rows, self.weeks, per_week)
-                # Eq. 4, adding weeks in order as average_instance_trace does.
+                # Eq. 4, adding weeks in order as average_instance_trace does;
+                # dividing into the block is ``total / n_train`` to the bit.
                 total = by_week[:, 0]
                 for week in range(1, n_train):
                     total = total + by_week[:, week]
-                training = PowerTrace.rows(train_grid, total / n_train)
-                test = (
-                    PowerTrace.rows(test_grid, by_week[:, -1].copy())
-                    if test_weeks
-                    else [None] * rows
-                )
+                block = training[start : start + rows]
+                np.divide(total, n_train, out=block)
+                training_rows = PowerTrace.rows(self._train_grid, _read_only(block))
+                if test is None:
+                    test_rows = [None] * rows
+                else:
+                    block = test[start : start + rows]
+                    block[...] = by_week[:, -1]
+                    test_rows = PowerTrace.rows(self._test_grid, _read_only(block))
                 # Positional arguments: keywords cost a fifth of a record.
                 for row in range(rows):
                     instance = ServiceInstance(
                         f"{prefix}-{start + row:05d}", profile.name, profile.kind
                     )
-                    records.append(InstanceRecord(instance, training[row], test[row]))
+                    records.append(
+                        InstanceRecord(instance, training_rows[row], test_rows[row])
+                    )
             return records
 
     def fleet(
@@ -258,15 +286,83 @@ class TraceSynthesizer:
         composition: Sequence[Tuple[ServiceProfile, int]],
         *,
         test_weeks: int = 1,
-    ) -> List[InstanceRecord]:
-        """Instance records for a whole fleet given (profile, count) pairs."""
+    ) -> Fleet:
+        """Instance records for a whole fleet given (profile, count) pairs.
+
+        The fleet's training weeks and test weeks are allocated here, one
+        ``(n, T)`` matrix each, and every service writes its rows into its
+        slice of them, in composition order, with the arithmetic of
+        :meth:`service_instances` (so each record has the same bits).
+        """
+        if any(count <= 0 for _, count in composition):
+            raise ValueError("count must be positive")
+        n_train = training_week_count(self.weeks, test_weeks)
+        shape = (sum(count for _, count in composition), self.grid.samples_per_week)
+        training = np.empty(shape)
+        test = np.empty(shape) if test_weeks else None
         with obs.span("synthesize", services=len(composition)):
             records: List[InstanceRecord] = []
+            start = 0
             for profile, count in composition:
+                stop = start + count
                 records.extend(
-                    self.service_instances(profile, count, test_weeks=test_weeks)
+                    self._write_service(
+                        profile,
+                        training[start:stop],
+                        None if test is None else test[start:stop],
+                        n_train,
+                    )
                 )
-            return records
+                start = stop
+            ids = [record.instance_id for record in records]
+            return Fleet(
+                records,
+                TraceSet(self._train_grid, ids, _read_only(training)),
+                None if test is None else TraceSet(self._test_grid, ids, _read_only(test)),
+            )
+
+
+def _read_only(matrix: np.ndarray) -> np.ndarray:
+    """``matrix``, with writes through it (and views taken after) refused."""
+    matrix.flags.writeable = False
+    return matrix
+
+
+class Fleet(abc.Sequence):
+    """A synthesized fleet: its records over two read-only fleet matrices.
+
+    ``training`` holds every record's Eq.-4 training week and ``test`` its
+    held-out week (``None`` when no week was held out), one row per record
+    in record order, and each record's traces are views of its rows.  Built
+    by :meth:`TraceSynthesizer.fleet`.  Readers take the sets in place
+    through :func:`fleet_trace_set`; a caller that writes copies them with
+    :func:`training_trace_set` or :func:`test_trace_set`, since a write
+    into a fleet matrix raises ``ValueError``.  Indexing with a slice
+    returns a list of records, which is not a fleet.
+    """
+
+    __slots__ = ("_records", "training", "test")
+
+    def __init__(
+        self,
+        records: List[InstanceRecord],
+        training: TraceSet,
+        test: Optional[TraceSet],
+    ) -> None:
+        self._records = records
+        self.training = training
+        self.test = test
+
+    def __len__(self) -> int:
+        return len(self._records)
+
+    def __getitem__(
+        self, index: Union[int, slice]
+    ) -> Union[InstanceRecord, List[InstanceRecord]]:
+        return self._records[index]
+
+    def __iter__(self) -> Iterator[InstanceRecord]:
+        return iter(self._records)
 
 
 def _ar1_kernel(n_samples: int, rho: float = 0.9) -> np.ndarray:
@@ -282,17 +378,39 @@ def _ar1_kernel(n_samples: int, rho: float = 0.9) -> np.ndarray:
 
 
 def training_trace_set(records: Sequence[InstanceRecord]) -> TraceSet:
-    """The fleet's averaged training I-traces as one :class:`TraceSet`."""
+    """The fleet's averaged training I-traces as one :class:`TraceSet`.
+
+    A writable copy that the caller owns, for a :class:`Fleet` too.
+    """
     return TraceSet.from_traces(
         {record.instance_id: record.training_trace for record in records}
     )
 
 
 def test_trace_set(records: Sequence[InstanceRecord]) -> TraceSet:
-    """The fleet's held-out test-week traces as one :class:`TraceSet`."""
+    """The fleet's held-out test-week traces as one :class:`TraceSet`.
+
+    A writable copy that the caller owns, for a :class:`Fleet` too.
+    """
     missing = [r.instance_id for r in records if r.test_trace is None]
     if missing:
         raise ValueError(f"records without test traces: {missing[:5]}")
     return TraceSet.from_traces(
         {record.instance_id: record.test_trace for record in records}
     )
+
+
+def fleet_trace_set(
+    records: Sequence[InstanceRecord], *, test: bool = False
+) -> TraceSet:
+    """The records' training traces (held-out test weeks with ``test``), to read.
+
+    For a :class:`Fleet`, its own read-only set, in O(1).  For any other
+    sequence of records (a slice, repaired records, an import) the copy
+    :func:`training_trace_set` or :func:`test_trace_set` makes.
+    """
+    if isinstance(records, Fleet):
+        own = records.test if test else records.training
+        if own is not None:
+            return own
+    return test_trace_set(records) if test else training_trace_set(records)

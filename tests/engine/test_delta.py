@@ -302,6 +302,25 @@ class TestViewRejectsWholeDelta:
             assert view.member_ids(leaf) == state.members(leaf)
 
 
+class TestWholeFleetRefresh:
+    def test_index_equals_a_fresh_index_after_every_row_is_rewritten(self):
+        """One delta refreshing every row patches every member peak exactly."""
+        topo, assignment, traces = small_fleet(per_leaf=6, leaves=8)
+        state = PlacementState(topo, traces, assignment)
+        view = state.register(NodePowerView(topo, state.assignment(), traces))
+        index = state.register(AsynchronyIndex(view, Level.RPP))
+        rng = np.random.default_rng(7)
+        traces.matrix[...] = rng.uniform(1, 80, size=traces.matrix.shape)
+        state.update_traces(*traces.ids)
+
+        fresh = AsynchronyIndex(
+            NodePowerView(topo, state.assignment(), traces), Level.RPP
+        )
+        assert np.array_equal(index._member_peaks, fresh._member_peaks)
+        assert np.array_equal(index._member_peaks, traces.peaks())
+        assert index.scores() == fresh.scores()
+
+
 class TestSharedViewGuard:
     def test_indices_sharing_a_view_apply_each_delta_once(self):
         """Two indices over one view: each delta re-sums each dirty node once."""

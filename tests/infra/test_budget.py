@@ -1,8 +1,12 @@
 """Unit tests for budget provisioning policies."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from repro.datasets.facebook import build_datacenter, dc1_spec, dc2_spec, dc3_spec
 from repro.engine.delta import FleetDelta, PlacementState
 from repro.infra import (
     Assignment,
@@ -110,6 +114,46 @@ class TestHierarchical:
         _, view = setup
         with pytest.raises(ValueError):
             provision_hierarchical(view, margin=-0.1)
+
+
+def recursive_budgets(view, margin):
+    """The recursive walk provision_hierarchical once ran, as the reference."""
+    budgets = {}
+
+    def visit(node):
+        if node.is_leaf:
+            budgets[node.name] = view.node_peak(node.name) * (1.0 + margin)
+        else:
+            budgets[node.name] = sum(visit(child) for child in node.children)
+        return budgets[node.name]
+
+    visit(view.topology.root)
+    return budgets
+
+
+class TestHierarchicalOnPaperFleets:
+    @pytest.mark.parametrize("factory", [dc1_spec, dc2_spec, dc3_spec])
+    def test_budgets_equal_the_recursive_walk(self, factory):
+        dc = build_datacenter(factory(n_instances=480))
+        view = NodePowerView(dc.topology, dc.baseline, dc.test_traces())
+        with preserved_budgets(dc.topology):
+            budgets = provision_hierarchical(view, margin=0.05)
+        assert budgets == recursive_budgets(view, 0.05)
+
+    def test_view_is_freed_without_the_cyclic_collector(self):
+        """Provisioning leaves no cycle holding the view: it dies at ``del``."""
+        dc = build_datacenter(dc3_spec(n_instances=480))
+        view = NodePowerView(dc.topology, dc.baseline, dc.test_traces())
+        alive = weakref.ref(view)
+        gc.collect()
+        gc.disable()
+        try:
+            with preserved_budgets(dc.topology):
+                provision_hierarchical(view)
+            del view
+            assert alive() is None
+        finally:
+            gc.enable()
 
 
 class TestPreservedBudgets:
